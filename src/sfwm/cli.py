@@ -14,14 +14,15 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import scipy
 
 from . import __version__
-from .correlation import g2_quadrature, g2_table, schmidt_decompose
+from .correlation import G2Row, g2_table
 from .dispersion import (
     TWO_PI_C,
     FiberSegment,
@@ -33,6 +34,8 @@ from .dispersion import (
 from .phasematch import PhaseMatchPoint, PumpSpec, agvm_roots, gvm_curve, solve_phase_match
 from .planner import SegmentPool, plan_exhaustive
 from .spectra import (
+    DEFAULT_LOBES,
+    DEFAULT_PAD_SIGMAS,
     AssemblySegment,
     AssemblySpec,
     FilterSpec,
@@ -57,66 +60,240 @@ def _fmt(x: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# schema validation
+# schema: one field table per config object, walked once by _walk
 
 
-def _require(obj: dict, field: str, path: str):
-    if field not in obj:
-        raise ConfigError(f"missing required field {path}.{field}")
-    return obj[field]
+@dataclass(frozen=True)
+class _Field:
+    """How one config field is checked.
+
+    ``kind`` is number, integer, pair ([low, high]), text, numbers (a
+    non-empty list of numbers), elements (an assembly's segment list), object
+    or list (of objects).  ``lo``/``hi`` bound a number or an integer, or the
+    length of a text or a list.  ``expect`` completes the "must be ..."
+    message of texts, lists and ``choices``.  A default is a JSON value,
+    checked like a given one.  ``rule`` checks relations inside the parsed
+    value.
+    """
+
+    kind: str = "number"
+    required: bool = False
+    default: object = None
+    lo: float | None = None
+    hi: float | None = None
+    lo_open: bool = False
+    hi_open: bool = False
+    expect: str = ""
+    choices: tuple = ()
+    fields: dict | None = None  # of the object, or of each list item
+    rule: Callable[[object, str], None] | None = None
 
 
-def _check_keys(obj: dict, allowed: set[str], path: str) -> None:
+def _finite(val) -> bool:
+    """A JSON number other than a bool, NaN, an infinity or an overflowing int."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return False
+    try:
+        return math.isfinite(val)
+    except OverflowError:
+        return False
+
+
+def _violation(f: _Field, val) -> str | None:
+    if f.lo is not None and (val < f.lo or (f.lo_open and val == f.lo)):
+        return f"{'>' if f.lo_open else '>='} {f.lo}"
+    if f.hi is not None and (val > f.hi or (f.hi_open and val == f.hi)):
+        return f"{'<' if f.hi_open else '<='} {f.hi}"
+    return None
+
+
+def _value(f: _Field, val, path: str):
+    """Check one value against its field; returns it parsed."""
+    if f.kind == "object":
+        val = _walk(val, f.fields, path)
+    elif f.kind == "list":
+        if not isinstance(val, list) or len(val) < (f.lo or 0):
+            raise ConfigError(f"{path} must be {f.expect}")
+        val = [_walk(item, f.fields, f"{path}[{i}]") for i, item in enumerate(val)]
+    elif f.kind == "elements":
+        if not isinstance(val, list) or not val:
+            raise ConfigError(f"{path} must be a non-empty list")
+        val = [_element(item, f"{path}[{i}]") for i, item in enumerate(val)]
+    elif f.kind == "numbers":
+        if (not isinstance(val, list) or not val
+                or any(not _finite(v) or _violation(f, float(v)) for v in val)):
+            raise ConfigError(f"{path} must be {f.expect}")
+        val = [float(v) for v in val]
+    elif f.kind == "pair":
+        if not isinstance(val, list) or len(val) != 2 or not all(map(_finite, val)):
+            raise ConfigError(f"{path} must be a [low, high] number pair")
+        val = (float(val[0]), float(val[1]))
+        if val[0] >= val[1]:
+            raise ConfigError(f"{path} must satisfy low < high")
+    elif f.kind == "text":
+        if not isinstance(val, str) or len(val) < (f.lo or 0):
+            raise ConfigError(f"{path} must be {f.expect}")
+    else:
+        if f.kind == "integer" and (isinstance(val, bool) or not isinstance(val, int)):
+            raise ConfigError(f"{path} must be an integer")
+        if f.kind == "number":
+            if not _finite(val):
+                raise ConfigError(f"{path} must be a number")
+            val = float(val)
+        bound = _violation(f, val)
+        if bound:
+            raise ConfigError(f"{path} = {val} violates {bound}")
+    if f.choices and val not in f.choices:
+        raise ConfigError(f"{path} must be {f.expect}")
+    if f.rule is not None:
+        f.rule(val, path)
+    return val
+
+
+def _walk(obj, table: dict, path: str) -> dict:
+    """Check an object against its field table; returns every field, defaults
+    filled in."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{path} must be an object")
-    unknown = set(obj) - allowed
+    unknown = set(obj) - set(table)
     if unknown:
         raise ConfigError(f"unknown field {path}.{sorted(unknown)[0]}")
+    out = {}
+    for key, f in table.items():
+        sub = key if path == "config" else f"{path}.{key}"
+        if key in obj:
+            out[key] = _value(f, obj[key], sub)
+        elif f.required:
+            raise ConfigError(f"missing required field {sub}")
+        else:
+            out[key] = None if f.default is None else _value(f, f.default, sub)
+    return out
 
 
-def _number(obj: dict, field: str, path: str, *, lo=None, hi=None, required=True,
-            default=None, lo_open=False, hi_open=False):
-    if field not in obj:
-        if required:
-            raise ConfigError(f"missing required field {path}.{field}")
-        return default
-    val = obj[field]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{path}.{field} must be a number")
-    val = float(val)
-    if lo is not None and (val < lo or (lo_open and val == lo)):
-        raise ConfigError(f"{path}.{field} = {val} violates {'>' if lo_open else '>='} {lo}")
-    if hi is not None and (val > hi or (hi_open and val == hi)):
-        raise ConfigError(f"{path}.{field} = {val} violates {'<' if hi_open else '<='} {hi}")
-    return val
+_ELEMENT = {
+    "label": _Field("text", required=True, expect="a string"),
+    "length_m": _Field(lo=0, lo_open=True),
+}
 
 
-def _int_field(obj, field, path, *, lo=1, required=False, default=None):
-    if field not in obj:
-        if required:
-            raise ConfigError(f"missing required field {path}.{field}")
-        return default
-    val = obj[field]
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise ConfigError(f"{path}.{field} must be an integer")
-    if val < lo:
-        raise ConfigError(f"{path}.{field} = {val} violates >= {lo}")
-    return val
+def _element(val, path: str) -> tuple[str, float | None]:
+    """An assembly element: a segment label, or a label with a length override."""
+    if isinstance(val, str):
+        return val, None
+    if isinstance(val, dict):
+        elem = _walk(val, _ELEMENT, path)
+        return elem["label"], elem["length_m"]
+    raise ConfigError(f"{path} must be a label or an object")
 
 
-def _range_field(obj, field, path, required=False, default=None):
-    if field not in obj:
-        if required:
-            raise ConfigError(f"missing required field {path}.{field}")
-        return default
-    val = obj[field]
-    if (not isinstance(val, list) or len(val) != 2
-            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in val)):
-        raise ConfigError(f"{path}.{field} must be a [low, high] number pair")
-    lo, hi = float(val[0]), float(val[1])
-    if lo >= hi:
-        raise ConfigError(f"{path}.{field} must satisfy low < high")
-    return (lo, hi)
+def _gain_together(pump: dict, path: str) -> None:
+    if (pump["gamma_per_w_km"] is None) != (pump["peak_power_w"] is None):
+        raise ConfigError(f"{path}.gamma_per_w_km and {path}.peak_power_w "
+                          "must be given together")
+
+
+def _unique_labels(segments: list, path: str) -> None:
+    seen = set()
+    for i, seg in enumerate(segments):
+        if seg["label"] in seen:
+            raise ConfigError(f"duplicate segment label {seg['label']!r} at {path}[{i}]")
+        seen.add(seg["label"])
+
+
+def _unique_names(assemblies: list, path: str) -> None:
+    names = [a["name"] for a in assemblies]
+    if len(set(names)) != len(names):
+        raise ConfigError(f"{path} names must be unique")
+
+
+def _ranges_together(grid: dict, path: str) -> None:
+    if (grid["signal_range_nm"] is None) != (grid["idler_range_nm"] is None):
+        raise ConfigError(f"{path}.signal_range_nm and {path}.idler_range_nm "
+                          "must be given together")
+
+
+def _ascending(values: list, path: str) -> None:
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ConfigError(f"{path} must be strictly ascending")
+
+
+_POSITIVE = {"lo": 0, "lo_open": True}
+_FRACTION = {"lo": 0, "hi": 1, "lo_open": True, "hi_open": True}
+
+_PHASE_MATCH = {
+    "lambda_s0_nm": _Field(required=True, **_POSITIVE),
+    "lambda_i0_nm": _Field(**_POSITIVE),
+    "tau_s_ps_per_m": _Field(required=True),
+    "theta_rad": _Field(required=True, lo=0, hi=math.pi / 2),
+    "tau_i_sign": _Field(default=1.0, choices=(-1.0, 1.0), expect="+1 or -1"),
+}
+
+_SEGMENT = {
+    "label": _Field("text", required=True, lo=1, expect="a non-empty string"),
+    "length_m": _Field(required=True, **_POSITIVE),
+    "core_radius_nm": _Field(**_POSITIVE),
+    "air_fill": _Field(**_FRACTION),
+    "phase_match": _Field("object", fields=_PHASE_MATCH),
+}
+
+#: The whole config, in the order its fields are checked.
+_CONFIG = {
+    "pump": _Field("object", rule=_gain_together, fields={
+        "center_wavelength_nm": _Field(required=True, **_POSITIVE),
+        "fwhm_nm": _Field(required=True, **_POSITIVE),
+        "gamma_per_w_km": _Field(lo=0),
+        "peak_power_w": _Field(lo=0),
+    }),
+    "segments": _Field("list", default=[], expect="a list", fields=_SEGMENT,
+                       rule=_unique_labels),
+    "assembly": _Field("elements"),
+    "assemblies": _Field("list", lo=1, expect="a non-empty list", rule=_unique_names,
+                         fields={
+        "name": _Field("text", required=True, lo=1, expect="a non-empty string"),
+        "segments": _Field("elements", required=True),
+    }),
+    "pump_fwhms_nm": _Field("numbers", expect="a non-empty list of positive numbers",
+                            **_POSITIVE),
+    "grid": _Field("object", default={}, rule=_ranges_together, fields={
+        "ns": _Field("integer", lo=2, default=512),
+        "ni": _Field("integer", lo=2, default=512),
+        "signal_range_nm": _Field("pair"),
+        "idler_range_nm": _Field("pair"),
+        "lobes": _Field(lo=0.5, default=DEFAULT_LOBES),
+        "pad_sigmas": _Field(lo=0, default=DEFAULT_PAD_SIGMAS),
+    }),
+    "model": _Field("text", default="linearized", choices=("linearized", "full"),
+                    expect='"linearized" or "full"'),
+    "filter": _Field("object", fields={
+        "center_nm": _Field(**_POSITIVE),
+        "fwhm_nm": _Field(required=True, **_POSITIVE),
+        "scan_range_nm": _Field("pair"),
+        "n_centers": _Field("integer", lo=2, default=201),
+        "centers_nm": _Field("numbers", expect="a list of numbers", rule=_ascending),
+    }),
+    "planner": _Field("object", fields={
+        "target_total_length_m": _Field(required=True, **_POSITIVE),
+        "tolerance_m": _Field(lo=0),
+        "max_segments": _Field("integer", lo=1),
+        "max_plans": _Field("integer", lo=1, default=100_000),
+    }),
+    "fit": _Field("object", fields={
+        "gvd_csv": _Field("text", required=True, expect="a path string"),
+        "initial_core_radius_nm": _Field(required=True, **_POSITIVE),
+        "initial_air_fill": _Field(required=True, **_FRACTION),
+    }),
+    "sweep": _Field("object", fields={
+        "pump_range_nm": _Field("pair", required=True),
+        "n_points": _Field("integer", lo=2, required=True),
+        "segment_label": _Field("text", expect="a string"),
+    }),
+    "dispersion": _Field("object", default={}, fields={
+        "wavelength_range_nm": _Field("pair", default=[850.0, 1450.0]),
+        "n_points": _Field("integer", lo=2, default=121),
+        "zdw_search_nm": _Field("pair", default=[900.0, 1250.0]),
+    }),
+    "output_dir": _Field("text", default="out", lo=1, expect="a non-empty path string"),
+}
 
 
 @dataclass
@@ -125,7 +302,7 @@ class SegmentEntry:
     length_m: float
     core_radius_nm: float | None
     air_fill: float | None
-    override: dict | None  # validated phase_match block
+    phase_match: dict | None  # validated linearization override
 
     def fiber(self, length_m: float | None = None) -> FiberSegment:
         if self.core_radius_nm is None or self.air_fill is None:
@@ -139,8 +316,7 @@ class SegmentEntry:
 @dataclass
 class RunConfig:
     pump: PumpSpec | None
-    segments: dict[str, SegmentEntry]
-    segment_order: list[str]
+    segments: dict[str, SegmentEntry]  # in config order
     assembly: list[tuple[str, float | None]] | None
     assemblies: list[tuple[str, list[tuple[str, float | None]]]] | None
     pump_fwhms_nm: list[float] | None
@@ -155,236 +331,23 @@ class RunConfig:
     raw_sha256: str
 
 
-_TOP_KEYS = {
-    "pump", "segments", "assembly", "assemblies", "pump_fwhms_nm", "grid",
-    "model", "filter", "planner", "fit", "sweep", "dispersion", "output_dir",
-}
-
-
-def _parse_assembly_elems(val, path: str) -> list[tuple[str, float | None]]:
-    if not isinstance(val, list) or not val:
-        raise ConfigError(f"{path} must be a non-empty list")
-    out = []
-    for i, elem in enumerate(val):
-        if isinstance(elem, str):
-            out.append((elem, None))
-        elif isinstance(elem, dict):
-            _check_keys(elem, {"label", "length_m"}, f"{path}[{i}]")
-            label = _require(elem, "label", f"{path}[{i}]")
-            if not isinstance(label, str):
-                raise ConfigError(f"{path}[{i}].label must be a string")
-            length = _number(elem, "length_m", f"{path}[{i}]", lo=0, lo_open=True,
-                             required=False)
-            out.append((label, length))
-        else:
-            raise ConfigError(f"{path}[{i}] must be a label or an object")
-    return out
-
-
 def load_config(path) -> RunConfig:
     raw = Path(path).read_bytes()
-    sha = hashlib.sha256(raw).hexdigest()
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not text
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    _check_keys(data, _TOP_KEYS, "config")
-
-    pump = None
-    if "pump" in data:
-        p = data["pump"]
-        _check_keys(p, {"center_wavelength_nm", "fwhm_nm", "gamma_per_w_km",
-                        "peak_power_w"}, "pump")
-        pump = PumpSpec(
-            center_wavelength_nm=_number(p, "center_wavelength_nm", "pump", lo=0, lo_open=True),
-            fwhm_nm=_number(p, "fwhm_nm", "pump", lo=0, lo_open=True),
-            gamma_per_w_km=_number(p, "gamma_per_w_km", "pump", lo=0, required=False),
-            peak_power_w=_number(p, "peak_power_w", "pump", lo=0, required=False),
-        )
-
-    segments: dict[str, SegmentEntry] = {}
-    order: list[str] = []
-    for i, seg in enumerate(data.get("segments", [])):
-        path_i = f"segments[{i}]"
-        _check_keys(seg, {"label", "core_radius_nm", "air_fill", "length_m",
-                          "phase_match"}, path_i)
-        label = _require(seg, "label", path_i)
-        if not isinstance(label, str) or not label:
-            raise ConfigError(f"{path_i}.label must be a non-empty string")
-        if label in segments:
-            raise ConfigError(f"duplicate segment label {label!r} at {path_i}")
-        entry = SegmentEntry(
-            label=label,
-            length_m=_number(seg, "length_m", path_i, lo=0, lo_open=True),
-            core_radius_nm=_number(seg, "core_radius_nm", path_i, lo=0, lo_open=True,
-                                   required=False),
-            air_fill=_number(seg, "air_fill", path_i, lo=0, hi=1, lo_open=True,
-                             hi_open=True, required=False),
-            override=None,
-        )
-        if "phase_match" in seg:
-            pm = seg["phase_match"]
-            _check_keys(pm, {"lambda_s0_nm", "lambda_i0_nm", "tau_s_ps_per_m",
-                             "theta_rad", "tau_i_sign"}, f"{path_i}.phase_match")
-            override = {
-                "lambda_s0_nm": _number(pm, "lambda_s0_nm", f"{path_i}.phase_match",
-                                        lo=0, lo_open=True),
-                "lambda_i0_nm": _number(pm, "lambda_i0_nm", f"{path_i}.phase_match",
-                                        lo=0, lo_open=True, required=False),
-                "tau_s_ps_per_m": _number(pm, "tau_s_ps_per_m", f"{path_i}.phase_match"),
-                "theta_rad": _number(pm, "theta_rad", f"{path_i}.phase_match",
-                                     lo=0, hi=math.pi / 2),
-                "tau_i_sign": _number(pm, "tau_i_sign", f"{path_i}.phase_match",
-                                      required=False, default=1.0),
-            }
-            if override["tau_i_sign"] not in (-1.0, 1.0):
-                raise ConfigError(f"{path_i}.phase_match.tau_i_sign must be +1 or -1")
-            entry.override = override
-        segments[label] = entry
-        order.append(label)
-
-    assembly = None
-    if "assembly" in data:
-        assembly = _parse_assembly_elems(data["assembly"], "assembly")
-    assemblies = None
-    if "assemblies" in data:
-        if not isinstance(data["assemblies"], list) or not data["assemblies"]:
-            raise ConfigError("assemblies must be a non-empty list")
-        assemblies = []
-        for i, item in enumerate(data["assemblies"]):
-            _check_keys(item, {"name", "segments"}, f"assemblies[{i}]")
-            name = _require(item, "name", f"assemblies[{i}]")
-            if not isinstance(name, str) or not name:
-                raise ConfigError(f"assemblies[{i}].name must be a non-empty string")
-            elems = _parse_assembly_elems(_require(item, "segments", f"assemblies[{i}]"),
-                                          f"assemblies[{i}].segments")
-            assemblies.append((name, elems))
-        names = [n for n, _ in assemblies]
-        if len(set(names)) != len(names):
-            raise ConfigError("assemblies names must be unique")
-
-    fwhms = None
-    if "pump_fwhms_nm" in data:
-        val = data["pump_fwhms_nm"]
-        if (not isinstance(val, list) or not val
-                or any(isinstance(v, bool) or not isinstance(v, (int, float)) or v <= 0
-                       for v in val)):
-            raise ConfigError("pump_fwhms_nm must be a non-empty list of positive numbers")
-        fwhms = [float(v) for v in val]
-
-    grid = {}
-    if "grid" in data:
-        g = data["grid"]
-        _check_keys(g, {"ns", "ni", "signal_range_nm", "idler_range_nm",
-                        "lobes", "pad_sigmas"}, "grid")
-        grid = {
-            "ns": _int_field(g, "ns", "grid", lo=2, default=512),
-            "ni": _int_field(g, "ni", "grid", lo=2, default=512),
-            "signal_range_nm": _range_field(g, "signal_range_nm", "grid"),
-            "idler_range_nm": _range_field(g, "idler_range_nm", "grid"),
-            "lobes": _number(g, "lobes", "grid", lo=0.5, required=False, default=None),
-            "pad_sigmas": _number(g, "pad_sigmas", "grid", lo=0, required=False,
-                                  default=None),
-        }
-        if (grid["signal_range_nm"] is None) != (grid["idler_range_nm"] is None):
-            raise ConfigError("grid.signal_range_nm and grid.idler_range_nm "
-                              "must be given together")
-    grid.setdefault("ns", 512)
-    grid.setdefault("ni", 512)
-    grid.setdefault("signal_range_nm", None)
-    grid.setdefault("idler_range_nm", None)
-    grid.setdefault("lobes", None)
-    grid.setdefault("pad_sigmas", None)
-
-    model = data.get("model", "linearized")
-    if model not in ("linearized", "full"):
-        raise ConfigError('model must be "linearized" or "full"')
-
-    filt = None
-    if "filter" in data:
-        fdict = data["filter"]
-        _check_keys(fdict, {"center_nm", "fwhm_nm", "centers_nm", "scan_range_nm",
-                            "n_centers"}, "filter")
-        filt = {
-            "center_nm": _number(fdict, "center_nm", "filter", lo=0, lo_open=True,
-                                 required=False),
-            "fwhm_nm": _number(fdict, "fwhm_nm", "filter", lo=0, lo_open=True),
-            "centers_nm": None,
-            "scan_range_nm": _range_field(fdict, "scan_range_nm", "filter"),
-            "n_centers": _int_field(fdict, "n_centers", "filter", lo=2, default=201),
-        }
-        if "centers_nm" in fdict:
-            val = fdict["centers_nm"]
-            if (not isinstance(val, list) or len(val) < 1
-                    or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                           for v in val)):
-                raise ConfigError("filter.centers_nm must be a list of numbers")
-            centers = [float(v) for v in val]
-            if any(b <= a for a, b in zip(centers, centers[1:])):
-                raise ConfigError("filter.centers_nm must be strictly ascending")
-            filt["centers_nm"] = centers
-
-    planner = None
-    if "planner" in data:
-        pl = data["planner"]
-        _check_keys(pl, {"target_total_length_m", "tolerance_m", "max_segments",
-                         "max_plans"}, "planner")
-        planner = {
-            "target_total_length_m": _number(pl, "target_total_length_m", "planner",
-                                             lo=0, lo_open=True),
-            "tolerance_m": _number(pl, "tolerance_m", "planner", lo=0, required=False),
-            "max_segments": _int_field(pl, "max_segments", "planner"),
-            "max_plans": _int_field(pl, "max_plans", "planner", default=100_000),
-        }
-
-    fit = None
-    if "fit" in data:
-        fdict = data["fit"]
-        _check_keys(fdict, {"gvd_csv", "initial_core_radius_nm", "initial_air_fill"},
-                    "fit")
-        gvd_csv = _require(fdict, "gvd_csv", "fit")
-        if not isinstance(gvd_csv, str):
-            raise ConfigError("fit.gvd_csv must be a path string")
-        fit = {
-            "gvd_csv": gvd_csv,
-            "initial_core_radius_nm": _number(fdict, "initial_core_radius_nm", "fit",
-                                              lo=0, lo_open=True),
-            "initial_air_fill": _number(fdict, "initial_air_fill", "fit", lo=0, hi=1,
-                                        lo_open=True, hi_open=True),
-        }
-
-    sweep = None
-    if "sweep" in data:
-        s = data["sweep"]
-        _check_keys(s, {"pump_range_nm", "n_points", "segment_label"}, "sweep")
-        sweep = {
-            "pump_range_nm": _range_field(s, "pump_range_nm", "sweep", required=True),
-            "n_points": _int_field(s, "n_points", "sweep", lo=2, required=True),
-            "segment_label": s.get("segment_label"),
-        }
-        if sweep["segment_label"] is not None and not isinstance(sweep["segment_label"], str):
-            raise ConfigError("sweep.segment_label must be a string")
-
-    disp = {"wavelength_range_nm": (850.0, 1450.0), "n_points": 121,
-            "zdw_search_nm": (900.0, 1250.0)}
-    if "dispersion" in data:
-        d = data["dispersion"]
-        _check_keys(d, {"wavelength_range_nm", "n_points", "zdw_search_nm"}, "dispersion")
-        disp["wavelength_range_nm"] = _range_field(
-            d, "wavelength_range_nm", "dispersion", default=disp["wavelength_range_nm"])
-        disp["n_points"] = _int_field(d, "n_points", "dispersion", lo=2, default=121)
-        disp["zdw_search_nm"] = _range_field(
-            d, "zdw_search_nm", "dispersion", default=disp["zdw_search_nm"])
-
-    out_dir = data.get("output_dir", "out")
-    if not isinstance(out_dir, str) or not out_dir:
-        raise ConfigError("output_dir must be a non-empty path string")
-
+    c = _walk(data, _CONFIG, "config")
     return RunConfig(
-        pump=pump, segments=segments, segment_order=order, assembly=assembly,
-        assemblies=assemblies, pump_fwhms_nm=fwhms, grid=grid, model=model,
-        filt=filt, planner=planner, fit=fit, sweep=sweep, dispersion=disp,
-        output_dir=out_dir, raw_sha256=sha,
+        pump=None if c["pump"] is None else PumpSpec(**c["pump"]),
+        segments={seg["label"]: SegmentEntry(**seg) for seg in c["segments"]},
+        assembly=c["assembly"],
+        assemblies=None if c["assemblies"] is None else [
+            (a["name"], a["segments"]) for a in c["assemblies"]],
+        pump_fwhms_nm=c["pump_fwhms_nm"], grid=c["grid"], model=c["model"],
+        filt=c["filter"], planner=c["planner"], fit=c["fit"], sweep=c["sweep"],
+        dispersion=c["dispersion"], output_dir=c["output_dir"],
+        raw_sha256=hashlib.sha256(raw).hexdigest(),
     )
 
 
@@ -392,9 +355,9 @@ def load_config(path) -> RunConfig:
 # assembly construction
 
 
-def _point_for(entry: SegmentEntry, pump: PumpSpec, model: str) -> PhaseMatchPoint:
-    if entry.override is not None:
-        ov = entry.override
+def _point_for(entry: SegmentEntry, pump: PumpSpec) -> PhaseMatchPoint:
+    if entry.phase_match is not None:
+        ov = entry.phase_match
         pt = PhaseMatchPoint.from_signal_and_angle(
             pump.center_wavelength_nm, ov["lambda_s0_nm"], ov["tau_s_ps_per_m"],
             ov["theta_rad"], ov["tau_i_sign"],
@@ -417,7 +380,7 @@ def _build_assembly(cfg: RunConfig, elems, pump: PumpSpec) -> AssemblySpec:
             raise ConfigError(f"assembly references unknown segment label {label!r}")
         entry = cfg.segments[label]
         seg_len = length if length is not None else entry.length_m
-        point = _point_for(entry, pump, cfg.model)
+        point = _point_for(entry, pump)
         fiber = None
         if entry.core_radius_nm is not None and entry.air_fill is not None:
             fiber = entry.fiber(seg_len)
@@ -435,32 +398,26 @@ def _named_assemblies(cfg: RunConfig, pump: PumpSpec) -> list[tuple[str, Assembl
     if cfg.assemblies is not None:
         return [(name, _build_assembly(cfg, elems, pump))
                 for name, elems in cfg.assemblies]
-    if cfg.segment_order:
-        elems = [(label, None) for label in cfg.segment_order]
-        return [("+".join(cfg.segment_order), _build_assembly(cfg, elems, pump))]
+    if cfg.segments:
+        elems = [(label, None) for label in cfg.segments]
+        return [("+".join(cfg.segments), _build_assembly(cfg, elems, pump))]
     raise ConfigError("config defines no segments, assembly, or assemblies")
 
 
-def _explicit_grid(cfg: RunConfig) -> FrequencyGrid | None:
-    s_rng = cfg.grid["signal_range_nm"]
-    i_rng = cfg.grid["idler_range_nm"]
-    if s_rng is None:
-        return None
-    # Endpoints are given in nm; the axes themselves are uniform in omega.
-    def axis(rng, n):
-        w_hi = TWO_PI_C / (rng[0] * 1e-9)
-        w_lo = TWO_PI_C / (rng[1] * 1e-9)
-        return np.linspace(w_lo, w_hi, n)
-    return FrequencyGrid(axis(s_rng, cfg.grid["ns"]), axis(i_rng, cfg.grid["ni"]))
-
-
-def _grid_kwargs(cfg: RunConfig) -> dict:
-    kw = {}
-    if cfg.grid["lobes"] is not None:
-        kw["lobes"] = cfg.grid["lobes"]
-    if cfg.grid["pad_sigmas"] is not None:
-        kw["pad_sigmas"] = cfg.grid["pad_sigmas"]
-    return kw
+def _jsa_args(cfg: RunConfig, threads: int) -> dict:
+    """The build_jsa keyword arguments the config's grid block asks for."""
+    g = cfg.grid
+    grid = None
+    if g["signal_range_nm"] is not None:
+        # Endpoints are given in nm; the axes themselves are uniform in omega.
+        def axis(rng, n):
+            w_hi = TWO_PI_C / (rng[0] * 1e-9)
+            w_lo = TWO_PI_C / (rng[1] * 1e-9)
+            return np.linspace(w_lo, w_hi, n)
+        grid = FrequencyGrid(axis(g["signal_range_nm"], g["ns"]),
+                             axis(g["idler_range_nm"], g["ni"]))
+    return {"grid": grid, "ns": g["ns"], "ni": g["ni"], "lobes": g["lobes"],
+            "pad_sigmas": g["pad_sigmas"], "threads": threads}
 
 
 def _require_pump(cfg: RunConfig) -> PumpSpec:
@@ -563,13 +520,13 @@ def _suffix(name: str, multi: bool) -> str:
 
 
 def _cmd_dispersion(cfg: RunConfig, out: _OutputSet, threads: int) -> dict:
-    if not cfg.segment_order:
+    if not cfg.segments:
         raise ConfigError("dispersion needs a segments list")
     lo, hi = cfg.dispersion["wavelength_range_nm"]
     wl = np.linspace(lo, hi, cfg.dispersion["n_points"])
     zdw_rows = []
-    for label in cfg.segment_order:
-        fiber = cfg.segments[label].fiber()
+    for label, entry in cfg.segments.items():
+        fiber = entry.fiber()
         table = dispersion_table(fiber, wl)
         out.add_csv(
             f"dispersion_{label}.csv",
@@ -598,11 +555,10 @@ def _cmd_fit(cfg: RunConfig, out: _OutputSet, threads: int) -> dict:
 
 def _cmd_phasematch(cfg: RunConfig, out: _OutputSet, threads: int) -> dict:
     pump = _require_pump(cfg)
-    if not cfg.segment_order:
+    if not cfg.segments:
         raise ConfigError("phasematch needs a segments list")
     rows = []
-    for label in cfg.segment_order:
-        entry = cfg.segments[label]
+    for label, entry in cfg.segments.items():
         fiber = entry.fiber()
         pt = solve_phase_match(fiber, pump)
         rows.append((label, fiber.core_radius_nm, fiber.air_fill, fiber.length_m,
@@ -620,7 +576,7 @@ def _cmd_phasematch(cfg: RunConfig, out: _OutputSet, threads: int) -> dict:
 def _cmd_gvm_curve(cfg: RunConfig, out: _OutputSet, threads: int) -> dict:
     if cfg.sweep is None:
         raise ConfigError("missing required field sweep")
-    label = cfg.sweep["segment_label"] or (cfg.segment_order[0] if cfg.segment_order else None)
+    label = cfg.sweep["segment_label"] or next(iter(cfg.segments), None)
     if label is None or label not in cfg.segments:
         raise ConfigError("sweep.segment_label missing or unknown")
     fiber = cfg.segments[label].fiber()
@@ -650,11 +606,10 @@ def _cmd_jsa(cfg: RunConfig, out: _OutputSet, threads: int) -> dict:
     pump = _require_pump(cfg)
     named = _named_assemblies(cfg, pump)
     multi = len(named) > 1
+    jsa_args = _jsa_args(cfg, threads)
     grids: dict[str, dict] = {}
     for name, assembly in named:
-        jsa = build_jsa(assembly, pump, grid=_explicit_grid(cfg),
-                        ns=cfg.grid["ns"], ni=cfg.grid["ni"], threads=threads,
-                        **_grid_kwargs(cfg))
+        jsa = build_jsa(assembly, pump, **jsa_args)
         grids[name] = _grid_record(jsa.grid)
         sfx = _suffix(name, multi)
         lam_s = jsa.grid.signal_wavelength_nm()[::-1]
@@ -676,11 +631,10 @@ def _cmd_marginal(cfg: RunConfig, out: _OutputSet, threads: int) -> dict:
     pump = _require_pump(cfg)
     named = _named_assemblies(cfg, pump)
     multi = len(named) > 1
+    jsa_args = _jsa_args(cfg, threads)
     grids: dict[str, dict] = {}
     for name, assembly in named:
-        jsa = build_jsa(assembly, pump, grid=_explicit_grid(cfg),
-                        ns=cfg.grid["ns"], ni=cfg.grid["ni"], threads=threads,
-                        **_grid_kwargs(cfg))
+        jsa = build_jsa(assembly, pump, **jsa_args)
         grids[name] = _grid_record(jsa.grid)
         sfx = _suffix(name, multi)
         out.add_csv(f"marginal_signal{sfx}.csv", ["x_nm", "intensity"],
@@ -719,23 +673,17 @@ def _cmd_filter_scan(cfg: RunConfig, out: _OutputSet, threads: int) -> dict:
     return {}
 
 
+_G2_HEADER = [f.name for f in fields(G2Row)]
+
+
 def _cmd_g2(cfg: RunConfig, out: _OutputSet, threads: int) -> dict:
     pump = _require_pump(cfg)
     named = _named_assemblies(cfg, pump)
     if len(named) != 1:
         raise ConfigError("g2 works on a single assembly; use g2-table for sets")
     name, assembly = named[0]
-    jsa = build_jsa(assembly, pump, grid=_explicit_grid(cfg),
-                    ns=cfg.grid["ns"], ni=cfg.grid["ni"], threads=threads,
-                    **_grid_kwargs(cfg))
-    schmidt = schmidt_decompose(jsa)
-    out.add_csv(
-        "g2.csv",
-        ["configuration", "total_length_m", "pump_fwhm_nm", "g2", "schmidt_number",
-         "purity"],
-        [(name, assembly.total_length_m, pump.fwhm_nm, g2_quadrature(jsa),
-          schmidt.schmidt_number, schmidt.purity)],
-    )
+    jsa = build_jsa(assembly, pump, **_jsa_args(cfg, threads))
+    out.add_csv("g2.csv", _G2_HEADER, [astuple(G2Row.from_jsa(name, jsa))])
     return {"grid": _grid_record(jsa.grid)}
 
 
@@ -747,16 +695,8 @@ def _cmd_g2_table(cfg: RunConfig, out: _OutputSet, threads: int) -> dict:
     pumps = [PumpSpec(pump.center_wavelength_nm, fw, pump.gamma_per_w_km,
                       pump.peak_power_w) for fw in fwhms]
     configurations = _named_assemblies(cfg, pumps[0])
-    rows = g2_table(configurations, pumps, grid=_explicit_grid(cfg),
-                    ns=cfg.grid["ns"], ni=cfg.grid["ni"], threads=threads,
-                    **_grid_kwargs(cfg))
-    out.add_csv(
-        "g2_table.csv",
-        ["configuration", "total_length_m", "pump_fwhm_nm", "g2", "schmidt_number",
-         "purity"],
-        [(r.configuration, r.total_length_m, r.pump_fwhm_nm, r.g2,
-          r.schmidt_number, r.purity) for r in rows],
-    )
+    rows = g2_table(configurations, pumps, **_jsa_args(cfg, threads))
+    out.add_csv("g2_table.csv", _G2_HEADER, map(astuple, rows))
     return {}
 
 
@@ -764,12 +704,11 @@ def _cmd_plan(cfg: RunConfig, out: _OutputSet, threads: int) -> dict:
     pump = _require_pump(cfg)
     if cfg.planner is None:
         raise ConfigError("missing required field planner")
-    if not cfg.segment_order:
+    if not cfg.segments:
         raise ConfigError("plan needs a segments list as the candidate pool")
     candidates = []
-    for label in cfg.segment_order:
-        entry = cfg.segments[label]
-        point = _point_for(entry, pump, cfg.model)
+    for label, entry in cfg.segments.items():
+        point = _point_for(entry, pump)
         if entry.core_radius_nm is not None:
             fiber = entry.fiber()
         else:
@@ -783,7 +722,7 @@ def _cmd_plan(cfg: RunConfig, out: _OutputSet, threads: int) -> dict:
         max_segments=cfg.planner["max_segments"],
     )
     plan = plan_exhaustive(pool, pump, max_plans=cfg.planner["max_plans"],
-                           ns=cfg.grid["ns"], ni=cfg.grid["ni"], **_grid_kwargs(cfg))
+                           **_jsa_args(cfg, threads))
     out.add_csv("plan_spectrum.csv", ["x_nm", "intensity"],
                 _spectrum_rows(plan.predicted_spectrum))
     lengths = " ".join(_fmt(candidates[i][0].length_m) for i in plan.order)
@@ -812,8 +751,7 @@ _HANDLERS = {
 }
 
 
-def run(subcommand: str, config_path, out_dir=None, threads: int = 1,
-        seed: int | None = None) -> int:
+def run(subcommand: str, config_path, out_dir=None, threads: int = 1) -> int:
     """Execute one subcommand; returns the process exit status."""
     stage = "config"
     try:
@@ -821,8 +759,8 @@ def run(subcommand: str, config_path, out_dir=None, threads: int = 1,
         stage = subcommand
         out = _OutputSet(Path(out_dir) if out_dir else Path(cfg.output_dir))
         extra = _HANDLERS[subcommand](cfg, out, threads)
-        # threads and seed are execution details, not results; keeping them out
-        # of the manifest keeps reruns byte-identical across thread counts.
+        # threads is an execution detail, not a result; keeping it out of the
+        # manifest keeps reruns byte-identical across thread counts.
         manifest = {
             "subcommand": subcommand,
             "config_sha256": cfg.raw_sha256,
@@ -853,12 +791,10 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
     parser.add_argument("--threads", type=int, default=1,
                         help="worker threads for grid evaluation; results do not depend on it")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="recorded in the manifest; reserved for noise studies")
     args = parser.parse_args(argv)
     if args.threads < 1:
         parser.error("--threads must be >= 1")
-    return run(args.subcommand, args.config, args.out, args.threads, args.seed)
+    return run(args.subcommand, args.config, args.out, args.threads)
 
 
 if __name__ == "__main__":

@@ -8,6 +8,10 @@ with trapezoid weights absorbed into the amplitude matrix.  Equivalently,
 with singular values sigma_k of the weighted amplitude, g2 = 1 + P where
 the heralded purity P = sum sigma^4 / (sum sigma^2)^2 = 1/K and K is the
 Schmidt mode count.  g2 = 2 exactly when the amplitude factorizes.
+
+The Gram path (g2_quadrature) is the one evaluator behind every table row;
+the SVD path (schmidt_decompose) gives the full Schmidt spectrum and serves
+as its oracle.
 """
 
 from __future__ import annotations
@@ -83,6 +87,14 @@ class G2Row:
     schmidt_number: float
     purity: float
 
+    @classmethod
+    def from_jsa(cls, configuration: str, jsa: JsaGrid) -> "G2Row":
+        """One row from a single Gram evaluation: purity P = g2 - 1, K = 1/P."""
+        g2 = g2_quadrature(jsa)
+        purity = g2 - 1.0  # exact for g2 in [1, 2] (Sterbenz), so g2 == 1 + purity
+        return cls(configuration, jsa.assembly.total_length_m, jsa.pump.fwhm_nm,
+                   g2, 1.0 / purity, purity)
+
 
 def g2_table(configurations, pumps, grid: FrequencyGrid | None = None,
              ns: int = 512, ni: int = 512, threads: int = 1, **grid_kwargs) -> list[G2Row]:
@@ -92,18 +104,9 @@ def g2_table(configurations, pumps, grid: FrequencyGrid | None = None,
     PumpSpec per bandwidth column.  Rows are emitted configuration-major in
     input order.
     """
-    rows: list[G2Row] = []
-    for label, assembly in configurations:
-        for pump in pumps:
-            jsa = build_jsa(assembly, pump, grid=grid, ns=ns, ni=ni,
-                            threads=threads, **grid_kwargs)
-            schmidt = schmidt_decompose(jsa)
-            rows.append(G2Row(
-                configuration=label,
-                total_length_m=assembly.total_length_m,
-                pump_fwhm_nm=pump.fwhm_nm,
-                g2=g2_quadrature(jsa),
-                schmidt_number=schmidt.schmidt_number,
-                purity=schmidt.purity,
-            ))
-    return rows
+    return [
+        G2Row.from_jsa(label, build_jsa(assembly, pump, grid=grid, ns=ns, ni=ni,
+                                        threads=threads, **grid_kwargs))
+        for label, assembly in configurations
+        for pump in pumps
+    ]

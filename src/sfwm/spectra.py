@@ -255,24 +255,25 @@ def phi_homogeneous(length_m: float, dk):
     return length_m * np.sinc(x / np.pi) * np.exp(1j * x)
 
 
-def _segment_mismatches(assembly: AssemblySpec, omega_s, omega_i):
+def _coherent_sum(assembly: AssemblySpec, mismatch, shape):
+    """sum_n L_n sinc(dk_n L_n / 2) exp(i dk_n L_n / 2) exp(i sum_{l<n} dk_l L_l),
+    with dk_n = mismatch(segment n) broadcast to ``shape``."""
+    phi = np.zeros(shape, dtype=complex)
+    acc = np.zeros(shape)
     for seg in assembly.segments:
-        if assembly.model_mode == "linearized":
-            yield seg, delta_k(seg.point, omega_s, omega_i)
-        else:
-            yield seg, delta_k_full(seg.fiber, omega_s, omega_i)
+        dk = mismatch(seg)
+        x = dk * (seg.length_m / 2.0)
+        phi = phi + seg.length_m * np.sinc(x / np.pi) * np.exp(1j * (x + acc))
+        acc = acc + dk * seg.length_m
+    return phi
 
 
 def phi_assembly(assembly: AssemblySpec, omega_s, omega_i):
     """Coherent sum of the segments' phase-matching contributions."""
     shape = np.broadcast_shapes(np.shape(omega_s), np.shape(omega_i))
-    phi = np.zeros(shape, dtype=complex)
-    acc = np.zeros(shape)
-    for seg, dk in _segment_mismatches(assembly, omega_s, omega_i):
-        x = dk * (seg.length_m / 2.0)
-        phi = phi + seg.length_m * np.sinc(x / np.pi) * np.exp(1j * (x + acc))
-        acc = acc + dk * seg.length_m
-    return phi
+    if assembly.model_mode == "linearized":
+        return _coherent_sum(assembly, lambda seg: delta_k(seg.point, omega_s, omega_i), shape)
+    return _coherent_sum(assembly, lambda seg: delta_k_full(seg.fiber, omega_s, omega_i), shape)
 
 
 def phi_signal(assembly: AssemblySpec, omega_s):
@@ -283,14 +284,8 @@ def phi_signal(assembly: AssemblySpec, omega_s):
     narrow-band scan of the signal arm measures.
     """
     ws = np.asarray(omega_s, dtype=float)
-    phi = np.zeros(ws.shape, dtype=complex)
-    acc = np.zeros(ws.shape)
-    for seg in assembly.segments:
-        dk = seg.point.tau_s_si * (ws - seg.point.omega_s0)
-        x = dk * (seg.length_m / 2.0)
-        phi = phi + seg.length_m * np.sinc(x / np.pi) * np.exp(1j * (x + acc))
-        acc = acc + dk * seg.length_m
-    return phi
+    return _coherent_sum(
+        assembly, lambda seg: seg.point.tau_s_si * (ws - seg.point.omega_s0), ws.shape)
 
 
 def _signal_window(assembly: AssemblySpec, lobes: float) -> tuple[float, float]:

@@ -1,12 +1,16 @@
 """Config validation, file emission, and reproducibility of the command line."""
 
+import copy
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.constants import c
 
 from sfwm.cli import ConfigError, load_config, run
@@ -17,14 +21,14 @@ REPO = Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
 
 
+_SEG = {"label": "S2", "core_radius_nm": 947.5, "air_fill": 0.296, "length_m": 0.3,
+        "phase_match": {"lambda_s0_nm": 1413.6, "tau_s_ps_per_m": 3.2, "theta_rad": 0.002}}
+
+
 def small_config(tmp_path, **extra):
     cfg = {
         "pump": {"center_wavelength_nm": 1070.0, "fwhm_nm": 2.0},
-        "segments": [
-            {"label": "S2", "core_radius_nm": 947.5, "air_fill": 0.296, "length_m": 0.3,
-             "phase_match": {"lambda_s0_nm": 1413.6, "tau_s_ps_per_m": 3.2,
-                             "theta_rad": 0.002}},
-        ],
+        "segments": [_SEG],
         "grid": {"ns": 160, "ni": 160, "lobes": 6.0},
         "output_dir": str(tmp_path / "out"),
     }
@@ -249,3 +253,193 @@ def test_bundled_g2_table_matches_reference(tmp_path):
     for row in rows:
         key = (name_map.get(row[0], row[0]), float(row[2]))
         assert abs(float(row[3]) - G2_REFERENCE[key]) <= 0.05, row
+
+
+_DROP = object()
+
+# One case per field rule: (path into small_config, new value or _DROP, message).
+MESSAGE_CASES = [
+    ((), [], "config must be an object"),
+    (("nonsense",), 1, "unknown field config.nonsense"),
+    (("pump",), [], "pump must be an object"),
+    (("pump", "peak",), 1, "unknown field pump.peak"),
+    (("pump", "fwhm_nm"), _DROP, "missing required field pump.fwhm_nm"),
+    (("pump", "fwhm_nm"), "2", "pump.fwhm_nm must be a number"),
+    (("pump", "fwhm_nm"), True, "pump.fwhm_nm must be a number"),
+    (("pump", "fwhm_nm"), 0, "pump.fwhm_nm = 0.0 violates > 0"),
+    (("pump", "gamma_per_w_km"), -1, "pump.gamma_per_w_km = -1.0 violates >= 0"),
+    (("segments", 0), "S2", "segments[0] must be an object"),
+    (("segments", 0, "label"), _DROP, "missing required field segments[0].label"),
+    (("segments", 0, "label"), "", "segments[0].label must be a non-empty string"),
+    (("segments", 1), _SEG, "duplicate segment label 'S2' at segments[1]"),
+    (("segments", 0, "length_m"), 0, "segments[0].length_m = 0.0 violates > 0"),
+    (("segments", 0, "air_fill"), 1.2, "segments[0].air_fill = 1.2 violates < 1"),
+    (("segments", 0, "air_fill"), 1, "segments[0].air_fill = 1.0 violates < 1"),
+    (("segments", 0, "phase_match", "tau"), 1,
+     "unknown field segments[0].phase_match.tau"),
+    (("segments", 0, "phase_match", "tau_s_ps_per_m"), None,
+     "segments[0].phase_match.tau_s_ps_per_m must be a number"),
+    (("segments", 0, "phase_match", "theta_rad"), 2,
+     "segments[0].phase_match.theta_rad = 2.0 violates <= 1.5707963267948966"),
+    (("segments", 0, "phase_match", "tau_i_sign"), 0.5,
+     "segments[0].phase_match.tau_i_sign must be +1 or -1"),
+    (("assembly",), [], "assembly must be a non-empty list"),
+    (("assembly",), [3], "assembly[0] must be a label or an object"),
+    (("assembly",), [{"length_m": 0.3}], "missing required field assembly[0].label"),
+    (("assembly",), [{"label": 3}], "assembly[0].label must be a string"),
+    (("assembly",), [{"label": "S2", "x": 1}], "unknown field assembly[0].x"),
+    (("assemblies",), {}, "assemblies must be a non-empty list"),
+    (("assemblies",), [{"name": "", "segments": ["S2"]}],
+     "assemblies[0].name must be a non-empty string"),
+    (("assemblies",), [{"name": "a"}], "missing required field assemblies[0].segments"),
+    (("assemblies",), [{"name": "a", "segments": []}],
+     "assemblies[0].segments must be a non-empty list"),
+    (("assemblies",), [{"name": "a", "segments": ["S2"]}] * 2,
+     "assemblies names must be unique"),
+    (("pump_fwhms_nm",), [2.0, 0], "pump_fwhms_nm must be a non-empty list of positive numbers"),
+    (("grid", "ns"), 1.5, "grid.ns must be an integer"),
+    (("grid", "ns"), 1, "grid.ns = 1 violates >= 2"),
+    (("grid", "lobes"), 0.25, "grid.lobes = 0.25 violates >= 0.5"),
+    (("grid", "signal_range_nm"), [1400], "grid.signal_range_nm must be a [low, high] number pair"),
+    (("grid", "signal_range_nm"), [1420, 1400], "grid.signal_range_nm must satisfy low < high"),
+    (("grid", "signal_range_nm"), [1400, 1420],
+     "grid.signal_range_nm and grid.idler_range_nm must be given together"),
+    (("model",), "exact", 'model must be "linearized" or "full"'),
+    (("filter",), {"centers_nm": [1410.0]}, "missing required field filter.fwhm_nm"),
+    (("filter",), {"fwhm_nm": 1.0, "n_centers": 1}, "filter.n_centers = 1 violates >= 2"),
+    (("filter",), {"fwhm_nm": 1.0, "centers_nm": []}, "filter.centers_nm must be a list of numbers"),
+    (("filter",), {"fwhm_nm": 1.0, "centers_nm": [1410, 1410]},
+     "filter.centers_nm must be strictly ascending"),
+    (("planner",), {"target_total_length_m": 0.6, "max_plans": 0},
+     "planner.max_plans = 0 violates >= 1"),
+    (("fit",), {"gvd_csv": 5, "initial_core_radius_nm": 940.0, "initial_air_fill": 0.28},
+     "fit.gvd_csv must be a path string"),
+    (("sweep",), {"pump_range_nm": [950, 1100], "n_points": 3, "segment_label": 5},
+     "sweep.segment_label must be a string"),
+    (("sweep",), {"pump_range_nm": [950, 1100]}, "missing required field sweep.n_points"),
+    (("dispersion",), {"zdw_search_nm": "900-1250"},
+     "dispersion.zdw_search_nm must be a [low, high] number pair"),
+    (("output_dir",), "", "output_dir must be a non-empty path string"),
+]
+
+
+def _patched(tmp_path, path, value):
+    cfg = json.loads(small_config(tmp_path).read_text())
+    if not path:
+        cfg = value
+    else:
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        if value is _DROP:
+            del node[path[-1]]
+        elif isinstance(node, list) and path[-1] == len(node):
+            node.append(value)
+        else:
+            node[path[-1]] = value
+    out = tmp_path / "patched.json"
+    out.write_text(json.dumps(cfg))
+    return out
+
+
+@pytest.mark.parametrize("path, value, message", MESSAGE_CASES,
+                         ids=[m for _, _, m in MESSAGE_CASES])
+def test_config_error_messages(tmp_path, path, value, message):
+    with pytest.raises(ConfigError) as info:
+        load_config(_patched(tmp_path, path, value))
+    assert str(info.value) == message
+
+
+def test_plan_honours_explicit_grid(tmp_path, capsys):
+    # The same coarse grid that g2-table refuses: plan must not drop it.
+    cfg = json.loads((CONFIGS / "splice_plan.json").read_text())
+    cfg["grid"] = {"ns": 8, "ni": 8, "signal_range_nm": [1395.0, 1435.0],
+                   "idler_range_nm": [850.0, 875.0]}
+    path = tmp_path / "coarse.json"
+    path.write_text(json.dumps(cfg))
+    assert run("plan", path, out_dir=tmp_path / "out") == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["stage"] == "plan"
+    assert record["message"].startswith("GridResolutionError")
+    assert not (tmp_path / "out").exists()
+
+
+# Every config block, valid, for the fuzz test below.
+_FULL = {
+    "pump": {"center_wavelength_nm": 1070.0, "fwhm_nm": 2.0, "gamma_per_w_km": 11.0,
+             "peak_power_w": 50.0},
+    "segments": [
+        _SEG,
+        {"label": "S3", "core_radius_nm": 948.0, "air_fill": 0.296, "length_m": 0.3,
+         "phase_match": {"lambda_s0_nm": 1417.3, "lambda_i0_nm": 859.4,
+                         "tau_s_ps_per_m": 3.3, "theta_rad": 0.001, "tau_i_sign": -1}},
+    ],
+    "assembly": ["S2", {"label": "S3", "length_m": 0.6}],
+    "assemblies": [{"name": "a", "segments": ["S2", {"label": "S3"}]}],
+    "pump_fwhms_nm": [2.0, 5.0],
+    "grid": {"ns": 64, "ni": 64, "signal_range_nm": [1400.0, 1430.0],
+             "idler_range_nm": [850.0, 870.0], "lobes": 4.0, "pad_sigmas": 3.0},
+    "model": "full",
+    "filter": {"center_nm": 1414.0, "fwhm_nm": 0.8, "centers_nm": [1410.0, 1414.0],
+               "scan_range_nm": [1400.0, 1430.0], "n_centers": 5},
+    "planner": {"target_total_length_m": 0.6, "tolerance_m": 0.0, "max_segments": 2,
+                "max_plans": 10},
+    "fit": {"gvd_csv": "samples.csv", "initial_core_radius_nm": 940.0,
+            "initial_air_fill": 0.28},
+    "sweep": {"pump_range_nm": [950.0, 1100.0], "n_points": 3, "segment_label": "S2"},
+    "dispersion": {"wavelength_range_nm": [900.0, 1250.0], "n_points": 15,
+                   "zdw_search_nm": [900.0, 1250.0]},
+    "output_dir": "out",
+}
+
+
+def _node_paths(node, prefix=()):
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _node_paths(child, prefix + (key,))
+
+
+def _path_text(path):
+    text = ""
+    for key in path:
+        text += f"[{key}]" if isinstance(key, int) else (f".{key}" if text else key)
+    return text
+
+
+_NEVER_VALID = [None, True, math.nan, math.inf, -math.inf]
+_SOMETIMES_VALID = [{}, [], "", "x", -1, 0, 1.5, 10**400, _DROP]
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "config.json"
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(path=st.sampled_from(list(_node_paths(_FULL))),
+       value=st.sampled_from(_NEVER_VALID + _SOMETIMES_VALID))
+@example(path=("segments",), value=5)
+@example(path=("segments",), value=None)
+@example(path=("segments", 0, "length_m"), value=math.nan)
+@example(path=("pump", "fwhm_nm"), value=math.nan)
+@example(path=("grid", "signal_range_nm", 0), value=math.nan)
+@example(path=("pump", "peak_power_w"), value=_DROP)
+def test_malformed_config_raises_config_error_naming_the_field(fuzz_path, path, value):
+    cfg = copy.deepcopy(_FULL)
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    if value is _DROP:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    fuzz_path.write_text(json.dumps(cfg))
+    try:
+        load_config(fuzz_path)
+    except ConfigError as exc:
+        # A list item's fault may be reported on the list as a whole.
+        assert re.sub(r"\[\d+\]$", "", _path_text(path)) in str(exc)
+    else:
+        assert not any(value is bad for bad in _NEVER_VALID), _path_text(path)

@@ -109,11 +109,18 @@ def reference_rows():
 
 def test_reference_table_reproduced(reference_rows):
     assert len(reference_rows) == 20
+    parts = dict(TEN_CONFIGURATIONS)
     for row in reference_rows:
         ref = G2_REFERENCE[(row.configuration, row.pump_fwhm_nm)]
         assert row.g2 == pytest.approx(ref, abs=0.05), row.configuration
         assert row.g2 == pytest.approx(1.0 + row.purity, rel=1e-8)
         assert row.schmidt_number == pytest.approx(1.0 / row.purity, rel=1e-12)
+        # The rows come from the Gram path alone; the SVD is the oracle.
+        if row.configuration in ("S1+S2", "S1+S4+S2+S3", "hom_1.5"):
+            jsa = build_jsa(catalog_assembly(parts[row.configuration]),
+                            PumpSpec(PUMP_NM, row.pump_fwhm_nm))
+            oracle = schmidt_decompose(jsa).purity
+            assert row.purity == pytest.approx(oracle, rel=1e-12), row.configuration
 
 
 def test_g2_grows_with_pump_bandwidth(reference_rows):
