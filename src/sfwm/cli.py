@@ -69,11 +69,11 @@ class _Field:
 
     ``kind`` is number, integer, pair ([low, high]), text, numbers (a
     non-empty list of numbers), elements (an assembly's segment list), object
-    or list (of objects).  ``lo``/``hi`` bound a number or an integer, or the
-    length of a text or a list.  ``expect`` completes the "must be ..."
-    message of texts, lists and ``choices``.  A default is a JSON value,
-    checked like a given one.  ``rule`` checks relations inside the parsed
-    value.
+    or list (of objects).  ``lo``/``hi`` bound a number, an integer or both
+    ends of a pair, or the length of a text or a list.  ``expect`` completes
+    the "must be ..." message of texts, lists and ``choices``.  A default is
+    a JSON value, checked like a given one.  ``rule`` checks relations inside
+    the parsed value.
     """
 
     kind: str = "number"
@@ -130,6 +130,9 @@ def _value(f: _Field, val, path: str):
         val = (float(val[0]), float(val[1]))
         if val[0] >= val[1]:
             raise ConfigError(f"{path} must satisfy low < high")
+        bound = _violation(f, val[0]) or _violation(f, val[1])
+        if bound:
+            raise ConfigError(f"{path} = [{val[0]}, {val[1]}] violates {bound}")
     elif f.kind == "text":
         if not isinstance(val, str) or len(val) < (f.lo or 0):
             raise ConfigError(f"{path} must be {f.expect}")
@@ -257,8 +260,8 @@ _CONFIG = {
     "grid": _Field("object", default={}, rule=_ranges_together, fields={
         "ns": _Field("integer", lo=2, default=512),
         "ni": _Field("integer", lo=2, default=512),
-        "signal_range_nm": _Field("pair"),
-        "idler_range_nm": _Field("pair"),
+        "signal_range_nm": _Field("pair", **_POSITIVE),
+        "idler_range_nm": _Field("pair", **_POSITIVE),
         "lobes": _Field(lo=0.5, default=DEFAULT_LOBES),
         "pad_sigmas": _Field(lo=0, default=DEFAULT_PAD_SIGMAS),
     }),
@@ -267,7 +270,7 @@ _CONFIG = {
     "filter": _Field("object", fields={
         "center_nm": _Field(**_POSITIVE),
         "fwhm_nm": _Field(required=True, **_POSITIVE),
-        "scan_range_nm": _Field("pair"),
+        "scan_range_nm": _Field("pair", **_POSITIVE),
         "n_centers": _Field("integer", lo=2, default=201),
         "centers_nm": _Field("numbers", expect="a list of numbers", rule=_ascending),
     }),
@@ -283,14 +286,14 @@ _CONFIG = {
         "initial_air_fill": _Field(required=True, **_FRACTION),
     }),
     "sweep": _Field("object", fields={
-        "pump_range_nm": _Field("pair", required=True),
+        "pump_range_nm": _Field("pair", required=True, **_POSITIVE),
         "n_points": _Field("integer", lo=2, required=True),
         "segment_label": _Field("text", expect="a string"),
     }),
     "dispersion": _Field("object", default={}, fields={
-        "wavelength_range_nm": _Field("pair", default=[850.0, 1450.0]),
+        "wavelength_range_nm": _Field("pair", default=[850.0, 1450.0], **_POSITIVE),
         "n_points": _Field("integer", lo=2, default=121),
-        "zdw_search_nm": _Field("pair", default=[900.0, 1250.0]),
+        "zdw_search_nm": _Field("pair", default=[900.0, 1250.0], **_POSITIVE),
     }),
     "output_dir": _Field("text", default="out", lo=1, expect="a non-empty path string"),
 }

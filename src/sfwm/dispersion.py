@@ -20,14 +20,14 @@ and group quantities in ps/m, ps^2/m appear only at the interfaces.
 from __future__ import annotations
 
 import csv
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.constants import c as C_LIGHT
 from scipy.optimize import brentq, least_squares
-from scipy.special import j0, j1, jv, k0, k1, kv
+from scipy.optimize.elementwise import find_root
+from scipy.special import j0, j1, k0, k1
 
 TWO_PI_C = 2.0 * math.pi * C_LIGHT
 
@@ -119,15 +119,6 @@ class GvdSample:
             raise ValueError("GvdSample values must be finite")
 
 
-def _check_window(wavelength_nm: float) -> None:
-    lo, hi = WAVELENGTH_WINDOW_NM
-    if not lo <= wavelength_nm <= hi:
-        raise DispersionDomainError(
-            f"wavelength {wavelength_nm:.3f} nm outside material-model window "
-            f"[{lo:.0f}, {hi:.0f}] nm"
-        )
-
-
 def silica_refractive_index(wavelength_nm):
     """Refractive index of fused silica from the three-term Sellmeier fit.
 
@@ -157,103 +148,114 @@ def cladding_index(wavelength_nm, air_fill: float):
     return (1.0 - air_fill) * silica_refractive_index(wavelength_nm) + air_fill
 
 
-def _he11_residual_arrays(u, v, nrat2, inv_kna2):
-    """Vector HE11 characteristic residual, vectorized over u."""
+def _he11_residual(u, v, nrat2, inv_kna2):
+    """Vector HE11 characteristic residual, elementwise."""
     w = np.sqrt(v * v - u * u)
-    a = (jv(0, u) - jv(1, u) / u) / (u * jv(1, u))
-    b = -(kv(0, w) + kv(1, w) / w) / (w * kv(1, w))
-    rhs = (1.0 - u * u * inv_kna2) * (v / (u * w)) ** 4
-    return (a + b) * (a + nrat2 * b) - rhs
+    j1u, k1w = j1(u), k1(w)
+    a = (j0(u) - j1u / u) / (u * j1u)
+    b = -(k0(w) + k1w / w) / (w * k1w)
+    return (a + b) * (a + nrat2 * b) - (1.0 - u * u * inv_kna2) * ((v / (u * w)) ** 2) ** 2
 
 
-def _lp01_residual_arrays(u, v):
-    """Scalar LP01 characteristic residual, vectorized over u."""
+def _lp01_residual(u, v):
+    """Scalar LP01 characteristic residual, elementwise."""
     w = np.sqrt(v * v - u * u)
     return u * j1(u) / j0(u) - w * k1(w) / k0(w)
 
 
-def _bracketed_root(fun, grid):
-    vals = fun(grid)
-    sign = np.sign(vals)
-    ok = np.isfinite(vals)
-    for i in range(len(grid) - 1):
-        if ok[i] and ok[i + 1] and sign[i] != 0 and sign[i] * sign[i + 1] < 0:
-            return grid[i], grid[i + 1]
-    return None
+def _first_brackets(fun, args, start: float, stop, num: int):
+    """Per column, the first sign change of fun(u, *args) on the rows of
+    np.linspace(start, stop, num), marched one row at a time over the columns
+    still open so memory stays O(columns); NaN where there is none."""
+    lo, hi = np.full((2, stop.size), np.nan)
+    cols = np.arange(stop.size)
+    step = (stop - start) / (num - 1)  # row j is j * step + start, as in linspace
+    u_prev = np.full(stop.shape, start)
+    f_prev = fun(u_prev, *args)
+    for j in range(1, num):
+        u = stop if j == num - 1 else j * step + start
+        f = fun(u, *args)
+        found = np.sign(f_prev) * np.sign(f) < 0  # False wherever a residual is NaN
+        lo[cols[found]], hi[cols[found]] = u_prev[found], u[found]
+        keep = ~found
+        if not keep.any():
+            break
+        cols, stop, step, u_prev, f_prev = cols[keep], stop[keep], step[keep], u[keep], f[keep]
+        args = tuple(x[keep] for x in args)
+    return lo, hi
 
 
-@functools.lru_cache(maxsize=200_000)
-def _solve_neff(core_radius_nm: float, air_fill: float, wavelength_nm: float,
-                mode_model: str) -> float:
-    """Effective index of the fundamental mode at one wavelength."""
-    _check_window(wavelength_nm)
-    n_co = silica_refractive_index(wavelength_nm)
+def _solve_neff(core_radius_nm: float, air_fill: float, wavelength_nm,
+                mode_model: str):
+    """Effective index of the fundamental mode, elementwise over wavelength_nm.
+
+    Each wavelength is bracketed by the first sign change of the residual on
+    129 points of u (2049 from near zero for the misses), then all brackets
+    are polished in one vectorized Chandrupatla solve.  Every element depends
+    on its own wavelength only, so a batch gives the same bits as scalar calls.
+    """
+    wl_in = np.asarray(wavelength_nm, dtype=float)
+    wl = wl_in.ravel()
+    n_co = silica_refractive_index(wl)
     n_cl = (1.0 - air_fill) * n_co + air_fill
     a_m = core_radius_nm * 1e-9
-    k0_ = 2.0 * math.pi / (wavelength_nm * 1e-9)
-    v = k0_ * a_m * math.sqrt(n_co * n_co - n_cl * n_cl)
-    if v <= 0.0:
-        raise ModeCutoffError("vanishing index contrast, no guided mode")
+    k0_ = 2.0 * math.pi / (wl * 1e-9)
+    v = k0_ * a_m * np.sqrt(n_co * n_co - n_cl * n_cl)
 
     if mode_model == "he11":
-        nrat2 = (n_cl / n_co) ** 2
-        inv_kna2 = 1.0 / (k0_ * n_co * a_m) ** 2
-        fun = lambda u: _he11_residual_arrays(u, v, nrat2, inv_kna2)
-        hi = min(v, _J1_FIRST_ZERO) * (1.0 - 1e-12)
+        fun, args = _he11_residual, (v, (n_cl / n_co) ** 2, 1.0 / (k0_ * n_co * a_m) ** 2)
+        hi = np.minimum(v, _J1_FIRST_ZERO) * (1.0 - 1e-12)
     elif mode_model == "lp01":
-        fun = lambda u: _lp01_residual_arrays(u, v)
-        hi = min(v, _J0_FIRST_ZERO) * (1.0 - 1e-12)
+        fun, args = _lp01_residual, (v,)
+        hi = np.minimum(v, _J0_FIRST_ZERO) * (1.0 - 1e-12)
     else:
         raise ValueError(f"unknown mode_model {mode_model!r}")
 
-    bracket = _bracketed_root(fun, np.linspace(1e-3, hi, 129))
-    if bracket is None:
-        bracket = _bracketed_root(fun, np.linspace(1e-6, hi, 2049))
-    if bracket is None:
+    u_lo, u_hi = _first_brackets(fun, args, 1e-3, hi, 129)
+    miss = np.isnan(u_lo)
+    if miss.any():
+        u_lo[miss], u_hi[miss] = _first_brackets(
+            fun, tuple(x[miss] for x in args), 1e-6, hi[miss], 2049)
+        miss = np.isnan(u_lo)
+    if miss.any():
+        i = np.flatnonzero(miss)[0]
         raise ModeCutoffError(
             f"no guided fundamental mode for r={core_radius_nm} nm, f={air_fill}, "
-            f"lambda={wavelength_nm} nm (V={v:.3f})"
+            f"lambda={float(wl[i])} nm (V={v[i]:.3f})"
         )
-    try:
-        u = brentq(lambda x: float(fun(x)), bracket[0], bracket[1],
-                   xtol=1e-15, rtol=4 * np.finfo(float).eps)
-    except (RuntimeError, ValueError) as exc:  # pragma: no cover - defensive
-        raise ModeSolverError(
-            f"eigenvalue iteration failed at lambda={wavelength_nm} nm: {exc}",
-            residual=float(fun(0.5 * (bracket[0] + bracket[1]))),
-        ) from exc
-    beta = math.sqrt((k0_ * n_co) ** 2 - (u / a_m) ** 2)
-    return beta / k0_
+    res = find_root(fun, (u_lo, u_hi), args=args)
+    if not res.success.all():
+        i = np.flatnonzero(~res.success)[0]
+        raise ModeSolverError(f"eigenvalue iteration failed at lambda={float(wl[i])} nm "
+                              f"(status {int(res.status[i])})", residual=float(res.f_x[i]))
+    beta = np.sqrt((k0_ * n_co) ** 2 - (res.x / a_m) ** 2)
+    return (beta / k0_).reshape(wl_in.shape)[()]
 
 
-def effective_index(segment: FiberSegment, wavelength_nm: float,
-                    mode_model: str = "he11") -> float:
-    """Fundamental-mode effective index; n_cl < n_eff < n_co."""
-    return _solve_neff(segment.core_radius_nm, segment.air_fill,
-                       float(wavelength_nm), mode_model)
+def effective_index(segment: FiberSegment, wavelength_nm, mode_model: str = "he11"):
+    """Fundamental-mode effective index, elementwise; n_cl < n_eff < n_co."""
+    return _solve_neff(segment.core_radius_nm, segment.air_fill, wavelength_nm, mode_model)
 
 
-def propagation_constant(segment: FiberSegment, wavelength_nm: float,
-                         mode_model: str = "he11") -> float:
-    """Propagation constant k = n_eff * 2*pi/lambda in rad/m."""
+def propagation_constant(segment: FiberSegment, wavelength_nm, mode_model: str = "he11"):
+    """Propagation constant k = n_eff * 2*pi/lambda in rad/m, elementwise."""
     n = effective_index(segment, wavelength_nm, mode_model)
-    return n * 2.0 * math.pi / (wavelength_nm * 1e-9)
+    return n * 2.0 * math.pi / (np.asarray(wavelength_nm, dtype=float) * 1e-9)
 
 
-def _k_of_omega(core_radius_nm: float, air_fill: float, omega: float,
-                mode_model: str) -> float:
-    lam_nm = TWO_PI_C / omega * 1e9
-    n = _solve_neff(core_radius_nm, air_fill, lam_nm, mode_model)
+def _k_of_omega(core_radius_nm: float, air_fill: float, omega, mode_model: str):
+    """k(omega) in rad/m, elementwise over omega (rad/s)."""
+    n = _solve_neff(core_radius_nm, air_fill, TWO_PI_C / omega * 1e9, mode_model)
     return n * omega / C_LIGHT
 
 
 def _slowness_rf(core_radius_nm, air_fill, omega, mode_model):
     # Richardson-extrapolated central difference; h/2 refinement built in.
+    # The four stencil points of every omega go to the solver in one call.
     h = DERIV_REL_STEP * omega
-    kp = _k_of_omega(core_radius_nm, air_fill, omega + h, mode_model)
-    km = _k_of_omega(core_radius_nm, air_fill, omega - h, mode_model)
-    kp2 = _k_of_omega(core_radius_nm, air_fill, omega + h / 2, mode_model)
-    km2 = _k_of_omega(core_radius_nm, air_fill, omega - h / 2, mode_model)
+    kp, km, kp2, km2 = _k_of_omega(
+        core_radius_nm, air_fill,
+        np.stack((omega + h, omega - h, omega + h / 2, omega - h / 2)), mode_model)
     d1 = (kp - km) / (2 * h)
     d2 = (kp2 - km2) / h
     return (4 * d2 - d1) / 3
@@ -261,45 +263,38 @@ def _slowness_rf(core_radius_nm, air_fill, omega, mode_model):
 
 def _gvd_rf(core_radius_nm, air_fill, omega, mode_model):
     h = DERIV_REL_STEP * omega
-    kc = _k_of_omega(core_radius_nm, air_fill, omega, mode_model)
-    kp = _k_of_omega(core_radius_nm, air_fill, omega + h, mode_model)
-    km = _k_of_omega(core_radius_nm, air_fill, omega - h, mode_model)
-    kp2 = _k_of_omega(core_radius_nm, air_fill, omega + h / 2, mode_model)
-    km2 = _k_of_omega(core_radius_nm, air_fill, omega - h / 2, mode_model)
+    kc, kp, km, kp2, km2 = _k_of_omega(
+        core_radius_nm, air_fill,
+        np.stack((omega, omega + h, omega - h, omega + h / 2, omega - h / 2)), mode_model)
     d1 = (kp - 2 * kc + km) / (h * h)
     d2 = (kp2 - 2 * kc + km2) / (h * h / 4)
     return (4 * d2 - d1) / 3  # s^2/m
 
 
-def group_slowness(segment: FiberSegment, wavelength_nm: float,
-                   mode_model: str = "he11") -> float:
-    """Reciprocal group velocity dk/domega in s/m."""
-    omega = TWO_PI_C / (wavelength_nm * 1e-9)
-    # The widest stencil point must stay inside the material window.
-    for off in (1 + DERIV_REL_STEP, 1 - DERIV_REL_STEP):
-        _check_window(TWO_PI_C / (omega * off) * 1e9)
-    return _slowness_rf(segment.core_radius_nm, segment.air_fill, omega, mode_model)
+def _omega(wavelength_nm):
+    return TWO_PI_C / (np.asarray(wavelength_nm, dtype=float) * 1e-9)
 
 
-def gvd(segment: FiberSegment, wavelength_nm: float,
-        mode_model: str = "he11") -> float:
-    """Group-velocity dispersion beta2 = d^2k/domega^2 in ps^2/m."""
-    omega = TWO_PI_C / (wavelength_nm * 1e-9)
-    for off in (1 + DERIV_REL_STEP, 1 - DERIV_REL_STEP):
-        _check_window(TWO_PI_C / (omega * off) * 1e9)
-    return _gvd_rf(segment.core_radius_nm, segment.air_fill, omega, mode_model) * 1e24
+def group_slowness(segment: FiberSegment, wavelength_nm, mode_model: str = "he11"):
+    """Reciprocal group velocity dk/domega in s/m, elementwise."""
+    return _slowness_rf(segment.core_radius_nm, segment.air_fill,
+                        _omega(wavelength_nm), mode_model)
+
+
+def gvd(segment: FiberSegment, wavelength_nm, mode_model: str = "he11"):
+    """Group-velocity dispersion beta2 = d^2k/domega^2 in ps^2/m, elementwise."""
+    return _gvd_rf(segment.core_radius_nm, segment.air_fill,
+                   _omega(wavelength_nm), mode_model) * 1e24
 
 
 def find_zdw(segment: FiberSegment, search_range_nm: tuple[float, float] = (900.0, 1250.0),
              mode_model: str = "he11", scan_step_nm: float = 1.0) -> list[float]:
     """All zero-dispersion wavelengths in the range, ascending, polished to 0.01 nm."""
     lo, hi = min(search_range_nm), max(search_range_nm)
-    _check_window(lo)
-    _check_window(hi)
     grid = np.arange(lo, hi + 0.5 * scan_step_nm, scan_step_nm)
     grid[-1] = min(grid[-1], hi)
-    f = lambda lam: gvd(segment, float(lam), mode_model)
-    vals = np.array([f(x) for x in grid])
+    f = lambda lam: gvd(segment, lam, mode_model)
+    vals = f(grid)
     roots: list[float] = []
     for i in range(len(grid) - 1):
         if vals[i] == 0.0:
@@ -337,13 +332,11 @@ def fit_structure(samples: list[GvdSample], initial_guess: tuple[float, float],
     (r_lo, f_lo), (r_hi, f_hi) = _FIT_BOUNDS
     if not (r_lo < r0 < r_hi and f_lo < f0 < f_hi):
         raise ValueError(f"initial guess {initial_guess} outside fit bounds {_FIT_BOUNDS}")
-    wl = [s.wavelength_nm for s in samples]
+    omegas = _omega([s.wavelength_nm for s in samples])
 
     def residuals(x):
         r, f = x
-        omegas = [TWO_PI_C / (w * 1e-9) for w in wl]
-        model = [_gvd_rf(r, f, om, mode_model) * 1e24 for om in omegas]
-        return np.array(model) - b2
+        return _gvd_rf(r, f, omegas, mode_model) * 1e24 - b2
 
     # diff_step must clear the mode-solver noise floor (~3e-7 ps^2/m) or the
     # Jacobian is garbage and the fit stalls at the initial guess.
@@ -365,18 +358,19 @@ def fit_structure(samples: list[GvdSample], initial_guess: tuple[float, float],
 
 def model_curve(segment: FiberSegment, wavelengths_nm, mode_model: str = "he11") -> DispersionCurve:
     """DispersionCurve sampled from the mode solver."""
-    wl = [float(x) for x in wavelengths_nm]
-    ks = [propagation_constant(segment, x, mode_model) for x in wl]
-    return DispersionCurve(tuple(wl), tuple(ks), provenance=f"model({segment.label})")
+    wl = np.asarray(wavelengths_nm, dtype=float)
+    ks = propagation_constant(segment, wl, mode_model)
+    return DispersionCurve(tuple(wl.tolist()), tuple(ks.tolist()),
+                           provenance=f"model({segment.label})")
 
 
 def dispersion_table(segment: FiberSegment, wavelengths_nm, mode_model: str = "he11") -> dict:
     """Column dict for the dispersion CSV export."""
     wl = np.asarray(wavelengths_nm, dtype=float)
-    n_eff = np.array([effective_index(segment, x, mode_model) for x in wl])
+    n_eff = effective_index(segment, wl, mode_model)
     k = n_eff * 2.0 * math.pi / (wl * 1e-9)
-    k1_ = np.array([group_slowness(segment, x, mode_model) for x in wl]) * 1e12
-    b2 = np.array([gvd(segment, x, mode_model) for x in wl])
+    k1_ = group_slowness(segment, wl, mode_model) * 1e12
+    b2 = gvd(segment, wl, mode_model)
     return {
         "wavelength_nm": wl,
         "n_eff": n_eff,

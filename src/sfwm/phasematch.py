@@ -168,12 +168,13 @@ def solve_phase_match(segment: FiberSegment, pump: PumpSpec,
     w_p = pump.omega_pc
     k_p = _k_of_omega(r, f, w_p, mode_model)
 
-    def mismatch_at_signal(w_s: float) -> float:
-        return 2.0 * k_p - _k_of_omega(r, f, w_s, mode_model) \
-            - _k_of_omega(r, f, 2.0 * w_p - w_s, mode_model)
+    def mismatch_at_signal(w_s):
+        k_s, k_i = _k_of_omega(r, f, np.stack((w_s, 2.0 * w_p - w_s)), mode_model)
+        return 2.0 * k_p - k_s - k_i
 
     lo, hi = search_window_nm if search_window_nm else _default_search_window(lam_p)
-    # Integer-nm coarse grid (aligned so sweeps share cache entries); the idler
+    # Integer-nm coarse grid, independent of the window's fractional part, so
+    # neighbouring pumps of a sweep bracket on the same lattice; the idler
     # counterpart of each candidate must stay inside the material window.
     lam_grid = np.arange(math.ceil(lo), math.floor(hi) + 1.0, 1.0)
     idler_nm = 1.0 / (2.0 / lam_p - 1.0 / lam_grid)
@@ -183,7 +184,7 @@ def solve_phase_match(segment: FiberSegment, pump: PumpSpec,
         raise PhaseMatchError(f"empty search window for pump {lam_p} nm")
 
     w_grid = TWO_PI_C / (lam_grid * 1e-9)
-    vals = np.array([mismatch_at_signal(w) for w in w_grid])
+    vals = mismatch_at_signal(w_grid)
     brackets = [
         (w_grid[i + 1], w_grid[i])  # omega descends along the lambda grid
         for i in range(len(lam_grid) - 1)
@@ -204,9 +205,9 @@ def solve_phase_match(segment: FiberSegment, pump: PumpSpec,
     w_s0 = brentq(mismatch_at_signal, w_a, w_b, xtol=1e-3, rtol=4 * np.finfo(float).eps)
     w_i0 = 2.0 * w_p - w_s0
 
-    slow_p = _slowness_rf(r, f, w_p, mode_model)
-    tau_s = (slow_p - _slowness_rf(r, f, w_s0, mode_model)) * 1e12
-    tau_i = (slow_p - _slowness_rf(r, f, w_i0, mode_model)) * 1e12
+    slow_p, slow_s, slow_i = _slowness_rf(r, f, np.array((w_p, w_s0, w_i0)), mode_model)
+    tau_s = (slow_p - slow_s) * 1e12
+    tau_i = (slow_p - slow_i) * 1e12
     return PhaseMatchPoint.for_pump(
         lambda_pc_nm=lam_p,
         lambda_s0_nm=TWO_PI_C / w_s0 * 1e9,

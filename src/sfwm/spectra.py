@@ -16,7 +16,6 @@ re-evaluated from the dispersion curves at every grid point).
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -218,21 +217,15 @@ def delta_k(point: PhaseMatchPoint, omega_s, omega_i):
         + point.tau_i_si * (np.asarray(omega_i) - point.omega_i0)
 
 
-_SPLINE_QUANTUM = 1e12  # rad/s; snap spline ranges so repeat builds share caches
-
-
-@functools.lru_cache(maxsize=64)
-def _k_spline(core_radius_nm: float, air_fill: float, lo: float, hi: float,
-              mode_model: str, n: int = 1024) -> CubicSpline:
-    omegas = np.linspace(lo, hi, n)
-    ks = np.array([_k_of_omega(core_radius_nm, air_fill, w, mode_model) for w in omegas])
-    return CubicSpline(omegas, ks)
+#: rad/s; spline ranges snap outward to this lattice, so requests whose extremes
+#: fall in the same cells get the same 1024 nodes and the same spline.
+_SPLINE_QUANTUM = 1e12
 
 
 def delta_k_full(fiber: FiberSegment, omega_s, omega_i, mode_model: str = "he11"):
     """Mismatch 2k(w_p) - k(w_s) - k(w_i) with w_p = (w_s + w_i)/2, rad/m.
 
-    k is evaluated through a cubic-spline cache of the mode solver; the spline
+    k is evaluated through a cubic spline of the mode solver; the spline
     range is the span of the requested frequencies, so out-of-window requests
     surface the material-model domain error.
     """
@@ -243,7 +236,8 @@ def delta_k_full(fiber: FiberSegment, omega_s, omega_i, mode_model: str = "he11"
     hi = max(ws.max(), wi.max(), wp.max())
     lo_q = math.floor(lo / _SPLINE_QUANTUM - 1) * _SPLINE_QUANTUM
     hi_q = math.ceil(hi / _SPLINE_QUANTUM + 1) * _SPLINE_QUANTUM
-    spl = _k_spline(fiber.core_radius_nm, fiber.air_fill, lo_q, hi_q, mode_model)
+    nodes = np.linspace(lo_q, hi_q, 1024)
+    spl = CubicSpline(nodes, _k_of_omega(fiber.core_radius_nm, fiber.air_fill, nodes, mode_model))
     return 2.0 * spl(wp) - spl(ws) - spl(wi)
 
 

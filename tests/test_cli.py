@@ -320,6 +320,19 @@ MESSAGE_CASES = [
     (("dispersion",), {"zdw_search_nm": "900-1250"},
      "dispersion.zdw_search_nm must be a [low, high] number pair"),
     (("output_dir",), "", "output_dir must be a non-empty path string"),
+    # Every [low, high] nm pair is a range of positive wavelengths.
+    (("grid", "signal_range_nm"), [0, 1420], "grid.signal_range_nm = [0.0, 1420.0] violates > 0"),
+    (("grid", "signal_range_nm"), [-5, 1420],
+     "grid.signal_range_nm = [-5.0, 1420.0] violates > 0"),
+    (("grid", "idler_range_nm"), [0, 870], "grid.idler_range_nm = [0.0, 870.0] violates > 0"),
+    (("filter",), {"fwhm_nm": 1.0, "scan_range_nm": [0, 1420]},
+     "filter.scan_range_nm = [0.0, 1420.0] violates > 0"),
+    (("sweep",), {"pump_range_nm": [0, 1095], "n_points": 3},
+     "sweep.pump_range_nm = [0.0, 1095.0] violates > 0"),
+    (("dispersion",), {"wavelength_range_nm": [-850, 1450]},
+     "dispersion.wavelength_range_nm = [-850.0, 1450.0] violates > 0"),
+    (("dispersion",), {"zdw_search_nm": [0, 1250]},
+     "dispersion.zdw_search_nm = [0.0, 1250.0] violates > 0"),
 ]
 
 

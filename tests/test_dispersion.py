@@ -1,5 +1,6 @@
 """Material model, mode solver, derivatives, ZDW search, and structure fit."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -8,6 +9,8 @@ from sfwm.dispersion import (
     DispersionDomainError,
     FiberSegment,
     GvdSample,
+    ModeCutoffError,
+    ModeSolverError,
     cladding_index,
     effective_index,
     find_zdw,
@@ -177,6 +180,82 @@ def test_derivative_stencil_window_guard():
         group_slowness(R948, 1999.95)
     with pytest.raises(DispersionDomainError):
         gvd(R948, 300.01)
+    # One stencil point outside the window fails the whole array call.
+    with pytest.raises(DispersionDomainError):
+        gvd(R948, [1000.0, 1999.95])
+    with pytest.raises(DispersionDomainError):
+        group_slowness(R948, np.array([300.01, 1000.0]))
+
+
+def _he11_neff_mpmath(r_nm, fill, lam_nm):
+    """HE11 effective index at 40 digits, independent of the double solver:
+    textbook form of the characteristic equation (Snyder & Love, Optical
+    Waveguide Theory, 1983), Sellmeier sum in mpmath, first sign change on a
+    coarse u scan, Illinois polish."""
+    mp = mpmath.mp
+    with mpmath.workdps(40):
+        x2 = (mp.mpf(lam_nm) / 1000) ** 2
+        sellmeier = (("0.6961663", "0.0684043"), ("0.4079426", "0.1162414"),
+                     ("0.8974794", "9.896161"))
+        n_co = mp.sqrt(1 + sum(mp.mpf(b) * x2 / (x2 - mp.mpf(c) ** 2) for b, c in sellmeier))
+        n_cl = (1 - mp.mpf(fill)) * n_co + mp.mpf(fill)
+        k = 2 * mp.pi / (mp.mpf(lam_nm) * mp.mpf("1e-9"))
+        a = mp.mpf(r_nm) * mp.mpf("1e-9")
+        v = k * a * mp.sqrt(n_co**2 - n_cl**2)
+
+        def resid(u):
+            w = mp.sqrt(v**2 - u**2)
+            jj = (mp.besselj(0, u) - mp.besselj(1, u) / u) / (u * mp.besselj(1, u))
+            kk = -(mp.besselk(0, w) + mp.besselk(1, w) / w) / (w * mp.besselk(1, w))
+            beta_rel2 = 1 - (u / (k * n_co * a)) ** 2
+            return ((jj + kk) * (jj + (n_cl / n_co) ** 2 * kk)
+                    - beta_rel2 * (1 / u**2 + 1 / w**2) ** 2)
+
+        top = min(v, mp.besseljzero(1, 1)) * (1 - mp.mpf("1e-9"))
+        us = [top * (i + 1) / 24 for i in range(24)]
+        vals = [resid(u) for u in us]
+        i = next(i for i in range(23) if vals[i] * vals[i + 1] < 0)
+        u = mp.findroot(resid, (us[i], us[i + 1]), solver="illinois")
+        return mp.sqrt(n_co**2 - (u / (k * a)) ** 2)
+
+
+def test_effective_index_matches_mpmath_oracle():
+    for lam in (900.0, 1070.0, 1409.9):
+        ref = _he11_neff_mpmath(948.0, 0.296, lam)
+        assert abs(float(effective_index(R948, lam)) - ref) / ref < 1e-13
+
+
+def test_array_calls_match_scalar_calls_bit_for_bit():
+    wl = np.array([860.0, 942.4, 1070.0, 1173.8, 1409.9, 1450.0])
+    extra = np.linspace(900.0, 1300.0, 37)
+    for fn in (effective_index, group_slowness, gvd):
+        batch = fn(R948, wl)
+        assert batch.shape == wl.shape
+        assert np.array_equal(batch, [fn(R948, float(x)) for x in wl])
+        # Nothing depends on which other wavelengths share the batch.
+        assert np.array_equal(fn(R948, wl[::-1])[::-1], batch)
+        assert np.array_equal(fn(R948, np.concatenate([extra, wl]))[extra.size:], batch)
+        assert np.array_equal(fn(R948, wl.reshape(2, 3)), batch.reshape(2, 3))
+    assert np.ndim(effective_index(R948, 1070.0)) == 0
+
+
+def test_mode_cutoff_is_explicit():
+    thin = FiberSegment("thin", 50.0, 0.296, 1.0)
+    with pytest.raises(ModeCutoffError) as info:
+        effective_index(thin, 1070.0)
+    assert str(info.value) == ("no guided fundamental mode for r=50.0 nm, f=0.296, "
+                               "lambda=1070.0 nm (V=0.178)")
+    # An array call names its first failing wavelength.
+    with pytest.raises(ModeCutoffError, match=r"lambda=800\.0 nm \(V=0\.240\)"):
+        effective_index(thin, [400.0, 800.0, 1070.0])
+
+
+def test_unconverged_root_is_explicit(monkeypatch):
+    find_root = disp.find_root
+    monkeypatch.setattr(disp, "find_root", lambda *a, **kw: find_root(*a, maxiter=1, **kw))
+    with pytest.raises(ModeSolverError, match=r"lambda=1000\.0 nm") as info:
+        effective_index(R948, [1000.0, 1070.0])
+    assert np.isfinite(info.value.residual)
 
 
 def _model_samples(r_nm, fill, wavelengths):
