@@ -598,7 +598,7 @@ def _cmd_gvm_curve(cfg: RunConfig, out: _OutputSet, threads: int) -> dict:
          "tau_i_ps_per_m", "theta_rad"],
         rows,
     )
-    roots = agvm_roots(fiber, cfg.sweep["pump_range_nm"])
+    roots = agvm_roots(fiber, curve)
     out.add_csv("agvm_roots.csv", ["condition", "pump_nm"],
                 [("tau_i_zero", roots.pump_for_tau_i_zero),
                  ("tau_s_zero", roots.pump_for_tau_s_zero)])

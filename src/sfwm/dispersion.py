@@ -44,6 +44,9 @@ _J1_FIRST_ZERO = 3.8317059702075125
 #: Relative step used for frequency-derivative stencils.
 DERIV_REL_STEP = 1e-4
 
+# Residuals evaluated per step of the bracket march (rows x open columns).
+_MARCH_CELLS = 1 << 14
+
 
 class DispersionDomainError(ValueError):
     """Wavelength (or a stencil point) left the material-model window."""
@@ -165,23 +168,32 @@ def _lp01_residual(u, v):
 
 def _first_brackets(fun, args, start: float, stop, num: int):
     """Per column, the first sign change of fun(u, *args) on the rows of
-    np.linspace(start, stop, num), marched one row at a time over the columns
-    still open so memory stays O(columns); NaN where there is none."""
+    np.linspace(start, stop, num); NaN where there is none.
+
+    The rows are marched in blocks of at most _MARCH_CELLS residuals over the
+    columns still open: a small batch takes every row in a step or two, a
+    large one a row per step, so memory stays O(columns)."""
     lo, hi = np.full((2, stop.size), np.nan)
     cols = np.arange(stop.size)
     step = (stop - start) / (num - 1)  # row j is j * step + start, as in linspace
     u_prev = np.full(stop.shape, start)
     f_prev = fun(u_prev, *args)
-    for j in range(1, num):
-        u = stop if j == num - 1 else j * step + start
-        f = fun(u, *args)
-        found = np.sign(f_prev) * np.sign(f) < 0  # False wherever a residual is NaN
-        lo[cols[found]], hi[cols[found]] = u_prev[found], u[found]
+    j = 1
+    while j < num and cols.size:
+        rows = np.arange(j, min(num, j + max(1, _MARCH_CELLS // cols.size)))
+        u = np.concatenate((u_prev[None], rows[:, None] * step + start))
+        if rows[-1] == num - 1:
+            u[-1] = stop
+        f = np.concatenate((f_prev[None], fun(u[1:], *args)))
+        s = np.sign(f)
+        change = s[:-1] * s[1:] < 0  # False wherever a residual is NaN
+        found = change.any(axis=0)
+        at, first = np.flatnonzero(found), change.argmax(axis=0)[found]
+        lo[cols[at]], hi[cols[at]] = u[first, at], u[first + 1, at]
         keep = ~found
-        if not keep.any():
-            break
-        cols, stop, step, u_prev, f_prev = cols[keep], stop[keep], step[keep], u[keep], f[keep]
-        args = tuple(x[keep] for x in args)
+        cols, stop, step = cols[keep], stop[keep], step[keep]
+        u_prev, f_prev, args = u[-1, keep], f[-1, keep], tuple(x[keep] for x in args)
+        j = rows[-1] + 1
     return lo, hi
 
 

@@ -253,12 +253,20 @@ class AgvmRoots:
     pump_for_tau_s_zero: float | None
 
 
-def agvm_roots(segment: FiberSegment, pump_range_nm: tuple[float, float],
-               scan_step_nm: float = 5.0, mode_model: str = "he11") -> AgvmRoots:
-    """Root-polished pump wavelengths with tau_i = 0 and tau_s = 0."""
-    lo, hi = min(pump_range_nm), max(pump_range_nm)
-    n = max(3, int(round((hi - lo) / scan_step_nm)) + 1)
-    sweep = gvm_curve(segment, (lo, hi), n, mode_model=mode_model)
+def agvm_roots(segment: FiberSegment, sweep: list[GvmSample],
+               mode_model: str = "he11") -> AgvmRoots:
+    """Root-polished pump wavelengths with tau_i = 0 and tau_s = 0.
+
+    Each root is bracketed by the first sign change of its tau between
+    neighbouring samples of ``sweep`` (a ``gvm_curve`` of the same segment),
+    then polished with brentq; a root between two samples whose tau has the
+    same sign is missed.
+    """
+    pumps = [s.lambda_p_nm for s in sweep]
+    if len(pumps) < 2:
+        raise ValueError(f"agvm_roots needs at least 2 sweep samples, got {len(pumps)}")
+    if any(b <= a for a, b in zip(pumps, pumps[1:])):
+        raise ValueError("agvm_roots needs sweep pumps in strictly ascending order")
 
     def polish(component: str) -> float | None:
         def tau(lam_p: float) -> float:

@@ -7,6 +7,7 @@ The analysis lives in README.md (Known deviations) and the project notes.
 
 import itertools
 import math
+import os
 import subprocess
 import sys
 import time
@@ -31,6 +32,7 @@ from sfwm import (
     g2_quadrature,
     g2_table,
     gvd,
+    gvm_curve,
     phi_assembly,
     phi_homogeneous,
     phi_signal,
@@ -97,7 +99,8 @@ def test_criterion_2_dispersion_chain():
 
 
 def test_criterion_3_agvm_pump_wavelengths():
-    roots = agvm_roots(catalog_fiber("S3", 1.9), (950.0, 1100.0), scan_step_nm=10.0)
+    seg = catalog_fiber("S3", 1.9)
+    roots = agvm_roots(seg, gvm_curve(seg, (950.0, 1100.0), 16))
     ok = (roots.pump_for_tau_i_zero is not None
           and abs(roots.pump_for_tau_i_zero - 1070.2) <= 5.0
           and roots.pump_for_tau_s_zero is not None
@@ -340,6 +343,11 @@ CONFIG_RUNS = [
 ]
 
 
+# The CLI subprocesses import sfwm from this checkout's src/, as the suite does.
+_SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, (str(REPO / "src"), os.environ.get("PYTHONPATH"))))}
+
+
 def test_criterion_11_bundled_configs_byte_reproducible(tmp_path):
     ok = True
     details = []
@@ -351,7 +359,7 @@ def test_criterion_11_bundled_configs_byte_reproducible(tmp_path):
                 [sys.executable, "-m", "sfwm.cli", subcommand,
                  "--config", str(CONFIGS / config_name),
                  "--out", str(out), "--threads", threads],
-                cwd=REPO, capture_output=True, text=True,
+                cwd=REPO, capture_output=True, text=True, env=_SRC_ENV,
             )
             if proc.returncode != 0:
                 ok = False

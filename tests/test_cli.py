@@ -209,6 +209,31 @@ def test_fit_subcommand_uses_bundled_samples(tmp_path):
     assert float(rows[0][1]) == pytest.approx(0.296, abs=0.002)
 
 
+def test_gvm_curve_runs_one_sweep_and_its_files_agree(tmp_path, monkeypatch):
+    from sfwm import cli, phasematch
+
+    sweep, calls = phasematch.gvm_curve, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(phasematch, "gvm_curve", counted)
+    monkeypatch.setattr(cli, "gvm_curve", counted)
+    assert run("gvm-curve", CONFIGS / "gvm_sweep.json", tmp_path) == 0
+    assert len(calls) == 1
+    header, rows = read_csv(tmp_path / "gvm_curve.csv")
+    _, roots = read_csv(tmp_path / "agvm_roots.csv")
+    assert [r[0] for r in roots] == ["tau_i_zero", "tau_s_zero"]
+    for condition, pump_nm in roots:
+        column = header.index(condition.replace("_zero", "_ps_per_m"))
+        # The root sits between two adjacent sweep rows whose tau changes sign.
+        assert any(
+            float(a[0]) <= float(pump_nm) <= float(b[0])
+            and float(a[column]) * float(b[column]) < 0
+            for a, b in zip(rows, rows[1:]) if a[column] and b[column])
+
+
 def test_missing_required_block(tmp_path, capsys):
     path = small_config(tmp_path)
     assert run("plan", path) == 1

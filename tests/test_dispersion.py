@@ -239,6 +239,87 @@ def test_array_calls_match_scalar_calls_bit_for_bit():
     assert np.ndim(effective_index(R948, 1070.0)) == 0
 
 
+def _row_march_oracle(fun, args, start, stop, num):
+    """The bracket march one row of u at a time over the open columns."""
+    lo, hi = np.full((2, stop.size), np.nan)
+    cols = np.arange(stop.size)
+    step = (stop - start) / (num - 1)
+    u_prev = np.full(stop.shape, start)
+    f_prev = fun(u_prev, *args)
+    for j in range(1, num):
+        u = stop if j == num - 1 else j * step + start
+        f = fun(u, *args)
+        found = np.sign(f_prev) * np.sign(f) < 0
+        lo[cols[found]], hi[cols[found]] = u_prev[found], u[found]
+        keep = ~found
+        if not keep.any():
+            break
+        cols, stop, step, u_prev, f_prev = cols[keep], stop[keep], step[keep], u[keep], f[keep]
+        args = tuple(x[keep] for x in args)
+    return lo, hi
+
+
+def _cos_residual(u, a):
+    return np.cos(a * u)
+
+
+def _residual_columns(kind, n):
+    """Residual, args and scan top for n columns, the last of them (when
+    n > 1) without a bracket: HE11 or LP01 at n wavelengths on R948 with the
+    last on a 50 nm core that has no guided mode, or cos(a u) on [0, 3],
+    whose many sign changes pin the first-sign-change rule."""
+    if kind == "cos":
+        a = np.linspace(1.0, 40.0, n)
+        if n > 1:
+            a[-1] = 0.1
+        return _cos_residual, (a,), np.full(n, 3.0)
+    wl = np.linspace(850.0, 1450.0, n)
+    r_nm = np.full(n, 948.0)
+    if n > 1:
+        r_nm[-1] = 50.0
+    n_co = silica_refractive_index(wl)
+    n_cl = (1.0 - 0.296) * n_co + 0.296
+    k0a = 2.0 * np.pi * r_nm / wl
+    v = k0a * np.sqrt(n_co * n_co - n_cl * n_cl)
+    if kind == "he11":
+        top = np.minimum(v, disp._J1_FIRST_ZERO) * (1.0 - 1e-12)
+        return disp._he11_residual, (v, (n_cl / n_co) ** 2, 1.0 / (k0a * n_co) ** 2), top
+    top = np.minimum(v, disp._J0_FIRST_ZERO) * (1.0 - 1e-12)
+    return disp._lp01_residual, (v,), top
+
+
+def _assert_march_matches_oracle(kind, n, start, num):
+    fun, args, top = _residual_columns(kind, n)
+    lo, hi = disp._first_brackets(fun, args, start, top, num)
+    ref_lo, ref_hi = _row_march_oracle(fun, args, start, top, num)
+    # array_equal with equal_nan compares NaN positions and every other bit.
+    assert np.array_equal(lo, ref_lo, equal_nan=True)
+    assert np.array_equal(hi, ref_hi, equal_nan=True)
+    assert np.isfinite(lo[0])
+    if n > 1 and kind != "lp01":
+        assert np.isnan(lo[-1]) and np.isnan(hi[-1])
+
+
+@pytest.mark.parametrize("kind", ["he11", "lp01", "cos"])
+@pytest.mark.parametrize("start, num", [(1e-3, 129), (1e-6, 2049)])
+@pytest.mark.parametrize("n", [1, 2, 37])
+def test_block_march_matches_row_march(kind, n, start, num):
+    _assert_march_matches_oracle(kind, n, start, num)
+
+
+@pytest.mark.parametrize("kind", ["he11", "lp01", "cos"])
+def test_block_march_matches_row_march_beyond_cell_budget(kind, monkeypatch):
+    # More columns than the cell budget: one row per step on the 129-row pass.
+    _assert_march_matches_oracle(kind, disp._MARCH_CELLS + 1, 1e-3, 129)
+    # The 2049-row pass over that many columns costs seconds; a budget
+    # shrunk below 37 columns takes the same one-row-per-step path there,
+    # and gives partial last blocks to the smaller batches.
+    monkeypatch.setattr(disp, "_MARCH_CELLS", 30)
+    for n in (1, 2, 37):
+        _assert_march_matches_oracle(kind, n, 1e-6, 2049)
+        _assert_march_matches_oracle(kind, n, 1e-3, 129)
+
+
 def test_mode_cutoff_is_explicit():
     thin = FiberSegment("thin", 50.0, 0.296, 1.0)
     with pytest.raises(ModeCutoffError) as info:

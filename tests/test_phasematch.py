@@ -13,7 +13,7 @@ from sfwm import (
     propagation_constant,
     solve_phase_match,
 )
-from sfwm.phasematch import PhaseMatchError
+from sfwm.phasematch import GvmSample, PhaseMatchError
 
 from conftest import CATALOG, PUMP_NM, catalog_fiber
 
@@ -119,7 +119,7 @@ def test_signal_wavelength_turns_at_group_matched_pump():
 
 def test_agvm_roots_reference_fiber():
     seg = catalog_fiber("S3", 1.9)  # r = 948 nm
-    roots = agvm_roots(seg, (950.0, 1100.0), scan_step_nm=10.0)
+    roots = agvm_roots(seg, gvm_curve(seg, (950.0, 1100.0), 16))
     assert roots.pump_for_tau_i_zero == pytest.approx(1070.2, abs=5.0)
     assert roots.pump_for_tau_s_zero == pytest.approx(986.5, abs=5.0)
     # At the group-matched pump the contour angle collapses.
@@ -130,14 +130,27 @@ def test_agvm_roots_reference_fiber():
 def test_agvm_root_stable_under_radius_nudge():
     seg = catalog_fiber("S3", 1.9)
     nudged = catalog_fiber("S1", 1.9)  # r = 947 nm
-    a = agvm_roots(seg, (1050.0, 1090.0), scan_step_nm=10.0)
-    b = agvm_roots(nudged, (1050.0, 1090.0), scan_step_nm=10.0)
+    a = agvm_roots(seg, gvm_curve(seg, (1050.0, 1090.0), 5))
+    b = agvm_roots(nudged, gvm_curve(nudged, (1050.0, 1090.0), 5))
     assert a.pump_for_tau_i_zero is not None and b.pump_for_tau_i_zero is not None
     assert abs(a.pump_for_tau_i_zero - b.pump_for_tau_i_zero) < 5.0
 
 
 def test_agvm_absent_outside_range():
     seg = catalog_fiber("S3", 1.9)
-    roots = agvm_roots(seg, (1050.0, 1060.0), scan_step_nm=5.0)
+    roots = agvm_roots(seg, gvm_curve(seg, (1050.0, 1060.0), 3))
     assert roots.pump_for_tau_i_zero is None
     assert roots.pump_for_tau_s_zero is None
+
+
+@pytest.mark.parametrize("pumps, message", [
+    ((), "agvm_roots needs at least 2 sweep samples, got 0"),
+    ((1060.0,), "agvm_roots needs at least 2 sweep samples, got 1"),
+    ((1060.0, 1070.0, 1065.0), "agvm_roots needs sweep pumps in strictly ascending order"),
+    ((1060.0, 1060.0), "agvm_roots needs sweep pumps in strictly ascending order"),
+])
+def test_agvm_roots_refuses_a_sweep_that_cannot_bracket(pumps, message):
+    sweep = [GvmSample(p, None) for p in pumps]
+    with pytest.raises(ValueError) as info:
+        agvm_roots(catalog_fiber("S3", 1.9), sweep)
+    assert str(info.value) == message
