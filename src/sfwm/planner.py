@@ -84,7 +84,15 @@ def _assembly_for(order, pool: SegmentPool) -> AssemblySpec:
 
 def evaluate_plan(order, pool: SegmentPool, pump: PumpSpec,
                   ns: int = 512, ni: int = 512, **grid_kwargs) -> tuple[float, Spectrum1D]:
-    """Predicted g2 and signal spectrum of the assembly spliced in this order."""
+    """Predicted g2 and signal spectrum of the assembly spliced in this order.
+
+    A splice and its mirror image share both.  Reversing a linearized
+    assembly turns its amplitude f into exp(i P(w_s)) exp(i Q(w_i)) f*, where
+    P + Q is the total mismatch phase; that leaves |f| and the Schmidt
+    spectrum unchanged.  Both orders are therefore evaluated in the
+    lexicographically smaller orientation, so that mirror images tie exactly
+    rather than by rounding noise.
+    """
     order = tuple(order)
     if not order:
         raise ValueError("plan order must not be empty")
@@ -92,6 +100,7 @@ def evaluate_plan(order, pool: SegmentPool, pump: PumpSpec,
         raise ValueError(f"plan indices {order} out of range")
     if len(set(order)) != len(order):
         raise ValueError("plan indices must be distinct")
+    order = min(order, order[::-1])
     jsa = build_jsa(_assembly_for(order, pool), pump, ns=ns, ni=ni, **grid_kwargs)
     return g2_quadrature(jsa), marginal(jsa, "signal")
 

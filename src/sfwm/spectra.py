@@ -33,6 +33,9 @@ DEFAULT_LOBES = 10.0
 DEFAULT_PAD_SIGMAS = 4.0
 #: Largest tolerated accumulated-phase change between adjacent grid samples.
 MAX_EDGE_PHASE_STEP = math.pi / 8
+#: Cells per JSA fill block, so that a block's temporaries stay in a core's
+#: cache; every cell's value is the same whatever block holds it.
+FILL_BLOCK_CELLS = 1 << 14
 
 
 class GridResolutionError(ValueError):
@@ -249,25 +252,72 @@ def phi_homogeneous(length_m: float, dk):
     return length_m * np.sinc(x / np.pi) * np.exp(1j * x)
 
 
-def _coherent_sum(assembly: AssemblySpec, mismatch, shape):
-    """sum_n L_n sinc(dk_n L_n / 2) exp(i dk_n L_n / 2) exp(i sum_{l<n} dk_l L_l),
-    with dk_n = mismatch(segment n) broadcast to ``shape``."""
+def _full_sum(assembly: AssemblySpec, omega_s, omega_i):
+    """sum_n L_n sinc(dk_n L_n / 2) exp(i dk_n L_n / 2) exp(i sum_{l<n} dk_l L_l)
+    for the full mismatch model.  Its dk_n is not a sum of one-axis terms, so
+    every cell takes its own sinc and exp."""
+    shape = np.broadcast_shapes(np.shape(omega_s), np.shape(omega_i))
     phi = np.zeros(shape, dtype=complex)
     acc = np.zeros(shape)
     for seg in assembly.segments:
-        dk = mismatch(seg)
+        dk = delta_k_full(seg.fiber, omega_s, omega_i)
         x = dk * (seg.length_m / 2.0)
         phi = phi + seg.length_m * np.sinc(x / np.pi) * np.exp(1j * (x + acc))
         acc = acc + dk * seg.length_m
     return phi
 
 
+#: Below this |x|, sin(x)/x comes from its Taylor series: the quotient
+#: Im(e^{ia} e^{ib}) / (a + b) carries an absolute error of ~2e-16 / |x|,
+#: while the series' first dropped term, x^8/9!, is < 1.1e-16 here.
+SINC_SERIES_CUT = 0.05
+
+
+def _linearized_sum(segments, omega_s, omega_i=None):
+    """Coherent sum for the linearized mismatch dk_n = p_n(w_s) + q_n(w_i).
+
+    With a_n = p_n L_n / 2, b_n = q_n L_n / 2 and the phases accumulated in
+    the segments before, P_n = sum_{l<n} p_l L_l and Q_n likewise, segment
+    n contributes
+
+        L_n Im(e^{i a_n} e^{i b_n}) / (a_n + b_n) * e^{i(a_n + P_n)} e^{i(b_n + Q_n)}.
+
+    Every sin, cos and exp acts on one axis; the broadcast grid only
+    multiplies and adds their outer products, in place.  ``omega_i=None``
+    drops the idler walk-off (b_n = Q_n = 0).
+    """
+    ws = np.asarray(omega_s, dtype=float)
+    wi = None if omega_i is None else np.asarray(omega_i, dtype=float)
+    shape = ws.shape if wi is None else np.broadcast_shapes(ws.shape, wi.shape)
+    phi = np.zeros(shape, dtype=complex)
+    term = np.empty(shape, dtype=complex)
+    x = np.empty(shape)
+    sinc = np.empty(shape)
+    p_acc = q_acc = 0.0
+    for seg in segments:
+        half = seg.length_m / 2.0
+        a = seg.point.tau_s_si * (ws - seg.point.omega_s0) * half
+        b = 0.0 if wi is None else seg.point.tau_i_si * (wi - seg.point.omega_i0) * half
+        np.add(a, b, out=x)
+        np.multiply(np.exp(1j * a), np.exp(1j * b), out=term)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(term.imag, x, out=sinc)
+        small = np.abs(x) < SINC_SERIES_CUT
+        x2 = x[small] ** 2
+        sinc[small] = 1.0 - x2 / 6.0 * (1.0 - x2 / 20.0 * (1.0 - x2 / 42.0))
+        np.multiply(seg.length_m * np.exp(1j * (a + p_acc)), np.exp(1j * (b + q_acc)), out=term)
+        term *= sinc
+        phi += term
+        p_acc = p_acc + 2.0 * a
+        q_acc = q_acc + 2.0 * b
+    return phi
+
+
 def phi_assembly(assembly: AssemblySpec, omega_s, omega_i):
     """Coherent sum of the segments' phase-matching contributions."""
-    shape = np.broadcast_shapes(np.shape(omega_s), np.shape(omega_i))
     if assembly.model_mode == "linearized":
-        return _coherent_sum(assembly, lambda seg: delta_k(seg.point, omega_s, omega_i), shape)
-    return _coherent_sum(assembly, lambda seg: delta_k_full(seg.fiber, omega_s, omega_i), shape)
+        return _linearized_sum(assembly.segments, omega_s, omega_i)
+    return _full_sum(assembly, omega_s, omega_i)
 
 
 def phi_signal(assembly: AssemblySpec, omega_s):
@@ -277,9 +327,7 @@ def phi_signal(assembly: AssemblySpec, omega_s):
     mismatch depends on the signal frequency alone; this is the quantity a
     narrow-band scan of the signal arm measures.
     """
-    ws = np.asarray(omega_s, dtype=float)
-    return _coherent_sum(
-        assembly, lambda seg: seg.point.tau_s_si * (ws - seg.point.omega_s0), ws.shape)
+    return _linearized_sum(assembly.segments, omega_s)
 
 
 def _signal_window(assembly: AssemblySpec, lobes: float) -> tuple[float, float]:
@@ -366,20 +414,25 @@ def build_jsa(assembly: AssemblySpec, pump: PumpSpec, grid: FrequencyGrid | None
     _check_resolution(assembly, grid)
     ws = grid.signal[:, None]
     wi = grid.idler[None, :]
+    amp = np.empty((grid.signal.size, grid.idler.size), dtype=complex)
+    # The full model's spline spans the requested frequencies, so it takes
+    # the grid in one block; the linearized kernel works cell by cell.
+    step = grid.signal.size
+    if assembly.model_mode == "linearized":
+        step = max(1, FILL_BLOCK_CELLS // grid.idler.size)
+    blocks = [slice(r, r + step) for r in range(0, grid.signal.size, step)]
 
-    def rows(block: slice) -> np.ndarray:
-        return pump_envelope(pump, ws[block], wi) * phi_assembly(assembly, ws[block], wi)
+    def fill(block: slice) -> None:
+        rows = phi_assembly(assembly, ws[block], wi)
+        rows *= pump_envelope(pump, ws[block], wi)
+        amp[block] = rows
 
     if threads <= 1:
-        amp = rows(slice(None))
+        for block in blocks:
+            fill(block)
     else:
-        amp = np.empty((grid.signal.size, grid.idler.size), dtype=complex)
-        nblocks = threads * 4
-        edges = np.linspace(0, grid.signal.size, nblocks + 1).astype(int)
-        blocks = [slice(a, b) for a, b in zip(edges[:-1], edges[1:]) if b > a]
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for block, result in zip(blocks, pool.map(rows, blocks)):
-                amp[block] = result
+            list(pool.map(fill, blocks))
     return JsaGrid(grid, amp, pump, assembly)
 
 

@@ -85,12 +85,53 @@ def test_paths_agree_and_bounds_hold_on_random_amplitudes(rng):
 
 def test_scale_invariance():
     jsa = gaussian_jsa(sigma_plus=0.4)
-    scaled = JsaGrid(jsa.grid, jsa.amplitude * (2.5 - 1.3j), jsa.pump, jsa.assembly)
-    assert g2_quadrature(scaled) == pytest.approx(g2_quadrature(jsa), rel=1e-12)
+    g2 = g2_quadrature(jsa)
     a = schmidt_decompose(jsa)
-    b = schmidt_decompose(scaled)
-    assert b.schmidt_number == pytest.approx(a.schmidt_number, rel=1e-12)
-    assert b.purity == pytest.approx(a.purity, rel=1e-12)
+    # A power of two leaves every bit unchanged; any other factor, however
+    # large or small, agrees to 1e-12.
+    for factor in (2.0**400, 2.0**-400, 2.5 - 1.3j, 1e-100, 1e80, 1e150):
+        scaled = JsaGrid(jsa.grid, jsa.amplitude * factor, jsa.pump, jsa.assembly)
+        b = schmidt_decompose(scaled)
+        if factor in (2.0**400, 2.0**-400):
+            assert g2_quadrature(scaled) == g2
+            assert (b.purity, b.schmidt_number) == (a.purity, a.schmidt_number)
+        else:
+            assert g2_quadrature(scaled) == pytest.approx(g2, rel=1e-12), factor
+            assert b.schmidt_number == pytest.approx(a.schmidt_number, rel=1e-12), factor
+            assert b.purity == pytest.approx(a.purity, rel=1e-12), factor
+
+
+def _transposed(jsa):
+    """The same amplitude with the roles of the two axes swapped."""
+    grid = FrequencyGrid(jsa.grid.idler, jsa.grid.signal)
+    return JsaGrid(grid, jsa.amplitude.T, jsa.pump, jsa.assembly)
+
+
+def test_gram_matches_svd_on_tall_wide_and_square_grids(pump_2nm):
+    tall = build_jsa(catalog_assembly([("S1", 0.3), ("S2", 0.3), ("S3", 0.3), ("S4", 0.3)]),
+                     pump_2nm)
+    square = build_jsa(catalog_assembly([("S2", 0.3)]), pump_2nm)
+    assert tall.amplitude.shape == (1378, 512)
+    assert square.amplitude.shape == (512, 512)
+    for jsa in (tall, _transposed(tall), square):
+        assert g2_quadrature(jsa) == pytest.approx(schmidt_decompose(jsa).g2, rel=1e-12)
+
+
+def test_gram_cut_and_side_keep_every_bit(pump_2nm):
+    # The formula before the rescale, the tail cut and the smaller-side Gram.
+    def full_side_uncut(jsa):
+        w_s, w_i = jsa.grid.trapezoid_weights()
+        a = jsa.amplitude * np.sqrt(w_s)[:, None] * np.sqrt(w_i)[None, :]
+        gram = a @ a.conj().T
+        num = float(np.sum(np.abs(gram) ** 2))
+        den = float(np.sum(np.abs(a) ** 2)) ** 2
+        return 1.0 + num / den
+
+    jsa = build_jsa(catalog_assembly([("S1", 0.3), ("S2", 0.3), ("S3", 0.3), ("S4", 0.3)]),
+                    pump_2nm)
+    parts = np.abs(jsa.amplitude.view(float))
+    assert np.any((parts > 0) & (parts < np.finfo(float).tiny))  # a subnormal tail
+    assert g2_quadrature(jsa) == full_side_uncut(jsa)
 
 
 def test_zero_amplitude_rejected():

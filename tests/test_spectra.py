@@ -173,6 +173,58 @@ def test_four_segment_reordering_changes_pattern():
     assert np.max(np.abs(ia - ib)) > 0.05 * ia.max()
 
 
+def _sinc_loop(segments, mismatch, shape):
+    """The 2-D coherent sum the linearized kernel replaced: a sinc, an exp
+    and a running phase per segment, evaluated on every cell."""
+    phi = np.zeros(shape, dtype=complex)
+    acc = np.zeros(shape)
+    for seg in segments:
+        dk = mismatch(seg)
+        x = dk * (seg.length_m / 2.0)
+        phi = phi + seg.length_m * np.sinc(x / np.pi) * np.exp(1j * (x + acc))
+        acc = acc + dk * seg.length_m
+    return phi
+
+
+def _axis_through(anchors, half_width, n, rng):
+    """Random ascending axis that holds every anchor exactly."""
+    lo, hi = min(anchors) - half_width, max(anchors) + half_width
+    return np.unique(np.concatenate([rng.uniform(lo, hi, n), anchors]))
+
+
+def test_linearized_kernel_matches_sinc_loop(rng):
+    worst_2d = worst_1d = 0.0
+    exact_zero = series_band = 0
+    for _ in range(40):
+        m = int(rng.integers(1, 7))
+        sign = float(rng.choice([-1.0, 1.0]))
+        segs = tuple(
+            AssemblySegment(float(rng.uniform(0.05, 1.5)),
+                            make_point(float(rng.uniform(1400.0, 1430.0)),
+                                       float(rng.uniform(0.5, 6.0)),
+                                       float(rng.uniform(0.0, 0.05)), sign))
+            for _ in range(m))
+        asm = AssemblySpec(segs, "linearized")
+        total = asm.total_length_m
+        half = 4 * 2 * math.pi / max(s.point.tau_s_si * s.length_m for s in segs)
+        ws = _axis_through([s.point.omega_s0 for s in segs], half, 90, rng)[:, None]
+        wi = _axis_through([s.point.omega_i0 for s in segs], half, 70, rng)[None, :]
+        for seg in segs:
+            x = delta_k(seg.point, ws, wi) * seg.length_m / 2
+            exact_zero += int(np.count_nonzero(x == 0.0))
+            series_band += int(np.count_nonzero((np.abs(x) > 0) & (np.abs(x) < 0.05)))
+        oracle = _sinc_loop(segs, lambda seg: delta_k(seg.point, ws, wi),
+                            np.broadcast_shapes(ws.shape, wi.shape))
+        worst_2d = max(worst_2d, np.max(np.abs(phi_assembly(asm, ws, wi) - oracle)) / total)
+        axis = ws[:, 0]
+        oracle_1d = _sinc_loop(
+            segs, lambda seg: seg.point.tau_s_si * (axis - seg.point.omega_s0), axis.shape)
+        worst_1d = max(worst_1d, np.max(np.abs(phi_signal(asm, axis) - oracle_1d)) / total)
+    assert exact_zero > 0 and series_band > 100
+    assert worst_2d <= 1e-13, worst_2d
+    assert worst_1d <= 1e-13, worst_1d
+
+
 def test_assembly_bounded_by_total_length(rng):
     labels = ["S1", "S2", "S3", "S4"]
     for _ in range(25):
@@ -269,6 +321,15 @@ def test_threaded_build_matches_serial(pump_2nm):
     serial = build_jsa(asm, pump_2nm, ns=192, ni=160)
     threaded = build_jsa(asm, pump_2nm, ns=192, ni=160, threads=3)
     assert np.array_equal(serial.amplitude, threaded.amplitude)
+    # Every cell is computed on its own: any split of the rows, odd blocks
+    # included, and the whole grid at once give the same bits.
+    ws = serial.grid.signal[:, None]
+    wi = serial.grid.idler[None, :]
+    ns = ws.shape[0]
+    for edges in ([0, ns], [0, 1, 8, 21, 64, 127, ns], list(range(0, ns, 7)) + [ns]):
+        rows = [phi_assembly(asm, ws[a:b], wi) * pump_envelope(pump_2nm, ws[a:b], wi)
+                for a, b in zip(edges[:-1], edges[1:])]
+        assert np.array_equal(np.concatenate(rows), serial.amplitude)
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +534,12 @@ def test_full_mode_g2_close_to_linearized(pump_2nm):
     full = assembly_from_fibers(fibers, pump_2nm, model_mode="full")
     grid = default_grid(lin, pump_2nm, ns=256, ni=256, lobes=6.0)
     g_lin = g2_quadrature(build_jsa(lin, pump_2nm, grid=grid))
-    g_full = g2_quadrature(build_jsa(full, pump_2nm, grid=grid))
+    jsa_full = build_jsa(full, pump_2nm, grid=grid)
+    g_full = g2_quadrature(jsa_full)
     assert abs(g_full - g_lin) < 0.02
+    # The full model's spline spans the whole grid whatever the thread count.
+    threaded = build_jsa(full, pump_2nm, grid=grid, threads=3)
+    assert np.array_equal(threaded.amplitude, jsa_full.amplitude)
 
 
 def test_full_mode_outside_material_window_raises(pump_2nm):

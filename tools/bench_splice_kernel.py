@@ -1,0 +1,90 @@
+"""Per-call cost of the splice-design kernel: JSA fill and Gram g2.
+
+    python3 tools/bench_splice_kernel.py [--src DIR] [--repeats N]
+
+Times ``build_jsa`` (one thread) and ``g2_quadrature`` on the catalog
+assemblies whose auto-sized grids are 512x512 (S2, 0.3 m), 660x512
+(S1+S2) and 1378x512 (S1+S2+S3+S4), each at 2 and 5 nm pump FWHM, and
+prints one JSON object: the median over the repeats (ms per call), the
+core count and the OpenBLAS builds and thread counts the process loaded.
+``--src`` times the package under another checkout's ``src/`` the same way.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import sys
+import time
+from pathlib import Path
+
+PUMP_NM = 1070.0
+# label: (signal wavelength nm, tau_s ps/m, contour angle rad), as in configs/g2_table.json
+CATALOG = {"S1": (1409.9, 3.2, 0.004), "S2": (1413.6, 3.2, 0.002),
+           "S3": (1417.3, 3.3, 0.001), "S4": (1421.0, 3.4, 0.004)}
+CASES = {"512x512": ["S2"], "660x512": ["S1", "S2"], "1378x512": ["S1", "S2", "S3", "S4"]}
+
+
+def _openblas() -> list[dict]:
+    """Build string and thread count of every OpenBLAS the process loaded
+    (numpy's and scipy's are separate libraries)."""
+    import ctypes
+
+    with open("/proc/self/maps") as fh:
+        libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    found = []
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_{}64_", "scipy_openblas_{}", "openblas_{}"):
+            get_threads = getattr(lib, symbol.format("get_num_threads"), None)
+            get_config = getattr(lib, symbol.format("get_config"), None)
+            if get_threads is None or get_config is None:
+                continue
+            get_threads.argtypes = get_config.argtypes = []
+            get_threads.restype = ctypes.c_int
+            get_config.restype = ctypes.c_char_p
+            found.append({"library": Path(path).name, "config": get_config().decode(),
+                          "threads": get_threads()})
+            break
+    return found
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"))
+    parser.add_argument("--repeats", type=int, default=7)
+    args = parser.parse_args()
+    sys.path.insert(0, args.src)
+    from sfwm import (AssemblySegment, AssemblySpec, PhaseMatchPoint, PumpSpec, build_jsa,
+                      g2_quadrature)
+
+    cases = {}
+    for name, labels in CASES.items():
+        assembly = AssemblySpec(tuple(
+            AssemblySegment(0.3, PhaseMatchPoint.from_signal_and_angle(PUMP_NM, *CATALOG[label]))
+            for label in labels))
+        for fwhm in (2.0, 5.0):
+            pump = PumpSpec(PUMP_NM, fwhm)
+            fill, gram = [], []
+            for _ in range(args.repeats):
+                t0 = time.perf_counter()
+                jsa = build_jsa(assembly, pump)
+                t1 = time.perf_counter()
+                g2_quadrature(jsa)
+                t2 = time.perf_counter()
+                fill.append((t1 - t0) * 1e3)
+                gram.append((t2 - t1) * 1e3)
+            shape = "x".join(map(str, jsa.amplitude.shape))
+            if shape != name:
+                raise RuntimeError(f"{'+'.join(labels)} gave a {shape} grid, expected {name}")
+            cases[f"{name}@{fwhm:g}nm"] = {"fill_ms": round(statistics.median(fill), 2),
+                                           "g2_quadrature_ms": round(statistics.median(gram), 2)}
+    print(json.dumps({"repeats": args.repeats, "nproc": os.cpu_count(),
+                      "openblas": _openblas(), "cases": cases}, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
