@@ -87,16 +87,16 @@ def g2_quadrature(jsa: JsaGrid) -> float:
     The Gram matrix is formed on the smaller side of the grid, since a^H a
     and a a^H have the same Frobenius norm.  One Hermitian rank-k update
     (zherk) on the transposed view, which needs no copy, fills its upper
-    triangle; the lower one is mirrored in before the sum.
+    triangle, and the sum of |G|^2 is taken from that triangle.
     """
     a = _weighted_amplitude(jsa)
     parts = a.view(float)
     parts[np.abs(parts) < GRAM_TAIL_CUT] = 0.0
     # a.T is Fortran-ordered: trans=0 gives conj(a^H a), trans=2 conj(a a^H).
     upper = blas.zherk(1.0, a.T, trans=0 if a.shape[0] >= a.shape[1] else 2)
-    gram = upper + upper.conj().T
-    np.fill_diagonal(gram, upper.diagonal())
-    num = float(np.sum(np.abs(gram) ** 2))
+    # zherk leaves the strict lower triangle at 0: sum |G|^2 = 2 sum |U|^2 - sum |diag U|^2.
+    diag = upper.diagonal()
+    num = 2.0 * float(np.sum(np.abs(upper) ** 2)) - float(np.sum(np.abs(diag) ** 2))
     den = float(np.sum(np.abs(a) ** 2)) ** 2
     return 1.0 + num / den
 

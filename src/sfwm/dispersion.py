@@ -24,8 +24,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import Chebyshev
 from scipy.constants import c as C_LIGHT
-from scipy.optimize import brentq, least_squares
+from scipy.optimize import least_squares
 from scipy.optimize.elementwise import find_root
 from scipy.special import j0, j1, k0, k1
 
@@ -41,15 +42,24 @@ WAVELENGTH_WINDOW_NM = (300.0, 2000.0)
 _J0_FIRST_ZERO = 2.404825557695773
 _J1_FIRST_ZERO = 3.8317059702075125
 
-#: Relative step used for frequency-derivative stencils.
-DERIV_REL_STEP = 1e-4
+#: Degree of the per-fiber Chebyshev series of n_eff(omega); its
+#: SERIES_DEGREE + 1 nodes go to the mode solver in one call.
+SERIES_DEGREE = 64
+
+#: The series' last _TAIL_TERMS coefficients must stay below this fraction of
+#: its largest; the solver's noise plateau sits near 3e-15.
+SERIES_TAIL_TOL = 1e-13
+_TAIL_TERMS = 8
+
+# Resolution of the guided-mode limit that bounds a small core's series, nm.
+_CUTOFF_TOL_NM = 0.01
 
 # Residuals evaluated per step of the bracket march (rows x open columns).
 _MARCH_CELLS = 1 << 14
 
 
 class DispersionDomainError(ValueError):
-    """Wavelength (or a stencil point) left the material-model window."""
+    """Wavelength left the material-model window."""
 
 
 class ModeCutoffError(RuntimeError):
@@ -255,67 +265,109 @@ def propagation_constant(segment: FiberSegment, wavelength_nm, mode_model: str =
     return n * 2.0 * math.pi / (np.asarray(wavelength_nm, dtype=float) * 1e-9)
 
 
-def _k_of_omega(core_radius_nm: float, air_fill: float, omega, mode_model: str):
-    """k(omega) in rad/m, elementwise over omega (rad/s)."""
-    n = _solve_neff(core_radius_nm, air_fill, TWO_PI_C / omega * 1e9, mode_model)
-    return n * omega / C_LIGHT
-
-
-def _slowness_rf(core_radius_nm, air_fill, omega, mode_model):
-    # Richardson-extrapolated central difference; h/2 refinement built in.
-    # The four stencil points of every omega go to the solver in one call.
-    h = DERIV_REL_STEP * omega
-    kp, km, kp2, km2 = _k_of_omega(
-        core_radius_nm, air_fill,
-        np.stack((omega + h, omega - h, omega + h / 2, omega - h / 2)), mode_model)
-    d1 = (kp - km) / (2 * h)
-    d2 = (kp2 - km2) / h
-    return (4 * d2 - d1) / 3
-
-
-def _gvd_rf(core_radius_nm, air_fill, omega, mode_model):
-    h = DERIV_REL_STEP * omega
-    kc, kp, km, kp2, km2 = _k_of_omega(
-        core_radius_nm, air_fill,
-        np.stack((omega, omega + h, omega - h, omega + h / 2, omega - h / 2)), mode_model)
-    d1 = (kp - 2 * kc + km) / (h * h)
-    d2 = (kp2 - 2 * kc + km2) / (h * h / 4)
-    return (4 * d2 - d1) / 3  # s^2/m
-
-
 def _omega(wavelength_nm):
     return TWO_PI_C / (np.asarray(wavelength_nm, dtype=float) * 1e-9)
 
 
+def _guided_limit_nm(core_radius_nm: float, air_fill: float, mode_model: str):
+    """Longest window wavelength, to _CUTOFF_TOL_NM, at which the solver finds
+    the mode (V falls with wavelength); None if it finds none at 300 nm."""
+    lo, hi = WAVELENGTH_WINDOW_NM
+    try:
+        _solve_neff(core_radius_nm, air_fill, lo, mode_model)
+    except ModeCutoffError:
+        return None
+    while hi - lo > _CUTOFF_TOL_NM:
+        mid = 0.5 * (lo + hi)
+        try:
+            _solve_neff(core_radius_nm, air_fill, mid, mode_model)
+            lo = mid
+        except ModeCutoffError:
+            hi = mid
+    return lo
+
+
+def _lobatto_neff(lam_max_nm: float, core_radius_nm: float, air_fill: float, mode_model: str):
+    """n_eff at the SERIES_DEGREE + 1 Chebyshev-Lobatto points of omega
+    between omega(lam_max_nm) and omega(300 nm), in one solver call."""
+    lo = WAVELENGTH_WINDOW_NM[0]
+    w_lo, w_hi = _omega(lam_max_nm), _omega(lo)
+    x = np.cos(np.pi * np.arange(SERIES_DEGREE + 1) / SERIES_DEGREE)
+    wl = TWO_PI_C / (0.5 * (w_hi + w_lo + (w_hi - w_lo) * x)) * 1e9
+    # The end nodes are clipped onto the bounds they round-trip to.
+    return _solve_neff(core_radius_nm, air_fill, np.clip(wl, lo, lam_max_nm), mode_model)
+
+
+class _KSeries:
+    """k(omega) = n_eff(omega) omega / c of one fiber as a Chebyshev series in
+    omega; called with omega (rad/s) and a derivative order (0, 1 or 2), it
+    returns that derivative in SI units.
+
+    The domain depends on the fiber only: the whole window when the solver
+    finds the mode at 2000 nm, else 300 nm up to the guided-mode limit.
+    Evaluation is elementwise, so a batch gives the same bits as scalar calls.
+    """
+
+    def __init__(self, segment: FiberSegment, mode_model: str):
+        self._fiber = f"r={segment.core_radius_nm} nm, f={segment.air_fill}"
+        args = (segment.core_radius_nm, segment.air_fill, mode_model)
+        self.lam_max_nm = WAVELENGTH_WINDOW_NM[1]
+        try:
+            n_eff = _lobatto_neff(self.lam_max_nm, *args)
+        except ModeCutoffError:
+            self.lam_max_nm = _guided_limit_nm(*args)
+            n_eff = None if self.lam_max_nm is None else _lobatto_neff(self.lam_max_nm, *args)
+        if n_eff is None:
+            self._domain = (math.nan, math.nan)  # refuses every request
+            return
+        self._domain = (_omega(self.lam_max_nm), _omega(WAVELENGTH_WINDOW_NM[0]))
+        # Interpolation coefficients from the node values (a DCT-I).
+        j = np.arange(SERIES_DEGREE + 1)
+        half = np.where((j == 0) | (j == SERIES_DEGREE), 0.5, 1.0)
+        coef = (2.0 / SERIES_DEGREE) * half * (
+            np.cos(np.pi * np.outer(j, j) / SERIES_DEGREE) @ (half * n_eff))
+        tail = np.abs(coef[-_TAIL_TERMS:]).max() / np.abs(coef).max()
+        if not tail <= SERIES_TAIL_TOL:
+            raise ModeSolverError(f"n_eff series unresolved for {self._fiber}: its last "
+                                  f"{_TAIL_TERMS} Chebyshev coefficients reach {tail:.1e} of"
+                                  f" the largest (limit {SERIES_TAIL_TOL:.0e})", float(tail))
+        k = Chebyshev(coef, self._domain) * Chebyshev.identity(self._domain) / C_LIGHT
+        self._derivs = (k, k.deriv(), k.deriv(2))
+
+    def __call__(self, omega, order: int = 0):
+        omega = np.asarray(omega, dtype=float)
+        out = ~((omega >= self._domain[0]) & (omega <= self._domain[1]))
+        if out.any():
+            lam = np.round(TWO_PI_C / omega[out] * 1e9, 9)  # the request, to 1e-9 nm
+            silica_refractive_index(lam)  # DispersionDomainError outside the window
+            limit = ("none in the window" if self.lam_max_nm is None
+                     else f"guided up to {self.lam_max_nm:.2f} nm")
+            raise ModeCutoffError(f"no guided fundamental mode for {self._fiber}, "
+                                  f"lambda={float(lam[0])} nm ({limit})")
+        return self._derivs[order](omega)
+
+
 def group_slowness(segment: FiberSegment, wavelength_nm, mode_model: str = "he11"):
     """Reciprocal group velocity dk/domega in s/m, elementwise."""
-    return _slowness_rf(segment.core_radius_nm, segment.air_fill,
-                        _omega(wavelength_nm), mode_model)
+    return _KSeries(segment, mode_model)(_omega(wavelength_nm), 1)
 
 
 def gvd(segment: FiberSegment, wavelength_nm, mode_model: str = "he11"):
     """Group-velocity dispersion beta2 = d^2k/domega^2 in ps^2/m, elementwise."""
-    return _gvd_rf(segment.core_radius_nm, segment.air_fill,
-                   _omega(wavelength_nm), mode_model) * 1e24
+    return _KSeries(segment, mode_model)(_omega(wavelength_nm), 2) * 1e24
 
 
 def find_zdw(segment: FiberSegment, search_range_nm: tuple[float, float] = (900.0, 1250.0),
-             mode_model: str = "he11", scan_step_nm: float = 1.0) -> list[float]:
-    """All zero-dispersion wavelengths in the range, ascending, polished to 0.01 nm."""
+             mode_model: str = "he11") -> list[float]:
+    """All zero-dispersion wavelengths in the range, ascending: the real roots
+    of the beta2 series, from its colleague matrix."""
     lo, hi = min(search_range_nm), max(search_range_nm)
-    grid = np.arange(lo, hi + 0.5 * scan_step_nm, scan_step_nm)
-    grid[-1] = min(grid[-1], hi)
-    f = lambda lam: gvd(segment, lam, mode_model)
-    vals = f(grid)
-    roots: list[float] = []
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            roots.append(float(grid[i]))
-        elif vals[i] * vals[i + 1] < 0:
-            roots.append(float(brentq(f, grid[i], grid[i + 1], xtol=1e-3)))
-    if vals[-1] == 0.0:
-        roots.append(float(grid[-1]))
-    return sorted(roots)
+    series = _KSeries(segment, mode_model)
+    series(_omega((lo, hi)))  # the range must be guided
+    roots = series._derivs[2].roots()
+    omega = roots.real[(roots.imag == 0) & (roots.real > 0)]
+    lam = np.sort(TWO_PI_C / omega * 1e9)
+    return [float(x) for x in lam[(lam >= lo) & (lam <= hi)]]
 
 
 @dataclass(frozen=True)
@@ -348,10 +400,11 @@ def fit_structure(samples: list[GvdSample], initial_guess: tuple[float, float],
 
     def residuals(x):
         r, f = x
-        return _gvd_rf(r, f, omegas, mode_model) * 1e24 - b2
+        return _KSeries(FiberSegment("fit", r, f, 1.0), mode_model)(omegas, 2) * 1e24 - b2
 
-    # diff_step must clear the mode-solver noise floor (~3e-7 ps^2/m) or the
-    # Jacobian is garbage and the fit stalls at the initial guess.
+    # Relative step of the forward-difference Jacobian.  The beta2 series is
+    # smooth to ~1e-11 ps^2/m, so steps from 1e-3 down to 1e-7 reach the same
+    # fit; these take the fewest evaluations (7 on configs/gvd_samples.csv).
     res = least_squares(
         residuals, x0=np.array([r0, f0]),
         bounds=([r_lo, f_lo], [r_hi, f_hi]),

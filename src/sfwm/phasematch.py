@@ -18,13 +18,7 @@ import numpy as np
 from scipy.constants import c as C_LIGHT
 from scipy.optimize import brentq
 
-from .dispersion import (
-    TWO_PI_C,
-    WAVELENGTH_WINDOW_NM,
-    FiberSegment,
-    _k_of_omega,
-    _slowness_rf,
-)
+from .dispersion import TWO_PI_C, WAVELENGTH_WINDOW_NM, FiberSegment, _KSeries
 
 SQRT_LN2 = math.sqrt(math.log(2.0))
 
@@ -163,14 +157,18 @@ def solve_phase_match(segment: FiberSegment, pump: PumpSpec,
     polishes the root to machine precision so the momentum residual at the
     returned point is far below 1e-6 rad/m.
     """
-    r, f = segment.core_radius_nm, segment.air_fill
+    return _phase_match(_KSeries(segment, mode_model), segment, pump, search_window_nm)
+
+
+def _phase_match(series: _KSeries, segment: FiberSegment, pump: PumpSpec,
+                 search_window_nm: tuple[float, float] | None) -> PhaseMatchPoint:
+    """solve_phase_match on the segment's k(omega) series."""
     lam_p = pump.center_wavelength_nm
     w_p = pump.omega_pc
-    k_p = _k_of_omega(r, f, w_p, mode_model)
+    k_p = series(w_p)
 
     def mismatch_at_signal(w_s):
-        k_s, k_i = _k_of_omega(r, f, np.stack((w_s, 2.0 * w_p - w_s)), mode_model)
-        return 2.0 * k_p - k_s - k_i
+        return 2.0 * k_p - series(w_s) - series(2.0 * w_p - w_s)
 
     lo, hi = search_window_nm if search_window_nm else _default_search_window(lam_p)
     # Integer-nm coarse grid, independent of the window's fractional part, so
@@ -192,8 +190,8 @@ def solve_phase_match(segment: FiberSegment, pump: PumpSpec,
     ]
     if not brackets:
         raise PhaseMatchError(
-            f"no phase matching for {segment.label} (r={r} nm, f={f}) with pump "
-            f"{lam_p} nm in signal window [{lo:.0f}, {hi:.0f}] nm"
+            f"no phase matching for {segment.label} (r={segment.core_radius_nm} nm, "
+            f"f={segment.air_fill}) with pump {lam_p} nm in signal window [{lo:.0f}, {hi:.0f}] nm"
         )
     if len(brackets) > 1:
         warnings.warn(
@@ -205,7 +203,7 @@ def solve_phase_match(segment: FiberSegment, pump: PumpSpec,
     w_s0 = brentq(mismatch_at_signal, w_a, w_b, xtol=1e-3, rtol=4 * np.finfo(float).eps)
     w_i0 = 2.0 * w_p - w_s0
 
-    slow_p, slow_s, slow_i = _slowness_rf(r, f, np.array((w_p, w_s0, w_i0)), mode_model)
+    slow_p, slow_s, slow_i = series(np.array((w_p, w_s0, w_i0)), 1)
     tau_s = (slow_p - slow_s) * 1e12
     tau_i = (slow_p - slow_i) * 1e12
     return PhaseMatchPoint.for_pump(
@@ -234,11 +232,12 @@ def gvm_curve(segment: FiberSegment, pump_range_nm: tuple[float, float],
     parameterizes the intermediate PumpSpec.
     """
     lo, hi = min(pump_range_nm), max(pump_range_nm)
+    series = _KSeries(segment, mode_model)
     out: list[GvmSample] = []
     for lam_p in np.linspace(lo, hi, n_points):
         pump = PumpSpec(float(lam_p), fwhm_nm)
         try:
-            pt = solve_phase_match(segment, pump, mode_model=mode_model)
+            pt = _phase_match(series, segment, pump, None)
         except PhaseMatchError:
             pt = None
         out.append(GvmSample(float(lam_p), pt))
@@ -268,9 +267,11 @@ def agvm_roots(segment: FiberSegment, sweep: list[GvmSample],
     if any(b <= a for a, b in zip(pumps, pumps[1:])):
         raise ValueError("agvm_roots needs sweep pumps in strictly ascending order")
 
+    series = _KSeries(segment, mode_model)
+
     def polish(component: str) -> float | None:
         def tau(lam_p: float) -> float:
-            pt = solve_phase_match(segment, PumpSpec(lam_p, 1.0), mode_model=mode_model)
+            pt = _phase_match(series, segment, PumpSpec(lam_p, 1.0), None)
             return getattr(pt, component)
 
         for a, b in zip(sweep, sweep[1:]):

@@ -22,9 +22,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
-from .dispersion import TWO_PI_C, FiberSegment, _k_of_omega
+from .dispersion import TWO_PI_C, FiberSegment, _KSeries
 from .phasematch import PhaseMatchPoint, PumpSpec, gaussian_sigma_omega, solve_phase_match
 
 #: Default half-width of the signal window, in sinc lobes per segment.
@@ -220,28 +219,17 @@ def delta_k(point: PhaseMatchPoint, omega_s, omega_i):
         + point.tau_i_si * (np.asarray(omega_i) - point.omega_i0)
 
 
-#: rad/s; spline ranges snap outward to this lattice, so requests whose extremes
-#: fall in the same cells get the same 1024 nodes and the same spline.
-_SPLINE_QUANTUM = 1e12
-
-
 def delta_k_full(fiber: FiberSegment, omega_s, omega_i, mode_model: str = "he11"):
     """Mismatch 2k(w_p) - k(w_s) - k(w_i) with w_p = (w_s + w_i)/2, rad/m.
 
-    k is evaluated through a cubic spline of the mode solver; the spline
-    range is the span of the requested frequencies, so out-of-window requests
-    surface the material-model domain error.
+    k is evaluated from the fiber's Chebyshev series, whose domain depends on
+    the fiber only; frequencies outside the material window raise its domain
+    error, and those beyond the guided-mode limit a ModeCutoffError.
     """
     ws = np.asarray(omega_s, dtype=float)
     wi = np.asarray(omega_i, dtype=float)
-    wp = 0.5 * (ws + wi)
-    lo = min(ws.min(), wi.min(), wp.min())
-    hi = max(ws.max(), wi.max(), wp.max())
-    lo_q = math.floor(lo / _SPLINE_QUANTUM - 1) * _SPLINE_QUANTUM
-    hi_q = math.ceil(hi / _SPLINE_QUANTUM + 1) * _SPLINE_QUANTUM
-    nodes = np.linspace(lo_q, hi_q, 1024)
-    spl = CubicSpline(nodes, _k_of_omega(fiber.core_radius_nm, fiber.air_fill, nodes, mode_model))
-    return 2.0 * spl(wp) - spl(ws) - spl(wi)
+    k = _KSeries(fiber, mode_model)
+    return 2.0 * k(0.5 * (ws + wi)) - k(ws) - k(wi)
 
 
 def phi_homogeneous(length_m: float, dk):
@@ -415,8 +403,8 @@ def build_jsa(assembly: AssemblySpec, pump: PumpSpec, grid: FrequencyGrid | None
     ws = grid.signal[:, None]
     wi = grid.idler[None, :]
     amp = np.empty((grid.signal.size, grid.idler.size), dtype=complex)
-    # The full model's spline spans the requested frequencies, so it takes
-    # the grid in one block; the linearized kernel works cell by cell.
+    # The full model builds each segment's k(omega) series once per call, so
+    # it takes the grid in one block; the linearized kernel works cell by cell.
     step = grid.signal.size
     if assembly.model_mode == "linearized":
         step = max(1, FILL_BLOCK_CELLS // grid.idler.size)

@@ -105,26 +105,6 @@ def test_continuity_on_fine_grid():
                 assert np.max(resid / np.abs(arr[1:-1])) < 1e-6
 
 
-def test_group_slowness_richardson_consistency():
-    seg = catalog_fiber("S1")
-    for lam in (1000.0, 1070.0, 1409.9):
-        omega = disp.TWO_PI_C / (lam * 1e-9)
-        h = disp.DERIV_REL_STEP * omega / 2
-        oracle = (disp._k_of_omega(seg.core_radius_nm, seg.air_fill, omega + h, "he11")
-                  - disp._k_of_omega(seg.core_radius_nm, seg.air_fill, omega - h, "he11")) / (2 * h)
-        assert group_slowness(seg, lam) == pytest.approx(oracle, rel=1e-6)
-
-
-def test_gvd_halfstep_consistency():
-    seg = catalog_fiber("S1")
-    for lam in (1000.0, 1300.0):
-        omega = disp.TWO_PI_C / (lam * 1e-9)
-        h = disp.DERIV_REL_STEP * omega / 2
-        k = lambda w: disp._k_of_omega(seg.core_radius_nm, seg.air_fill, w, "he11")
-        oracle = (k(omega + h) - 2 * k(omega) + k(omega - h)) / h**2 * 1e24
-        assert gvd(seg, lam) == pytest.approx(oracle, rel=1e-4)
-
-
 def test_walkoff_at_catalog_point():
     seg = catalog_fiber("S1")
     tau_s = (group_slowness(seg, 1070.0) - group_slowness(seg, 1409.9)) * 1e12
@@ -175,16 +155,13 @@ def test_slowness_extremum_at_zdw():
     assert abs(s[2] - s[0]) < 0.05 * (s[0] - s[1])
 
 
-def test_derivative_stencil_window_guard():
-    with pytest.raises(DispersionDomainError):
-        group_slowness(R948, 1999.95)
-    with pytest.raises(DispersionDomainError):
-        gvd(R948, 300.01)
-    # One stencil point outside the window fails the whole array call.
-    with pytest.raises(DispersionDomainError):
-        gvd(R948, [1000.0, 1999.95])
-    with pytest.raises(DispersionDomainError):
-        group_slowness(R948, np.array([300.01, 1000.0]))
+def test_out_of_window_requests_raise_domain_error():
+    # The series spans the whole window, so its edges are legal requests.
+    assert np.isfinite(gvd(R948, [300.0, 1999.95, 2000.0])).all()
+    for fn in (group_slowness, gvd):
+        for wl in (299.9, 2000.1, [1000.0, 2000.1], np.array([299.9, 1000.0])):
+            with pytest.raises(DispersionDomainError):
+                fn(R948, wl)
 
 
 def _he11_neff_mpmath(r_nm, fill, lam_nm):
@@ -219,10 +196,26 @@ def _he11_neff_mpmath(r_nm, fill, lam_nm):
         return mp.sqrt(n_co**2 - (u / (k * a)) ** 2)
 
 
+def _k_mpmath(omega):
+    """k(omega) in rad/m from the 40-digit HE11 solve on R948."""
+    with mpmath.workdps(40):
+        c = mpmath.mpf(disp.C_LIGHT)
+        return _he11_neff_mpmath(948.0, 0.296, 2 * mpmath.pi * c / omega * 10**9) * omega / c
+
+
 def test_effective_index_matches_mpmath_oracle():
     for lam in (900.0, 1070.0, 1409.9):
         ref = _he11_neff_mpmath(948.0, 0.296, lam)
         assert abs(float(effective_index(R948, lam)) - ref) / ref < 1e-13
+        # Central differences of the 40-digit k(omega), step 1e-12 relative:
+        # truncation ~1e-24 relative, rounding ~1e-13 ps^2/m in beta2.
+        with mpmath.workdps(40):
+            omega = 2 * mpmath.pi * mpmath.mpf(disp.C_LIGHT) / (mpmath.mpf(lam) * 10**-9)
+            h = omega * mpmath.mpf("1e-12")
+            k1 = mpmath.diff(_k_mpmath, omega, 1, h=h)
+            beta2 = mpmath.diff(_k_mpmath, omega, 2, h=h) * 10**24
+        assert abs(group_slowness(R948, lam) - k1) / k1 < 1e-12
+        assert abs(gvd(R948, lam) - beta2) < 1e-9  # ps^2/m
 
 
 def test_array_calls_match_scalar_calls_bit_for_bit():
@@ -329,6 +322,30 @@ def test_mode_cutoff_is_explicit():
     # An array call names its first failing wavelength.
     with pytest.raises(ModeCutoffError, match=r"lambda=800\.0 nm \(V=0\.240\)"):
         effective_index(thin, [400.0, 800.0, 1070.0])
+
+
+def test_small_core_series_stops_at_the_guided_limit():
+    # No mode beyond about 1945 nm at r = 200 nm: requests below that work,
+    # and do not depend on which other wavelengths share the batch.
+    small = FiberSegment("small", 200.0, 0.296, 1.0)
+    wl = np.array([850.0, 1070.0, 1310.0, 1450.0])
+    for fn in (group_slowness, gvd):
+        batch = fn(small, wl)
+        assert np.isfinite(batch).all()
+        assert np.array_equal(batch, [fn(small, float(x)) for x in wl])
+        with pytest.raises(ModeCutoffError, match=r"lambda=1990\.0 nm"):
+            fn(small, 1990.0)
+        with pytest.raises(ModeCutoffError, match=r"lambda=1990\.0 nm"):
+            fn(small, [1070.0, 1990.0])
+    (zdw,) = find_zdw(small, (850.0, 1450.0))
+    assert abs(gvd(small, zdw)) < 1e-9
+
+
+def test_unresolved_series_is_explicit(monkeypatch):
+    monkeypatch.setattr(disp, "SERIES_DEGREE", 16)
+    with pytest.raises(ModeSolverError, match="unresolved") as info:
+        gvd(R948, 1070.0)
+    assert info.value.residual > disp.SERIES_TAIL_TOL
 
 
 def test_unconverged_root_is_explicit(monkeypatch):

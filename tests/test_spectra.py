@@ -537,7 +537,7 @@ def test_full_mode_g2_close_to_linearized(pump_2nm):
     jsa_full = build_jsa(full, pump_2nm, grid=grid)
     g_full = g2_quadrature(jsa_full)
     assert abs(g_full - g_lin) < 0.02
-    # The full model's spline spans the whole grid whatever the thread count.
+    # The full model's k(omega) series depends on the fiber only, not on the rows.
     threaded = build_jsa(full, pump_2nm, grid=grid, threads=3)
     assert np.array_equal(threaded.amplitude, jsa_full.amplitude)
 

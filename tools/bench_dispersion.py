@@ -1,0 +1,76 @@
+"""Per-call cost of the k(omega) evaluator and of the stages built on it.
+
+    python3 tools/bench_dispersion.py [--src DIR] [--repeats N]
+
+Times, on the catalog fiber S1 (r = 947 nm, f = 0.296): one build of the
+Chebyshev series of n_eff(omega) (where the package has one), ``gvd`` on
+61 wavelengths over 850-1450 nm, ``find_zdw`` on 900-1250 nm,
+``solve_phase_match`` at a 1070 nm pump, ``gvm_curve`` over 29 pumps on
+955-1095 nm, ``agvm_roots`` on that sweep, and the full-model
+``build_jsa`` of S2 (0.3 m) on its 512x512 grid.  Prints one JSON object:
+the median over the repeats (ms per call), the core count and the
+OpenBLAS builds and thread counts the process loaded.  ``--src`` times the
+package under another checkout's ``src/`` the same way.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import sys
+import time
+from pathlib import Path
+
+from bench_splice_kernel import _openblas
+
+PUMP_NM = 1070.0
+
+
+def _median_ms(fn, repeats: int) -> float:
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        times.append((time.perf_counter() - t0) * 1e3)
+    return round(statistics.median(times), 3)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"))
+    parser.add_argument("--repeats", type=int, default=7)
+    args = parser.parse_args()
+    sys.path.insert(0, args.src)
+    import numpy as np
+
+    from sfwm import (FiberSegment, PumpSpec, agvm_roots, assembly_from_fibers, build_jsa,
+                      default_grid, find_zdw, gvd, gvm_curve, solve_phase_match)
+    from sfwm import dispersion
+
+    s1 = FiberSegment("S1", 947.0, 0.296, 0.3)
+    s2 = FiberSegment("S2", 947.5, 0.296, 0.3)
+    pump = PumpSpec(PUMP_NM, 2.0)
+    wl = np.linspace(850.0, 1450.0, 61)
+    sweep = gvm_curve(s1, (955.0, 1095.0), 29)
+    full = assembly_from_fibers([s2], pump, model_mode="full")
+    grid = default_grid(assembly_from_fibers([s2], pump), pump, 512, 512)
+    calls = {
+        "gvd_61": lambda: gvd(s1, wl),
+        "find_zdw": lambda: find_zdw(s1, (900.0, 1250.0)),
+        "solve_phase_match": lambda: solve_phase_match(s1, pump),
+        "gvm_curve_29": lambda: gvm_curve(s1, (955.0, 1095.0), 29),
+        "agvm_roots": lambda: agvm_roots(s1, sweep),
+        "build_jsa_full_512x512": lambda: build_jsa(full, pump, grid=grid),
+    }
+    if hasattr(dispersion, "_KSeries"):
+        calls = {"series_build": lambda: dispersion._KSeries(s1, "he11"), **calls}
+    layers = {name: _median_ms(fn, args.repeats) for name, fn in calls.items()}
+    print(json.dumps({"repeats": args.repeats, "nproc": os.cpu_count(),
+                      "openblas": _openblas(), "ms_per_call": layers}, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
