@@ -105,6 +105,41 @@ def test_continuity_on_fine_grid():
                 assert np.max(resid / np.abs(arr[1:-1])) < 1e-6
 
 
+def _direct_k_of_omega(seg, omega):
+    """k(omega) in rad/m from direct HE11 solves, independent of the series."""
+    return propagation_constant(seg, disp.TWO_PI_C / np.asarray(omega) * 1e9)
+
+
+def test_group_slowness_richardson_consistency():
+    # Series derivative against a Richardson-extrapolated central difference
+    # (h and h/2) of the direct solver.
+    seg = catalog_fiber("S1")
+    for lam in (1000.0, 1070.0, 1409.9):
+        omega = disp.TWO_PI_C / (lam * 1e-9)
+        h = 1e-4 * omega
+        kp, km, kp2, km2 = _direct_k_of_omega(
+            seg, [omega + h, omega - h, omega + h / 2, omega - h / 2])
+        oracle = (4 * (kp2 - km2) / h - (kp - km) / (2 * h)) / 3
+        assert group_slowness(seg, lam) == pytest.approx(oracle, rel=1e-6)
+
+
+def test_gvd_halfstep_consistency():
+    # Second differences of the direct solver at steps h and h/2, combined
+    # so that their O(h^2) truncation cancels. At h = 1e-4 omega the solver's
+    # rounding, amplified by 1/h^2, reaches 2e-4 of beta2 near 1000 nm;
+    # h = 1e-3 omega keeps both error terms near 1e-6 relative.
+    seg = catalog_fiber("S1")
+    for lam in (1000.0, 1300.0):
+        omega = disp.TWO_PI_C / (lam * 1e-9)
+        h = 1e-3 * omega
+        kc, kp, km, kp2, km2 = _direct_k_of_omega(
+            seg, [omega, omega + h, omega - h, omega + h / 2, omega - h / 2])
+        d1 = (kp - 2 * kc + km) / h**2
+        d2 = (kp2 - 2 * kc + km2) / (h / 2) ** 2
+        oracle = (4 * d2 - d1) / 3 * 1e24
+        assert gvd(seg, lam) == pytest.approx(oracle, rel=1e-4)
+
+
 def test_walkoff_at_catalog_point():
     seg = catalog_fiber("S1")
     tau_s = (group_slowness(seg, 1070.0) - group_slowness(seg, 1409.9)) * 1e12
