@@ -105,19 +105,25 @@ def evaluate_plan(order, pool: SegmentPool, pump: PumpSpec,
     return g2_quadrature(jsa), marginal(jsa, "signal")
 
 
-def _feasible_orders(pool: SegmentPool):
+def _feasible_subsets(pool: SegmentPool) -> list[tuple[int, ...]]:
     idx = range(len(pool.candidates))
-    for size in range(1, pool.effective_max_segments + 1):
-        for combo in itertools.combinations(idx, size):
-            if not pool.is_feasible(combo):
-                continue
-            yield from itertools.permutations(combo)
+    return [combo for size in range(1, pool.effective_max_segments + 1)
+            for combo in itertools.combinations(idx, size) if pool.is_feasible(combo)]
 
 
-def _plan_from_order(order, pool, pump, **kwargs) -> SplicePlan:
-    g2, spectrum = evaluate_plan(order, pool, pump, **kwargs)
+def _plan_from_order(order: tuple[int, ...], pool, pump, memo: dict, **kwargs) -> SplicePlan:
+    """Plan for this order, scored through the calling planner's memo.
+
+    The memo maps the lexicographically smaller orientation of a splice to
+    its (g2, signal spectrum), so a mirror pair builds one JSA.  It holds no
+    JSA, so one is alive at a time.
+    """
+    key = min(order, order[::-1])
+    if key not in memo:
+        memo[key] = evaluate_plan(key, pool, pump, **kwargs)
+    g2, spectrum = memo[key]
     return SplicePlan(
-        order=tuple(order),
+        order=order,
         labels=tuple(pool.candidates[i][0].label for i in order),
         total_length_m=sum(pool.candidates[i][0].length_m for i in order),
         predicted_g2=g2,
@@ -138,22 +144,25 @@ def _better(challenger: SplicePlan, incumbent: SplicePlan | None) -> bool:
 def plan_exhaustive(pool: SegmentPool, pump: PumpSpec, max_plans: int = 100_000,
                     ns: int = 512, ni: int = 512, **grid_kwargs) -> SplicePlan:
     """Global argmax of predicted g2 over all feasible ordered subsets."""
-    count = sum(1 for _ in _feasible_orders(pool))
-    if count == 0:
+    subsets = _feasible_subsets(pool)
+    if not subsets:
         raise ValueError(
             f"no subset of the pool meets total length "
             f"{pool.target_total_length_m} +/- {pool.effective_tolerance_m} m"
         )
+    count = sum(math.factorial(len(subset)) for subset in subsets)
     if count > max_plans:
         raise PlanSpaceError(
             f"{count} feasible ordered subsets exceed the cap {max_plans}; "
             "use plan_greedy for pools of this size"
         )
     best: SplicePlan | None = None
-    for order in _feasible_orders(pool):
-        plan = _plan_from_order(order, pool, pump, ns=ns, ni=ni, **grid_kwargs)
-        if _better(plan, best):
-            best = plan
+    for subset in subsets:
+        memo: dict = {}  # a splice and its mirror image share a subset
+        for order in itertools.permutations(subset):
+            plan = _plan_from_order(order, pool, pump, memo, ns=ns, ni=ni, **grid_kwargs)
+            if _better(plan, best):
+                best = plan
     return best
 
 
@@ -191,7 +200,8 @@ def plan_greedy(pool: SegmentPool, pump: PumpSpec, max_rounds: int = 100,
             f"no subset of the pool meets total length "
             f"{pool.target_total_length_m} +/- {pool.effective_tolerance_m} m"
         )
-    current = _plan_from_order(seed, pool, pump, ns=ns, ni=ni, **grid_kwargs)
+    memo: dict = {}
+    current = _plan_from_order(seed, pool, pump, memo, ns=ns, ni=ni, **grid_kwargs)
     for _ in range(max_rounds):
         improved = None
         members = set(current.order)
@@ -210,7 +220,7 @@ def plan_greedy(pool: SegmentPool, pump: PumpSpec, max_rounds: int = 100,
                 cand[a], cand[b] = cand[b], cand[a]
                 moves.append(tuple(cand))
         for move in moves:
-            plan = _plan_from_order(move, pool, pump, ns=ns, ni=ni, **grid_kwargs)
+            plan = _plan_from_order(move, pool, pump, memo, ns=ns, ni=ni, **grid_kwargs)
             if plan.predicted_g2 > current.predicted_g2 + 1e-15 and _better(plan, improved):
                 improved = plan
         if improved is None:

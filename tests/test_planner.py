@@ -163,7 +163,7 @@ def test_greedy_single_candidate():
 
 def test_plan_space_cap():
     pool = catalog_pool(["S1", "S2", "S3", "S4"], target_m=0.6, tolerance_m=0.0)
-    with pytest.raises(PlanSpaceError, match="plan_greedy"):
+    with pytest.raises(PlanSpaceError, match="^12 feasible ordered subsets .* plan_greedy"):
         plan_exhaustive(pool, PUMP, max_plans=3, **FAST)
 
 
@@ -182,3 +182,64 @@ def test_exhaustive_is_deterministic():
     assert a.order == b.order
     assert a.predicted_g2 == b.predicted_g2
     assert a.total_length_m == b.total_length_m
+
+
+def _count_builds(monkeypatch):
+    import sfwm.planner
+
+    built = []
+    real = sfwm.planner.build_jsa
+
+    def counting(assembly, *args, **kwargs):
+        built.append(assembly)
+        return real(assembly, *args, **kwargs)
+
+    monkeypatch.setattr(sfwm.planner, "build_jsa", counting)
+    return built
+
+
+@pytest.mark.parametrize("target_m, n_orders, n_builds", [(0.6, 12, 6), (0.9, 24, 12)],
+                         ids=["pairs", "triples"])
+def test_exhaustive_builds_one_jsa_per_mirror_pair(monkeypatch, target_m, n_orders, n_builds):
+    pool = catalog_pool(["S1", "S2", "S3", "S4"], target_m, tolerance_m=0.0)
+    best = None
+    orders = 0
+    for combo in itertools.combinations(range(4), round(target_m / 0.3)):
+        for order in itertools.permutations(combo):
+            g2, spectrum = evaluate_plan(order, pool, PUMP, **FAST)
+            orders += 1
+            if best is None or (-g2, order) < (-best[1], best[0]):
+                best = (order, g2, spectrum)
+    assert orders == n_orders
+    built = _count_builds(monkeypatch)
+    plan = plan_exhaustive(pool, PUMP, **FAST)
+    assert len(built) == n_builds
+    assert plan.order == best[0]
+    assert plan.predicted_g2 == best[1]
+    assert np.array_equal(plan.predicted_spectrum.values, best[2].values)
+
+
+@pytest.mark.parametrize("labels, target_m, order, g2_hex", [
+    (["S1", "S2", "S3"], 0.6, (2, 1), "0x1.9fa51b41ed1e8p+0"),
+    (["S1", "S2", "S3", "S4"], 0.6, (2, 3), "0x1.a0a9d4fe5e62ap+0"),
+    (["S1", "S2", "S3", "S4"], 1.2, (0, 2, 1, 3), "0x1.70148c105d084p+0"),
+], ids=["S1-S3@0.6m", "S1-S4@0.6m", "S1-S4@1.2m"])
+def test_greedy_result_pinned_and_builds_once_per_mirror_pair(monkeypatch, labels, target_m,
+                                                              order, g2_hex):
+    # Pinned to the values of the greedy search that scored every visited
+    # order from scratch.
+    import sfwm.planner
+
+    visited = set()
+    real_plan = sfwm.planner._plan_from_order
+
+    def recording(order, *args, **kwargs):
+        visited.add(min(order, order[::-1]))
+        return real_plan(order, *args, **kwargs)
+
+    monkeypatch.setattr(sfwm.planner, "_plan_from_order", recording)
+    built = _count_builds(monkeypatch)
+    plan = plan_greedy(catalog_pool(labels, target_m, tolerance_m=0.0), PUMP, **FAST)
+    assert plan.order == order
+    assert plan.predicted_g2 == float.fromhex(g2_hex)
+    assert len(built) <= len(visited)

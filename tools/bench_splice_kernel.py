@@ -5,6 +5,8 @@
 Times ``build_jsa`` (one thread) and ``g2_quadrature`` on the catalog
 assemblies whose auto-sized grids are 512x512 (S2, 0.3 m), 660x512
 (S1+S2) and 1378x512 (S1+S2+S3+S4), each at 2 and 5 nm pump FWHM, and
+times one ``plan_exhaustive`` call on the six-segment 0.6 m pool of the
+benchmark's seed-1 ``splice_plan`` step (``perfbench/workloads.py``), and
 prints one JSON object: the median over the repeats (ms per call), the
 core count and the OpenBLAS builds and thread counts the process loaded.
 ``--src`` times the package under another checkout's ``src/`` the same way.
@@ -20,6 +22,7 @@ import sys
 import time
 from pathlib import Path
 
+REPO = Path(__file__).resolve().parents[1]
 PUMP_NM = 1070.0
 # label: (signal wavelength nm, tau_s ps/m, contour angle rad), as in configs/g2_table.json
 CATALOG = {"S1": (1409.9, 3.2, 0.004), "S2": (1413.6, 3.2, 0.002),
@@ -51,9 +54,38 @@ def _openblas() -> list[dict]:
     return found
 
 
+def _time_plan(repeats: int) -> dict:
+    """``plan_exhaustive`` on the seed-1 ``splice_plan`` pool, as ``sfwm plan`` builds it."""
+    from sfwm import FiberSegment, PhaseMatchPoint, PumpSpec, SegmentPool, plan_exhaustive
+
+    sys.path.insert(0, str(REPO / "perfbench"))
+    from workloads import make_config
+
+    cfg = make_config("splice_plan", 1)
+    pump = PumpSpec(cfg["pump"]["center_wavelength_nm"], cfg["pump"]["fwhm_nm"])
+    candidates = []
+    for seg in cfg["segments"]:
+        pm = seg["phase_match"]
+        point = PhaseMatchPoint.from_signal_and_angle(
+            pump.center_wavelength_nm, pm["lambda_s0_nm"], pm["tau_s_ps_per_m"],
+            pm["theta_rad"], pm["tau_i_sign"])
+        # The CLI's stand-in geometry for a segment given by its phase match.
+        candidates.append((FiberSegment(seg["label"], 948.0, 0.296, seg["length_m"]), point))
+    pool = SegmentPool(tuple(candidates), cfg["planner"]["target_total_length_m"],
+                       cfg["planner"]["tolerance_m"])
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        plan = plan_exhaustive(pool, pump, ns=cfg["grid"]["ns"], ni=cfg["grid"]["ni"])
+        times.append((time.perf_counter() - t0) * 1e3)
+    return {"pool": "splice_plan seed 1: six 0.3 m segments, 0.6 m target, 30 ordered pairs",
+            "ms": round(statistics.median(times), 1), "order": list(plan.order),
+            "predicted_g2": plan.predicted_g2}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"))
+    parser.add_argument("--src", default=str(REPO / "src"))
     parser.add_argument("--repeats", type=int, default=7)
     args = parser.parse_args()
     sys.path.insert(0, args.src)
@@ -82,7 +114,8 @@ def main() -> int:
             cases[f"{name}@{fwhm:g}nm"] = {"fill_ms": round(statistics.median(fill), 2),
                                            "g2_quadrature_ms": round(statistics.median(gram), 2)}
     print(json.dumps({"repeats": args.repeats, "nproc": os.cpu_count(),
-                      "openblas": _openblas(), "cases": cases}, indent=1))
+                      "openblas": _openblas(), "cases": cases,
+                      "plan_exhaustive": _time_plan(args.repeats)}, indent=1))
     return 0
 
 
