@@ -25,11 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import Chebyshev
-from scipy.constants import c as C_LIGHT
-from scipy.optimize import least_squares
-from scipy.optimize.elementwise import find_root
 from scipy.special import j0, j1, k0, k1
 
+#: Speed of light in vacuum, m/s (exact by SI definition).
+C_LIGHT = 299_792_458.0
 TWO_PI_C = 2.0 * math.pi * C_LIGHT
 
 # Malitson three-term fit for fused silica, wavelength in um.
@@ -207,6 +206,83 @@ def _first_brackets(fun, args, start: float, stop, num: int):
     return lo, hi
 
 
+def _chandrupatla(fun, a, b, args=(), maxiter: int = 2046):
+    """Root of fun(x, *args) in each bracket [a, b], elementwise, by
+    Chandrupatla's hybrid of inverse quadratic interpolation and bisection
+    (Adv. Eng. Softw. 28:145, 1997).
+
+    A port of SciPy's scipy.optimize.elementwise.find_root at its default
+    tolerances (xatol = 4 tiny, xrtol = 4 eps, fatol = tiny, frtol = 0),
+    step for step, so it returns the same bits; converged elements leave the
+    active set after each iteration.  Returns (x, success, status, f_x):
+    status 0 is converged, -1 a bracket without a sign change, -2 maxiter
+    reached and -3 a non-finite abscissa or NaN residual.
+    """
+    x1, x2 = np.array(a, dtype=float), np.array(b, dtype=float)
+    f1, f2 = fun(x1, *args), fun(x2, *args)
+    x_out, f_out = np.zeros(x1.size), np.zeros(x1.size)
+    status_out = np.ones(x1.size, dtype=np.int32)
+    active = np.arange(x1.size)
+    frtol = 0.0 * np.minimum(np.abs(f1), np.abs(f2))  # frtol = 0; NaN at an infinite end
+    tiny, eps = np.finfo(float).tiny, np.finfo(float).eps
+    xatol, xrtol, fatol = 4 * tiny, 4 * eps, tiny
+    x3, f3 = x2, f2  # the third point, read from the second step on
+    t = 0.5
+    nit = 0
+    while True:
+        # Termination tests, in find_root's order.
+        status = np.ones(x1.size, dtype=np.int32)
+        i = np.abs(f1) < np.abs(f2)
+        xmin, fmin = np.where(i, x1, x2), np.where(i, f1, f2)
+        stop = np.abs(fmin) <= fatol + frtol
+        status[stop] = 0
+        i = (np.sign(f1) == np.sign(f2)) & ~stop
+        xmin[i], fmin[i], status[i] = np.nan, np.nan, -1
+        stop |= i
+        i = (~(np.isfinite(x1) & np.isfinite(x2)) | (np.isnan(f1) & np.isnan(f2))) & ~stop
+        xmin[i], fmin[i], status[i] = np.nan, np.nan, -3
+        stop |= i
+        dx = np.abs(x2 - x1)
+        tol = np.abs(xmin) * xrtol + xatol
+        i = dx < tol
+        status[i] = 0
+        stop |= i
+        if stop.any():
+            done = active[stop]
+            x_out[done], f_out[done], status_out[done] = xmin[stop], fmin[stop], status[stop]
+            keep = ~stop
+            active = active[keep]
+            x1, f1, x2, f2, x3, f3, frtol, xmin, fmin, dx, tol = (
+                v[keep] for v in (x1, f1, x2, f2, x3, f3, frtol, xmin, fmin, dx, tol))
+            args = tuple(v[keep] for v in args)
+        if not active.size or nit >= maxiter:
+            break
+        if nit:
+            # Inverse quadratic step, or bisection where the quadratic
+            # through the three points is not safe (Chandrupatla's eq. 1).
+            with np.errstate(divide="ignore", invalid="ignore"):
+                xi1 = (x1 - x2) / (x3 - x2)
+                phi1 = (f1 - f2) / (f3 - f2)
+                alpha = (x3 - x1) / (x2 - x1)
+                j = ((1 - np.sqrt(1 - xi1)) < phi1) & (phi1 < np.sqrt(xi1))
+                f1j, f2j, f3j, alphaj = f1[j], f2[j], f3[j], alpha[j]
+                t = np.full_like(alpha, 0.5)
+                t[j] = (f1j / (f1j - f2j) * f3j / (f3j - f2j)
+                        - alphaj * f1j / (f3j - f1j) * f2j / (f2j - f3j))
+                tl = 0.5 * tol / dx
+            t = np.clip(t, tl, 1 - tl)
+        x = x1 + t * (x2 - x1)
+        f = fun(x, *args)
+        x3, f3 = x2.copy(), f2.copy()
+        j = np.sign(f) == np.sign(f1)
+        x3[j], f3[j] = x1[j], f1[j]
+        x2[~j], f2[~j] = x1[~j], f1[~j]
+        x1, f1 = x, f
+        nit += 1
+    x_out[active], f_out[active], status_out[active] = xmin, fmin, -2
+    return x_out, status_out == 0, status_out, f_out
+
+
 def _solve_neff(core_radius_nm: float, air_fill: float, wavelength_nm,
                 mode_model: str):
     """Effective index of the fundamental mode, elementwise over wavelength_nm.
@@ -245,12 +321,12 @@ def _solve_neff(core_radius_nm: float, air_fill: float, wavelength_nm,
             f"no guided fundamental mode for r={core_radius_nm} nm, f={air_fill}, "
             f"lambda={float(wl[i])} nm (V={v[i]:.3f})"
         )
-    res = find_root(fun, (u_lo, u_hi), args=args)
-    if not res.success.all():
-        i = np.flatnonzero(~res.success)[0]
+    u, success, status, f_u = _chandrupatla(fun, u_lo, u_hi, args)
+    if not success.all():
+        i = np.flatnonzero(~success)[0]
         raise ModeSolverError(f"eigenvalue iteration failed at lambda={float(wl[i])} nm "
-                              f"(status {int(res.status[i])})", residual=float(res.f_x[i]))
-    beta = np.sqrt((k0_ * n_co) ** 2 - (res.x / a_m) ** 2)
+                              f"(status {int(status[i])})", residual=float(f_u[i]))
+    beta = np.sqrt((k0_ * n_co) ** 2 - (u / a_m) ** 2)
     return (beta / k0_).reshape(wl_in.shape)[()]
 
 
@@ -387,6 +463,9 @@ def fit_structure(samples: list[GvdSample], initial_guess: tuple[float, float],
     Requires at least 6 samples whose beta2 values change sign (the data must
     span a zero-dispersion wavelength); deterministic for fixed inputs.
     """
+    # The one scipy.optimize user: importing it costs a CLI call ~0.25 s.
+    from scipy.optimize import least_squares
+
     if len(samples) < 6:
         raise ValueError(f"need at least 6 GVD samples, got {len(samples)}")
     b2 = np.array([s.beta2_ps2_per_m for s in samples])

@@ -15,10 +15,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c as C_LIGHT
-from scipy.optimize import brentq
 
-from .dispersion import TWO_PI_C, WAVELENGTH_WINDOW_NM, FiberSegment, _KSeries
+from .dispersion import C_LIGHT, TWO_PI_C, WAVELENGTH_WINDOW_NM, FiberSegment, _KSeries
 
 SQRT_LN2 = math.sqrt(math.log(2.0))
 
@@ -142,6 +140,70 @@ class PhaseMatchPoint:
         return self.tau_i_ps_per_m * 1e-12
 
 
+_BRENT_RTOL = 4 * float(np.finfo(float).eps)
+
+
+def _brentq(f, a: float, b: float, xtol: float, rtol: float = _BRENT_RTOL,
+            maxiter: int = 100) -> float:
+    """Root of the scalar function f in [a, b] by Brent's method
+    (*Algorithms for Minimization without Derivatives*, 1973, ch. 4).
+
+    A port of SciPy's scipy.optimize.brentq, step for step, so it returns the
+    same bits: inverse quadratic extrapolation, secant interpolation or
+    bisection, stopping once half the bracket is below (xtol + rtol |x|) / 2.
+    """
+    if xtol <= 0 or rtol < _BRENT_RTOL:
+        raise ValueError(f"need xtol > 0 and rtol >= {_BRENT_RTOL}, got {xtol}, {rtol}")
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN; solver cannot continue")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # IEEE gives inf or NaN, which bisects below
+                stry = math.nan
+            bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"brentq did not converge after {maxiter} iterations, value is {xcur}")
+
+
 def _default_search_window(lambda_pc_nm: float) -> tuple[float, float]:
     lo = lambda_pc_nm + 10.0
     hi = min(lambda_pc_nm + 500.0, WAVELENGTH_WINDOW_NM[1] - 5.0)
@@ -200,7 +262,7 @@ def _phase_match(series: _KSeries, segment: FiberSegment, pump: PumpSpec,
         )
     # The bracket at largest omega_s = smallest signal wavelength.
     w_a, w_b = brackets[0]
-    w_s0 = brentq(mismatch_at_signal, w_a, w_b, xtol=1e-3, rtol=4 * np.finfo(float).eps)
+    w_s0 = _brentq(mismatch_at_signal, w_a, w_b, xtol=1e-3)
     w_i0 = 2.0 * w_p - w_s0
 
     slow_p, slow_s, slow_i = series(np.array((w_p, w_s0, w_i0)), 1)
@@ -258,7 +320,7 @@ def agvm_roots(segment: FiberSegment, sweep: list[GvmSample],
 
     Each root is bracketed by the first sign change of its tau between
     neighbouring samples of ``sweep`` (a ``gvm_curve`` of the same segment),
-    then polished with brentq; a root between two samples whose tau has the
+    then polished with _brentq; a root between two samples whose tau has the
     same sign is missed.
     """
     pumps = [s.lambda_p_nm for s in sweep]
@@ -281,7 +343,7 @@ def agvm_roots(segment: FiberSegment, sweep: list[GvmSample],
             if va == 0.0:
                 return a.lambda_p_nm
             if va * vb < 0:
-                return float(brentq(tau, a.lambda_p_nm, b.lambda_p_nm, xtol=1e-2))
+                return _brentq(tau, a.lambda_p_nm, b.lambda_p_nm, xtol=1e-2)
         return None
 
     return AgvmRoots(

@@ -4,7 +4,10 @@ import copy
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -232,6 +235,55 @@ def test_gvm_curve_runs_one_sweep_and_its_files_agree(tmp_path, monkeypatch):
             float(a[0]) <= float(pump_nm) <= float(b[0])
             and float(a[column]) * float(b[column]) < 0
             for a, b in zip(rows, rows[1:]) if a[column] and b[column])
+
+
+# Imports sfwm.cli, runs each (subcommand, config, out) of argv[1] in turn and
+# prints the steps after which scipy.optimize was loaded.
+_OPTIMIZE_PROBE = """
+import json, sys
+import sfwm.cli
+loaded = ["import"] if "scipy.optimize" in sys.modules else []
+for subcommand, config, out in json.loads(sys.argv[1]):
+    assert sfwm.cli.run(subcommand, config, out) == 0, subcommand
+    if "scipy.optimize" in sys.modules:
+        loaded.append(subcommand)
+print(json.dumps(loaded))
+"""
+
+
+def test_benchmark_subcommands_never_import_scipy_optimize(tmp_path):
+    # Only fit uses scipy.optimize; the root solvers are in-house.  A fresh
+    # interpreter imports sfwm from this checkout's src/, as criterion 11 does.
+    dispersion = tmp_path / "dispersion.json"
+    dispersion.write_text(json.dumps({
+        "segments": [{"label": "R948", "core_radius_nm": 948.0, "air_fill": 0.296,
+                      "length_m": 1.9}],
+        "dispersion": {"wavelength_range_nm": [900.0, 1250.0], "n_points": 15,
+                       "zdw_search_nm": [900.0, 1250.0]},
+        "output_dir": str(tmp_path / "unused")}))
+    sweep = json.loads((CONFIGS / "gvm_sweep.json").read_text())
+    sweep["sweep"]["n_points"] = 8  # still brackets both AGVM roots
+    gvm = tmp_path / "gvm.json"
+    gvm.write_text(json.dumps(sweep))
+    seg3 = {**_SEG, "label": "S3", "core_radius_nm": 948.0,
+            "phase_match": {"lambda_s0_nm": 1417.3, "tau_s_ps_per_m": 3.3, "theta_rad": 0.001}}
+    g2 = small_config(tmp_path, segments=[_SEG, seg3], pump_fwhms_nm=[2.0],
+                      assemblies=[{"name": "S2+S3", "segments": ["S2", "S3"]}])
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({**json.loads(g2.read_text()), "planner": {
+        "target_total_length_m": 0.6, "tolerance_m": 0.0}}))
+    steps = [("dispersion", str(dispersion)), ("gvm-curve", str(gvm)),
+             ("g2-table", str(g2)), ("plan", str(plan))]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(REPO / "src"), os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _OPTIMIZE_PROBE,
+         json.dumps([(sub, cfg, str(tmp_path / sub)) for sub, cfg in steps])],
+        capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+    _, roots = read_csv(tmp_path / "gvm-curve" / "agvm_roots.csv")
+    assert len(roots) == 2 and all(pump_nm for _, pump_nm in roots)  # both polished
 
 
 def test_missing_required_block(tmp_path, capsys):

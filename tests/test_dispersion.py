@@ -3,6 +3,7 @@
 import mpmath
 import numpy as np
 import pytest
+import scipy.constants
 
 from sfwm import dispersion as disp
 from sfwm.dispersion import (
@@ -31,6 +32,10 @@ def test_silica_index_reference_points():
     # Frozen from direct evaluation of the three-term Sellmeier sum.
     assert silica_refractive_index(1070.0) == pytest.approx(1.4497, abs=5e-4)
     assert silica_refractive_index(587.6) == pytest.approx(1.4585, abs=5e-4)
+
+
+def test_speed_of_light_is_the_si_value():
+    assert disp.C_LIGHT == scipy.constants.c
 
 
 def test_silica_index_window_error():
@@ -384,8 +389,8 @@ def test_unresolved_series_is_explicit(monkeypatch):
 
 
 def test_unconverged_root_is_explicit(monkeypatch):
-    find_root = disp.find_root
-    monkeypatch.setattr(disp, "find_root", lambda *a, **kw: find_root(*a, maxiter=1, **kw))
+    chandrupatla = disp._chandrupatla
+    monkeypatch.setattr(disp, "_chandrupatla", lambda *a: chandrupatla(*a, maxiter=1))
     with pytest.raises(ModeSolverError, match=r"lambda=1000\.0 nm") as info:
         effective_index(R948, [1000.0, 1070.0])
     assert np.isfinite(info.value.residual)
