@@ -151,10 +151,8 @@ def _brentq(f, a: float, b: float, xtol: float, rtol: float = _BRENT_RTOL,
     A port of SciPy's scipy.optimize.brentq, step for step, so it returns the
     same bits: inverse quadratic extrapolation, secant interpolation or
     bisection, stopping once half the bracket is below (xtol + rtol |x|) / 2.
+    Needs xtol > 0 and rtol >= 4 eps, as brentq does.
     """
-    if xtol <= 0 or rtol < _BRENT_RTOL:
-        raise ValueError(f"need xtol > 0 and rtol >= {_BRENT_RTOL}, got {xtol}, {rtol}")
-
     def value(x):
         fx = float(f(x))
         if math.isnan(fx):
