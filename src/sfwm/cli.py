@@ -407,7 +407,7 @@ def _named_assemblies(cfg: RunConfig, pump: PumpSpec) -> list[tuple[str, Assembl
     raise ConfigError("config defines no segments, assembly, or assemblies")
 
 
-def _jsa_args(cfg: RunConfig, threads: int) -> dict:
+def _jsa_args(cfg: RunConfig) -> dict:
     """The build_jsa keyword arguments the config's grid block asks for."""
     g = cfg.grid
     grid = None
@@ -420,7 +420,7 @@ def _jsa_args(cfg: RunConfig, threads: int) -> dict:
         grid = FrequencyGrid(axis(g["signal_range_nm"], g["ns"]),
                              axis(g["idler_range_nm"], g["ni"]))
     return {"grid": grid, "ns": g["ns"], "ni": g["ni"], "lobes": g["lobes"],
-            "pad_sigmas": g["pad_sigmas"], "threads": threads}
+            "pad_sigmas": g["pad_sigmas"]}
 
 
 def _require_pump(cfg: RunConfig) -> PumpSpec:
@@ -522,7 +522,7 @@ def _suffix(name: str, multi: bool) -> str:
     return f"_{safe}"
 
 
-def _cmd_dispersion(cfg: RunConfig, out: _OutputSet, threads: int) -> dict:
+def _cmd_dispersion(cfg: RunConfig, out: _OutputSet) -> dict:
     if not cfg.segments:
         raise ConfigError("dispersion needs a segments list")
     lo, hi = cfg.dispersion["wavelength_range_nm"]
@@ -543,7 +543,7 @@ def _cmd_dispersion(cfg: RunConfig, out: _OutputSet, threads: int) -> dict:
     return {}
 
 
-def _cmd_fit(cfg: RunConfig, out: _OutputSet, threads: int) -> dict:
+def _cmd_fit(cfg: RunConfig, out: _OutputSet) -> dict:
     if cfg.fit is None:
         raise ConfigError("missing required field fit")
     samples = read_gvd_csv(cfg.fit["gvd_csv"])
@@ -556,7 +556,7 @@ def _cmd_fit(cfg: RunConfig, out: _OutputSet, threads: int) -> dict:
     return {}
 
 
-def _cmd_phasematch(cfg: RunConfig, out: _OutputSet, threads: int) -> dict:
+def _cmd_phasematch(cfg: RunConfig, out: _OutputSet) -> dict:
     pump = _require_pump(cfg)
     if not cfg.segments:
         raise ConfigError("phasematch needs a segments list")
@@ -576,7 +576,7 @@ def _cmd_phasematch(cfg: RunConfig, out: _OutputSet, threads: int) -> dict:
     return {}
 
 
-def _cmd_gvm_curve(cfg: RunConfig, out: _OutputSet, threads: int) -> dict:
+def _cmd_gvm_curve(cfg: RunConfig, out: _OutputSet) -> dict:
     if cfg.sweep is None:
         raise ConfigError("missing required field sweep")
     label = cfg.sweep["segment_label"] or next(iter(cfg.segments), None)
@@ -605,11 +605,11 @@ def _cmd_gvm_curve(cfg: RunConfig, out: _OutputSet, threads: int) -> dict:
     return {}
 
 
-def _cmd_jsa(cfg: RunConfig, out: _OutputSet, threads: int) -> dict:
+def _cmd_jsa(cfg: RunConfig, out: _OutputSet) -> dict:
     pump = _require_pump(cfg)
     named = _named_assemblies(cfg, pump)
     multi = len(named) > 1
-    jsa_args = _jsa_args(cfg, threads)
+    jsa_args = _jsa_args(cfg)
     grids: dict[str, dict] = {}
     for name, assembly in named:
         jsa = build_jsa(assembly, pump, **jsa_args)
@@ -630,11 +630,11 @@ def _cmd_jsa(cfg: RunConfig, out: _OutputSet, threads: int) -> dict:
     return {"grid": grids[named[0][0]] if not multi else grids}
 
 
-def _cmd_marginal(cfg: RunConfig, out: _OutputSet, threads: int) -> dict:
+def _cmd_marginal(cfg: RunConfig, out: _OutputSet) -> dict:
     pump = _require_pump(cfg)
     named = _named_assemblies(cfg, pump)
     multi = len(named) > 1
-    jsa_args = _jsa_args(cfg, threads)
+    jsa_args = _jsa_args(cfg)
     grids: dict[str, dict] = {}
     for name, assembly in named:
         jsa = build_jsa(assembly, pump, **jsa_args)
@@ -660,7 +660,7 @@ def _filter_centers(cfg: RunConfig, assembly: AssemblySpec) -> list[float]:
     return list(np.linspace(lo, hi, filt["n_centers"]))
 
 
-def _cmd_filter_scan(cfg: RunConfig, out: _OutputSet, threads: int) -> dict:
+def _cmd_filter_scan(cfg: RunConfig, out: _OutputSet) -> dict:
     pump = _require_pump(cfg)
     if cfg.filt is None:
         raise ConfigError("missing required field filter")
@@ -679,18 +679,18 @@ def _cmd_filter_scan(cfg: RunConfig, out: _OutputSet, threads: int) -> dict:
 _G2_HEADER = [f.name for f in fields(G2Row)]
 
 
-def _cmd_g2(cfg: RunConfig, out: _OutputSet, threads: int) -> dict:
+def _cmd_g2(cfg: RunConfig, out: _OutputSet) -> dict:
     pump = _require_pump(cfg)
     named = _named_assemblies(cfg, pump)
     if len(named) != 1:
         raise ConfigError("g2 works on a single assembly; use g2-table for sets")
     name, assembly = named[0]
-    jsa = build_jsa(assembly, pump, **_jsa_args(cfg, threads))
+    jsa = build_jsa(assembly, pump, **_jsa_args(cfg))
     out.add_csv("g2.csv", _G2_HEADER, [astuple(G2Row.from_jsa(name, jsa))])
     return {"grid": _grid_record(jsa.grid)}
 
 
-def _cmd_g2_table(cfg: RunConfig, out: _OutputSet, threads: int) -> dict:
+def _cmd_g2_table(cfg: RunConfig, out: _OutputSet) -> dict:
     pump = _require_pump(cfg)
     if cfg.assemblies is None:
         raise ConfigError("missing required field assemblies")
@@ -698,37 +698,31 @@ def _cmd_g2_table(cfg: RunConfig, out: _OutputSet, threads: int) -> dict:
     pumps = [PumpSpec(pump.center_wavelength_nm, fw, pump.gamma_per_w_km,
                       pump.peak_power_w) for fw in fwhms]
     configurations = _named_assemblies(cfg, pumps[0])
-    rows = g2_table(configurations, pumps, **_jsa_args(cfg, threads))
+    rows = g2_table(configurations, pumps, **_jsa_args(cfg))
     out.add_csv("g2_table.csv", _G2_HEADER, map(astuple, rows))
     return {}
 
 
-def _cmd_plan(cfg: RunConfig, out: _OutputSet, threads: int) -> dict:
+def _cmd_plan(cfg: RunConfig, out: _OutputSet) -> dict:
     pump = _require_pump(cfg)
     if cfg.planner is None:
         raise ConfigError("missing required field planner")
     if not cfg.segments:
         raise ConfigError("plan needs a segments list as the candidate pool")
-    candidates = []
-    for label, entry in cfg.segments.items():
-        point = _point_for(entry, pump)
-        if entry.core_radius_nm is not None:
-            fiber = entry.fiber()
-        else:
-            # Linearized planning uses only label and length; stand-in geometry.
-            fiber = FiberSegment(label, 948.0, 0.296, entry.length_m)
-        candidates.append((fiber, point))
+    if cfg.model == "full":
+        raise ConfigError("plan scores splices in the linearized model only; got model 'full'")
+    segments = _build_assembly(cfg, [(label, None) for label in cfg.segments], pump).segments
     pool = SegmentPool(
-        candidates=tuple(candidates),
+        candidates=tuple(zip(cfg.segments, segments)),
         target_total_length_m=cfg.planner["target_total_length_m"],
         tolerance_m=cfg.planner["tolerance_m"],
         max_segments=cfg.planner["max_segments"],
     )
     plan = plan_exhaustive(pool, pump, max_plans=cfg.planner["max_plans"],
-                           **_jsa_args(cfg, threads))
+                           **_jsa_args(cfg))
     out.add_csv("plan_spectrum.csv", ["x_nm", "intensity"],
                 _spectrum_rows(plan.predicted_spectrum))
-    lengths = " ".join(_fmt(candidates[i][0].length_m) for i in plan.order)
+    lengths = " ".join(_fmt(segments[i].length_m) for i in plan.order)
     out.add_text("plan.txt", "\n".join([
         f"order: {' '.join(plan.labels)}",
         f"indices: {' '.join(str(i) for i in plan.order)}",
@@ -754,16 +748,14 @@ _HANDLERS = {
 }
 
 
-def run(subcommand: str, config_path, out_dir=None, threads: int = 1) -> int:
+def run(subcommand: str, config_path, out_dir=None) -> int:
     """Execute one subcommand; returns the process exit status."""
     stage = "config"
     try:
         cfg = load_config(config_path)
         stage = subcommand
         out = _OutputSet(Path(out_dir) if out_dir else Path(cfg.output_dir))
-        extra = _HANDLERS[subcommand](cfg, out, threads)
-        # threads is an execution detail, not a result; keeping it out of the
-        # manifest keeps reruns byte-identical across thread counts.
+        extra = _HANDLERS[subcommand](cfg, out)
         manifest = {
             "subcommand": subcommand,
             "config_sha256": cfg.raw_sha256,
@@ -792,12 +784,8 @@ def main(argv=None) -> int:
     parser.add_argument("subcommand", choices=SUBCOMMANDS)
     parser.add_argument("--config", required=True, help="path to the JSON run config")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for grid evaluation; results do not depend on it")
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
-    return run(args.subcommand, args.config, args.out, args.threads)
+    return run(args.subcommand, args.config, args.out)
 
 
 if __name__ == "__main__":

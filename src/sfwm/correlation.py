@@ -138,7 +138,7 @@ class G2Row:
 
 
 def g2_table(configurations, pumps, grid: FrequencyGrid | None = None,
-             ns: int = 512, ni: int = 512, threads: int = 1, **grid_kwargs) -> list[G2Row]:
+             ns: int = 512, ni: int = 512, **grid_kwargs) -> list[G2Row]:
     """g2 / Schmidt number / purity for labelled assemblies at several pumps.
 
     ``configurations`` holds (label, AssemblySpec) pairs; ``pumps`` one
@@ -146,8 +146,7 @@ def g2_table(configurations, pumps, grid: FrequencyGrid | None = None,
     input order.
     """
     return [
-        G2Row.from_jsa(label, build_jsa(assembly, pump, grid=grid, ns=ns, ni=ni,
-                                        threads=threads, **grid_kwargs))
+        G2Row.from_jsa(label, build_jsa(assembly, pump, grid=grid, ns=ns, ni=ni, **grid_kwargs))
         for label, assembly in configurations
         for pump in pumps
     ]

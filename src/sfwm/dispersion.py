@@ -513,14 +513,13 @@ def dispersion_table(segment: FiberSegment, wavelengths_nm, mode_model: str = "h
     wl = np.asarray(wavelengths_nm, dtype=float)
     n_eff = effective_index(segment, wl, mode_model)
     k = n_eff * 2.0 * math.pi / (wl * 1e-9)
-    k1_ = group_slowness(segment, wl, mode_model) * 1e12
-    b2 = gvd(segment, wl, mode_model)
+    series, omega = _KSeries(segment, mode_model), _omega(wl)
     return {
         "wavelength_nm": wl,
         "n_eff": n_eff,
         "k_rad_per_m": k,
-        "k1_ps_per_m": k1_,
-        "beta2_ps2_per_m": b2,
+        "k1_ps_per_m": series(omega, 1) * 1e12,
+        "beta2_ps2_per_m": series(omega, 2) * 1e24,
     }
 
 

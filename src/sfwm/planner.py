@@ -15,8 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 from .correlation import g2_quadrature
-from .dispersion import FiberSegment
-from .phasematch import PhaseMatchPoint, PumpSpec
+from .phasematch import PumpSpec
 from .spectra import AssemblySegment, AssemblySpec, Spectrum1D, build_jsa, marginal
 
 
@@ -26,9 +25,9 @@ class PlanSpaceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SegmentPool:
-    """Candidate segments plus the splice-length constraint."""
+    """Labelled candidate segments plus the splice-length constraint."""
 
-    candidates: tuple[tuple[FiberSegment, PhaseMatchPoint], ...]
+    candidates: tuple[tuple[str, AssemblySegment], ...]
     target_total_length_m: float
     tolerance_m: float | None = None  # default: one shortest-segment length
     max_segments: int | None = None
@@ -47,14 +46,14 @@ class SegmentPool:
     def effective_tolerance_m(self) -> float:
         if self.tolerance_m is not None:
             return self.tolerance_m
-        return min(seg.length_m for seg, _ in self.candidates)
+        return min(seg.length_m for _, seg in self.candidates)
 
     @property
     def effective_max_segments(self) -> int:
         return self.max_segments if self.max_segments is not None else len(self.candidates)
 
     def is_feasible(self, order: tuple[int, ...]) -> bool:
-        total = sum(self.candidates[i][0].length_m for i in order)
+        total = sum(self.candidates[i][1].length_m for i in order)
         return abs(total - self.target_total_length_m) <= self.effective_tolerance_m + 1e-12
 
 
@@ -71,15 +70,6 @@ class SplicePlan:
     def __post_init__(self):
         if len(set(self.order)) != len(self.order):
             raise ValueError("plan indices must be distinct")
-
-
-def _assembly_for(order, pool: SegmentPool) -> AssemblySpec:
-    segs = tuple(
-        AssemblySegment(pool.candidates[i][0].length_m, pool.candidates[i][1],
-                        pool.candidates[i][0])
-        for i in order
-    )
-    return AssemblySpec(segs, "linearized")
 
 
 def evaluate_plan(order, pool: SegmentPool, pump: PumpSpec,
@@ -101,7 +91,8 @@ def evaluate_plan(order, pool: SegmentPool, pump: PumpSpec,
     if len(set(order)) != len(order):
         raise ValueError("plan indices must be distinct")
     order = min(order, order[::-1])
-    jsa = build_jsa(_assembly_for(order, pool), pump, ns=ns, ni=ni, **grid_kwargs)
+    assembly = AssemblySpec(tuple(pool.candidates[i][1] for i in order), "linearized")
+    jsa = build_jsa(assembly, pump, ns=ns, ni=ni, **grid_kwargs)
     return g2_quadrature(jsa), marginal(jsa, "signal")
 
 
@@ -124,8 +115,8 @@ def _plan_from_order(order: tuple[int, ...], pool, pump, memo: dict, **kwargs) -
     g2, spectrum = memo[key]
     return SplicePlan(
         order=order,
-        labels=tuple(pool.candidates[i][0].label for i in order),
-        total_length_m=sum(pool.candidates[i][0].length_m for i in order),
+        labels=tuple(pool.candidates[i][0] for i in order),
+        total_length_m=sum(pool.candidates[i][1].length_m for i in order),
         predicted_g2=g2,
         predicted_spectrum=spectrum,
     )
@@ -169,7 +160,7 @@ def plan_exhaustive(pool: SegmentPool, pump: PumpSpec, max_plans: int = 100_000,
 def _greedy_seed(pool: SegmentPool) -> tuple[int, ...] | None:
     """Smallest-spread feasible window in signal-wavelength order."""
     order_by_ls0 = sorted(range(len(pool.candidates)),
-                          key=lambda i: (pool.candidates[i][1].lambda_s0_nm, i))
+                          key=lambda i: (pool.candidates[i][1].point.lambda_s0_nm, i))
     best_window: tuple[int, ...] | None = None
     best_spread = math.inf
     for size in range(1, pool.effective_max_segments + 1):
@@ -177,7 +168,7 @@ def _greedy_seed(pool: SegmentPool) -> tuple[int, ...] | None:
             window = tuple(order_by_ls0[start:start + size])
             if not pool.is_feasible(window):
                 continue
-            ls0 = [pool.candidates[i][1].lambda_s0_nm for i in window]
+            ls0 = [pool.candidates[i][1].point.lambda_s0_nm for i in window]
             spread = max(ls0) - min(ls0)
             if spread < best_spread - 1e-15:
                 best_spread = spread

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -395,7 +394,7 @@ def _check_resolution(assembly: AssemblySpec, grid: FrequencyGrid) -> None:
 
 def build_jsa(assembly: AssemblySpec, pump: PumpSpec, grid: FrequencyGrid | None = None,
               ns: int = 512, ni: int = 512, lobes: float = DEFAULT_LOBES,
-              pad_sigmas: float = DEFAULT_PAD_SIGMAS, threads: int = 1) -> JsaGrid:
+              pad_sigmas: float = DEFAULT_PAD_SIGMAS) -> JsaGrid:
     """Sample alpha * phi on the grid (auto-sized when not supplied)."""
     if grid is None:
         grid = default_grid(assembly, pump, ns, ni, lobes, pad_sigmas)
@@ -408,19 +407,10 @@ def build_jsa(assembly: AssemblySpec, pump: PumpSpec, grid: FrequencyGrid | None
     step = grid.signal.size
     if assembly.model_mode == "linearized":
         step = max(1, FILL_BLOCK_CELLS // grid.idler.size)
-    blocks = [slice(r, r + step) for r in range(0, grid.signal.size, step)]
-
-    def fill(block: slice) -> None:
-        rows = phi_assembly(assembly, ws[block], wi)
-        rows *= pump_envelope(pump, ws[block], wi)
-        amp[block] = rows
-
-    if threads <= 1:
-        for block in blocks:
-            fill(block)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, blocks))
+    for r in range(0, grid.signal.size, step):
+        rows = phi_assembly(assembly, ws[r:r + step], wi)
+        rows *= pump_envelope(pump, ws[r:r + step], wi)
+        amp[r:r + step] = rows
     return JsaGrid(grid, amp, pump, assembly)
 
 

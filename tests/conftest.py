@@ -74,7 +74,7 @@ def catalog_pool(labels, target_m, tolerance_m=None, max_segments=None,
                  length_m: float = 0.3) -> SegmentPool:
     return SegmentPool(
         candidates=tuple(
-            (catalog_fiber(label, length_m), catalog_point(label)) for label in labels
+            (label, catalog_assembly([(label, length_m)]).segments[0]) for label in labels
         ),
         target_total_length_m=target_m,
         tolerance_m=tolerance_m,

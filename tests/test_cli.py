@@ -131,7 +131,7 @@ def test_jsa_then_marginal_fubini(tmp_path):
 def test_reruns_are_byte_identical(tmp_path):
     path = small_config(tmp_path)
     run("g2", path, out_dir=tmp_path / "a")
-    run("g2", path, out_dir=tmp_path / "b", threads=3)
+    run("g2", path, out_dir=tmp_path / "b")
     files_a = sorted(p.name for p in (tmp_path / "a").iterdir())
     files_b = sorted(p.name for p in (tmp_path / "b").iterdir())
     assert files_a == files_b
@@ -173,6 +173,36 @@ def test_plan_output(tmp_path):
     assert float(fields["total_length_m"]) == 0.6
     assert 1.0 < float(fields["predicted_g2"]) <= 2.0
     assert (tmp_path / "out" / "plan_spectrum.csv").exists()
+
+
+def test_plan_refuses_full_model(tmp_path, capsys):
+    # The planner scores a splice and its mirror image as one, which holds in
+    # the linearized model only.
+    cfg = json.loads((CONFIGS / "splice_plan.json").read_text())
+    cfg["model"] = "full"
+    path = tmp_path / "full.json"
+    path.write_text(json.dumps(cfg))
+    assert run("plan", path, out_dir=tmp_path / "out") == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["stage"] == "plan"
+    assert "model" in record["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_plan_pool_does_not_depend_on_geometry(tmp_path):
+    # Segments given by their phase match alone plan exactly as the same
+    # segments with their structure.
+    cfg = json.loads((CONFIGS / "splice_plan.json").read_text())
+    cfg["grid"] = {"ns": 160, "ni": 160, "lobes": 6.0}
+    bare = copy.deepcopy(cfg)
+    for seg in bare["segments"]:
+        del seg["core_radius_nm"], seg["air_fill"]
+    for name, config in (("geometry", cfg), ("bare", bare)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(config))
+        assert run("plan", tmp_path / f"{name}.json", out_dir=tmp_path / name) == 0
+    for name in ("plan.txt", "plan_spectrum.csv"):
+        assert (tmp_path / "geometry" / name).read_bytes() == \
+            (tmp_path / "bare" / name).read_bytes()
 
 
 def test_dispersion_subcommand(tmp_path):

@@ -54,7 +54,7 @@ def test_mirror_orders_tie_exactly():
         g2_rev, spec_rev = evaluate_plan(order[::-1], pool, PUMP, **FAST)
         assert g2_fwd == g2_rev
         assert np.array_equal(spec_fwd.values, spec_rev.values)
-        labels = [pool.candidates[i][0].label for i in order]
+        labels = [pool.candidates[i][0] for i in order]
         fwd = build_jsa(catalog_assembly([(lab, 0.3) for lab in labels]), PUMP, **FAST)
         rev = build_jsa(catalog_assembly([(lab, 0.3) for lab in labels[::-1]]), PUMP, **FAST)
         assert g2_quadrature(rev) == pytest.approx(g2_quadrature(fwd), rel=1e-13)
@@ -82,7 +82,7 @@ def _brute_force(pool, pump, **kwargs):
                 continue
             for order in itertools.permutations(combo):
                 g2, _ = evaluate_plan(order, pool, pump, **kwargs)
-                total = sum(pool.candidates[i][0].length_m for i in order)
+                total = sum(pool.candidates[i][1].length_m for i in order)
                 key = (-g2, total, order)
                 if best is None or key < best[0]:
                     best = (key, order, g2)
@@ -113,7 +113,8 @@ def test_identical_candidates_collapse_to_uniform_fiber():
     from sfwm.spectra import AssemblySegment, AssemblySpec
 
     pool = SegmentPool(
-        candidates=tuple((catalog_fiber("S2"), catalog_point("S2")) for _ in range(3)),
+        candidates=tuple(("S2", AssemblySegment(0.3, catalog_point("S2"), catalog_fiber("S2")))
+                         for _ in range(3)),
         target_total_length_m=0.6,
         tolerance_m=0.0,
     )
@@ -126,7 +127,7 @@ def test_identical_candidates_collapse_to_uniform_fiber():
     plan = plan_exhaustive(pool, PUMP, ns=256, ni=256, grid=grid)
     assert len(plan.order) == 2
     single = SegmentPool(
-        candidates=((catalog_fiber("S2", 0.6), catalog_point("S2")),),
+        candidates=(("S2", AssemblySegment(0.6, catalog_point("S2"), catalog_fiber("S2", 0.6))),),
         target_total_length_m=0.6, tolerance_m=0.0,
     )
     uniform, _ = evaluate_plan((0,), single, PUMP, ns=256, ni=256, grid=grid)

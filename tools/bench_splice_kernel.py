@@ -2,13 +2,13 @@
 
     python3 tools/bench_splice_kernel.py [--src DIR] [--repeats N]
 
-Times ``build_jsa`` (one thread) and ``g2_quadrature`` on the catalog
-assemblies whose auto-sized grids are 512x512 (S2, 0.3 m), 660x512
-(S1+S2) and 1378x512 (S1+S2+S3+S4), each at 2 and 5 nm pump FWHM, and
-times one ``plan_exhaustive`` call on the six-segment 0.6 m pool of the
-benchmark's seed-1 ``splice_plan`` step (``perfbench/workloads.py``), and
-prints one JSON object: the median over the repeats (ms per call), the
-core count and the OpenBLAS builds and thread counts the process loaded.
+Times ``build_jsa`` and ``g2_quadrature`` on the catalog assemblies whose
+auto-sized grids are 512x512 (S2, 0.3 m), 660x512 (S1+S2) and 1378x512
+(S1+S2+S3+S4), each at 2 and 5 nm pump FWHM, and times one
+``plan_exhaustive`` call on the six-segment 0.6 m pool of the benchmark's
+seed-1 ``splice_plan`` step (``perfbench/workloads.py``), and prints one
+JSON object: the median over the repeats (ms per call), the core count and
+the OpenBLAS builds and thread counts the process loaded.
 ``--src`` times the package under another checkout's ``src/`` the same way.
 """
 
@@ -56,7 +56,7 @@ def _openblas() -> list[dict]:
 
 def _time_plan(repeats: int) -> dict:
     """``plan_exhaustive`` on the seed-1 ``splice_plan`` pool, as ``sfwm plan`` builds it."""
-    from sfwm import FiberSegment, PhaseMatchPoint, PumpSpec, SegmentPool, plan_exhaustive
+    from sfwm import AssemblySegment, PhaseMatchPoint, PumpSpec, SegmentPool, plan_exhaustive
 
     sys.path.insert(0, str(REPO / "perfbench"))
     from workloads import make_config
@@ -69,8 +69,7 @@ def _time_plan(repeats: int) -> dict:
         point = PhaseMatchPoint.from_signal_and_angle(
             pump.center_wavelength_nm, pm["lambda_s0_nm"], pm["tau_s_ps_per_m"],
             pm["theta_rad"], pm["tau_i_sign"])
-        # The CLI's stand-in geometry for a segment given by its phase match.
-        candidates.append((FiberSegment(seg["label"], 948.0, 0.296, seg["length_m"]), point))
+        candidates.append((seg["label"], AssemblySegment(seg["length_m"], point)))
     pool = SegmentPool(tuple(candidates), cfg["planner"]["target_total_length_m"],
                        cfg["planner"]["tolerance_m"])
     times = []
