@@ -55,8 +55,12 @@ class ConfigError(ValueError):
     """Config rejected before any computation; message names the field."""
 
 
+#: How every number is written: 12 significant digits.
+_NUMBER = "%.12g"
+
+
 def _fmt(x: float) -> str:
-    return f"{float(x):.12g}"
+    return _NUMBER % float(x)
 
 
 # ---------------------------------------------------------------------------
@@ -441,10 +445,16 @@ class _OutputSet:
         self.files: dict[str, str] = {}
 
     def add_csv(self, name: str, header: list[str], rows) -> None:
+        """``rows`` holds rows of text, None or numbers, or is a 2-D float
+        array, each of whose rows is formatted in one pass."""
         lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join("" if v is None else (v if isinstance(v, str) else _fmt(v))
-                                  for v in row))
+        if isinstance(rows, np.ndarray):
+            line = ",".join([_NUMBER] * rows.shape[1])
+            lines += [line % tuple(row) for row in rows.tolist()]
+        else:
+            for row in rows:
+                lines.append(",".join("" if v is None else (v if isinstance(v, str) else _fmt(v))
+                                      for v in row))
         self.files[name] = "\n".join(lines) + "\n"
 
     def add_text(self, name: str, text: str) -> None:
@@ -618,9 +628,8 @@ def _cmd_jsa(cfg: RunConfig, out: _OutputSet) -> dict:
         lam_s = jsa.grid.signal_wavelength_nm()[::-1]
         lam_i = jsa.grid.idler_wavelength_nm()[::-1]
         jsi = jsa.intensity()[::-1, ::-1]
-        header = [""] + [_fmt(v) for v in lam_i]
-        rows = [[_fmt(lam_s[i])] + [_fmt(v) for v in jsi[i]] for i in range(lam_s.size)]
-        out.add_csv(f"jsi{sfx}.csv", header, rows)
+        out.add_csv(f"jsi{sfx}.csv", [""] + [_fmt(v) for v in lam_i],
+                    np.column_stack((lam_s, jsi)))
         out.add_json(f"jsi_meta{sfx}.json", {
             "pump": _pump_record(pump),
             "assembly": _assembly_record(name, assembly),

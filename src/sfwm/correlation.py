@@ -58,7 +58,8 @@ def _unit_scaled(x: np.ndarray) -> np.ndarray:
 
 
 def _weighted_amplitude(jsa: JsaGrid) -> np.ndarray:
-    """Trapezoid-weighted amplitude sqrt(w_s) f sqrt(w_i), times a power of two.
+    """Trapezoid-weighted amplitude sqrt(w_s) f sqrt(w_i), times a power of two,
+    for the SVD.
 
     The amplitude and both weight vectors are each brought to a peak in
     [0.5, 1) first, so the product's largest part lies in [2^-4, 1) whatever
@@ -72,33 +73,51 @@ def _weighted_amplitude(jsa: JsaGrid) -> np.ndarray:
     return a
 
 
-#: Real and imaginary parts of the weighted amplitude below this magnitude
-#: are dropped from the Gram product.  The largest part is >= 2^-4, so on a
-#: grid of fewer than 2^40 cells the drop moves sum|a|^2 and the Gram sum by
-#: less than 2^-450 relative: far below one ulp.  It keeps subnormal tails
-#: (a Gaussian pump envelope reaches 5e-324 at the grid corners) out of the
-#: BLAS product, which runs 3-4x slower on them.
-GRAM_TAIL_CUT = 2.0 ** -500
+def _end_corrected_gram(a: np.ndarray) -> np.ndarray:
+    """Upper triangle of the Gram on the smaller side of ``a``, with the two
+    end rows (columns) of the summed axis at half weight: one zherk on the
+    transposed view, which needs no copy, then a rank-2 zherk that takes
+    half of those ends back out, in place."""
+    trans = 0 if a.shape[0] >= a.shape[1] else 2
+    ends = a[[0, -1]] if trans == 0 else a[:, [0, -1]]
+    # a.T is Fortran-ordered: trans=0 gives conj(a^H a), trans=2 conj(a a^H).
+    upper = blas.zherk(1.0, a.T, trans=trans)
+    return blas.zherk(-0.5, ends.T, trans=trans, beta=1.0, c=upper, overwrite_c=1)
+
+
+#: The Gram of the amplitude as it stands is used when its largest diagonal
+#: entry lies in this range: no entry overflows, and the products that
+#: underflow move none by 2^-240 of that peak on a grid of < 2^30 rows.
+#: Outside it (a largest part below ~2^-400 or above ~2^480) the Gram is
+#: formed again from a copy brought to a unit peak by a power of two.
+GRAM_RANGE = (2.0 ** -800, 2.0 ** 1000)
 
 
 def g2_quadrature(jsa: JsaGrid) -> float:
     """g2 by direct double quadrature of the field correlator (Gram matrix).
 
     The Gram matrix is formed on the smaller side of the grid, since a^H a
-    and a a^H have the same Frobenius norm.  One Hermitian rank-k update
-    (zherk) on the transposed view, which needs no copy, fills its upper
-    triangle, and the sum of |G|^2 is taken from that triangle.
+    and a a^H have the same Frobenius norm, straight from the amplitude.
+    The trapezoid weights are h inside and h/2 at the ends, and g2 ignores
+    the common h: the summed axis takes the rank-2 end correction, the
+    Gram's own axis factors 1/2 on the end rows and columns of |G|^2 and on
+    the end entries of its trace.  |G| is first brought to a power-of-two
+    scale from its largest diagonal entry, so those factors are exact.
+    zherk leaves the strict lower triangle at 0, so the sum of |G|^2 is
+    2 sum |U|^2 - sum |diag U|^2 over its upper triangle U.
     """
-    a = _weighted_amplitude(jsa)
-    parts = a.view(float)
-    parts[np.abs(parts) < GRAM_TAIL_CUT] = 0.0
-    # a.T is Fortran-ordered: trans=0 gives conj(a^H a), trans=2 conj(a a^H).
-    upper = blas.zherk(1.0, a.T, trans=0 if a.shape[0] >= a.shape[1] else 2)
-    # zherk leaves the strict lower triangle at 0: sum |G|^2 = 2 sum |U|^2 - sum |diag U|^2.
-    diag = upper.diagonal()
-    num = 2.0 * float(np.sum(np.abs(upper) ** 2)) - float(np.sum(np.abs(diag) ** 2))
-    den = float(np.sum(np.abs(a) ** 2)) ** 2
-    return 1.0 + num / den
+    upper = _end_corrected_gram(jsa.amplitude)
+    if not GRAM_RANGE[0] <= float(upper.diagonal().real.max()) <= GRAM_RANGE[1]:
+        upper = _end_corrected_gram(_unit_scaled(jsa.amplitude))
+    mag = np.abs(upper)
+    mag *= 2.0 ** -math.frexp(float(mag.diagonal().max()))[1]
+    diag = mag.diagonal().copy()
+    diag[[0, -1]] *= 0.5
+    np.square(mag, out=mag)
+    mag[[0, -1]] *= 0.5
+    mag[:, [0, -1]] *= 0.5
+    num = 2.0 * float(mag.sum()) - float(mag.trace())
+    return 1.0 + num / float(diag.sum()) ** 2
 
 
 def schmidt_decompose(jsa: JsaGrid) -> SchmidtResult:

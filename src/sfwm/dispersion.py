@@ -288,9 +288,9 @@ def _solve_neff(core_radius_nm: float, air_fill: float, wavelength_nm,
     """Effective index of the fundamental mode, elementwise over wavelength_nm.
 
     Each wavelength is bracketed by the first sign change of the residual on
-    129 points of u (2049 from near zero for the misses), then all brackets
-    are polished in one vectorized Chandrupatla solve.  Every element depends
-    on its own wavelength only, so a batch gives the same bits as scalar calls.
+    129 points of u, then all brackets are polished in one vectorized
+    Chandrupatla solve.  Every element depends on its own wavelength only,
+    so a batch gives the same bits as scalar calls.
     """
     wl_in = np.asarray(wavelength_nm, dtype=float)
     wl = wl_in.ravel()
@@ -311,10 +311,6 @@ def _solve_neff(core_radius_nm: float, air_fill: float, wavelength_nm,
 
     u_lo, u_hi = _first_brackets(fun, args, 1e-3, hi, 129)
     miss = np.isnan(u_lo)
-    if miss.any():
-        u_lo[miss], u_hi[miss] = _first_brackets(
-            fun, tuple(x[miss] for x in args), 1e-6, hi[miss], 2049)
-        miss = np.isnan(u_lo)
     if miss.any():
         i = np.flatnonzero(miss)[0]
         raise ModeCutoffError(

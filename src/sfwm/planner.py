@@ -144,8 +144,9 @@ def plan_exhaustive(pool: SegmentPool, pump: PumpSpec, max_plans: int = 100_000,
     count = sum(math.factorial(len(subset)) for subset in subsets)
     if count > max_plans:
         raise PlanSpaceError(
-            f"{count} feasible ordered subsets exceed the cap {max_plans}; "
-            "use plan_greedy for pools of this size"
+            f"{count} feasible ordered subsets exceed the cap {max_plans} "
+            "(planner.max_plans); lower planner.max_segments or planner.tolerance_m "
+            "to shrink the search"
         )
     best: SplicePlan | None = None
     for subset in subsets:

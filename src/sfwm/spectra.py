@@ -206,10 +206,19 @@ class FilterSpec:
         return gaussian_sigma_omega(self.center_nm, self.fwhm_nm)
 
 
+#: The pump envelope reads 0 below this value.  |phi| <= L, so on any fiber
+#: shorter than 2^22 m such a cell has |f|^2 < 2^-1076, which rounds to 0
+#: anyway.  The flush keeps the envelope's subnormal tail (5e-324 at a 2 nm
+#: pump's grid corners) out of the Gram's zherk, which runs 3-4x slower on it.
+ENVELOPE_FLOOR = 2.0 ** -560
+
+
 def pump_envelope(pump: PumpSpec, omega_s, omega_i):
-    """Gaussian pump envelope exp(-(w_s + w_i - 2 w_pc)^2 / (4 sigma_p^2))."""
+    """Gaussian pump envelope exp(-(w_s + w_i - 2 w_pc)^2 / (4 sigma_p^2)),
+    flushed to 0 below ENVELOPE_FLOOR."""
     det = np.asarray(omega_s) + np.asarray(omega_i) - 2.0 * pump.omega_pc
-    return np.exp(-(det**2) / (4.0 * pump.sigma_omega**2))
+    env = np.exp(-(det**2) / (4.0 * pump.sigma_omega**2))
+    return np.where(env < ENVELOPE_FLOOR, 0.0, env)[()]
 
 
 def delta_k(point: PhaseMatchPoint, omega_s, omega_i):

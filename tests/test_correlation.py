@@ -107,31 +107,70 @@ def _transposed(jsa):
     return JsaGrid(grid, jsa.amplitude.T, jsa.pump, jsa.assembly)
 
 
-def test_gram_matches_svd_on_tall_wide_and_square_grids(pump_2nm):
+@pytest.fixture(scope="module")
+def tall_and_square(pump_2nm):
     tall = build_jsa(catalog_assembly([("S1", 0.3), ("S2", 0.3), ("S3", 0.3), ("S4", 0.3)]),
                      pump_2nm)
     square = build_jsa(catalog_assembly([("S2", 0.3)]), pump_2nm)
     assert tall.amplitude.shape == (1378, 512)
     assert square.amplitude.shape == (512, 512)
+    return tall, square
+
+
+def test_gram_matches_svd_on_tall_wide_and_square_grids(tall_and_square):
+    tall, square = tall_and_square
     for jsa in (tall, _transposed(tall), square):
         assert g2_quadrature(jsa) == pytest.approx(schmidt_decompose(jsa).g2, rel=1e-12)
 
 
-def test_gram_cut_and_side_keep_every_bit(pump_2nm):
-    # The formula before the rescale, the tail cut and the smaller-side Gram.
-    def full_side_uncut(jsa):
-        w_s, w_i = jsa.grid.trapezoid_weights()
-        a = jsa.amplitude * np.sqrt(w_s)[:, None] * np.sqrt(w_i)[None, :]
-        gram = a @ a.conj().T
-        num = float(np.sum(np.abs(gram) ** 2))
-        den = float(np.sum(np.abs(a) ** 2)) ** 2
-        return 1.0 + num / den
+def full_side_uncut(jsa):
+    """The quadrature formula with the trapezoid weights in a weighted copy and
+    the Gram on the signal side, whatever its size."""
+    w_s, w_i = jsa.grid.trapezoid_weights()
+    a = jsa.amplitude * np.sqrt(w_s)[:, None] * np.sqrt(w_i)[None, :]
+    gram = a @ a.conj().T
+    num = float(np.sum(np.abs(gram) ** 2))
+    den = float(np.sum(np.abs(a) ** 2)) ** 2
+    return 1.0 + num / den
 
-    jsa = build_jsa(catalog_assembly([("S1", 0.3), ("S2", 0.3), ("S3", 0.3), ("S4", 0.3)]),
-                    pump_2nm)
-    parts = np.abs(jsa.amplitude.view(float))
-    assert np.any((parts > 0) & (parts < np.finfo(float).tiny))  # a subnormal tail
-    assert g2_quadrature(jsa) == full_side_uncut(jsa)
+
+def test_gram_matches_weighted_copy_formula(tall_and_square):
+    # The end correction, the edge factors and the smaller side reorder the
+    # rounding only: a few ulp of g2 at most (1.6e-16 seen on the tall grid).
+    tall, square = tall_and_square
+    for jsa in (tall, _transposed(tall), square):
+        assert g2_quadrature(jsa) == pytest.approx(full_side_uncut(jsa), rel=1e-15, abs=0)
+
+
+def test_gram_is_one_zherk_and_a_rank_2_update(tall_and_square, monkeypatch):
+    from sfwm import correlation
+
+    zherk, shapes = correlation.blas.zherk, []
+
+    def counted(alpha, a, **kwargs):
+        shapes.append(a.shape)
+        return zherk(alpha, a, **kwargs)
+
+    monkeypatch.setattr(correlation.blas, "zherk", counted)
+    tall, square = tall_and_square
+    for jsa in (tall, _transposed(tall), square):
+        shapes.clear()
+        g2_quadrature(jsa)
+        # The whole amplitude once, then the two end rows (columns) of the
+        # larger axis: a rank-2 update of the 512x512 Gram.
+        assert len(shapes) == 2 and shapes[0] == jsa.amplitude.T.shape
+        assert sorted(shapes[1]) == [2, 512]
+
+
+def test_gram_rescales_amplitudes_outside_its_range():
+    jsa = gaussian_jsa(sigma_plus=0.4)
+    g2 = g2_quadrature(jsa)
+    # The Gram of these would overflow or underflow where it stands.
+    for factor in (2.0**600, 2.0**-600, 1e300, 1e-300):
+        scaled = JsaGrid(jsa.grid, jsa.amplitude * factor, jsa.pump, jsa.assembly)
+        peak = float(np.max(np.abs(scaled.amplitude)))
+        assert not 2.0**-400 < peak < 2.0**480, factor
+        assert g2_quadrature(scaled) == pytest.approx(g2, rel=1e-15, abs=0), factor
 
 
 def test_zero_amplitude_rejected():

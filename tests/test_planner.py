@@ -164,7 +164,10 @@ def test_greedy_single_candidate():
 
 def test_plan_space_cap():
     pool = catalog_pool(["S1", "S2", "S3", "S4"], target_m=0.6, tolerance_m=0.0)
-    with pytest.raises(PlanSpaceError, match="^12 feasible ordered subsets .* plan_greedy"):
+    # The message names the config fields a CLI user can change.
+    with pytest.raises(PlanSpaceError, match=r"^12 feasible ordered subsets exceed the cap 3 "
+                       r"\(planner\.max_plans\); lower planner\.max_segments or "
+                       r"planner\.tolerance_m"):
         plan_exhaustive(pool, PUMP, max_plans=3, **FAST)
 
 

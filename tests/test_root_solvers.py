@@ -34,19 +34,16 @@ def _assert_matches_find_root(fun, a, b, args, maxiter=2046):  # find_root's def
 
 def _solver_brackets(monkeypatch, mode_model, second_pass, seed):
     """Every bracket _solve_neff polishes for a seeded random fiber: its
-    series nodes and a random batch; second_pass builds each bracket on the
-    2049 rows from 1e-6 that a miss of the 129-row pass falls back to."""
+    series nodes and a random batch; second_pass marches the same columns
+    again, on 2049 rows from 1e-6, for finer brackets nearer u = 0."""
     recorded = []
-    port, march = disp._chandrupatla, disp._first_brackets
+    port = disp._chandrupatla
 
     def record(fun, a, b, args):
         recorded.append((fun, a.copy(), b.copy(), tuple(x.copy() for x in args)))
         return port(fun, a, b, args)
 
     monkeypatch.setattr(disp, "_chandrupatla", record)
-    if second_pass:
-        monkeypatch.setattr(disp, "_first_brackets",
-                            lambda fun, args, start, stop, num: march(fun, args, 1e-6, stop, 2049))
     rng = np.random.default_rng(seed)
     r_nm, fill = rng.uniform(300.0, 1300.0), rng.uniform(0.1, 0.6)
     seg = FiberSegment("rand", r_nm, fill, 1.0)
@@ -56,6 +53,12 @@ def _solver_brackets(monkeypatch, mode_model, second_pass, seed):
         pass  # an unresolved series still polished its nodes
     disp._solve_neff(r_nm, fill, rng.uniform(400.0, 1900.0, 97), mode_model)
     monkeypatch.undo()
+    if second_pass:
+        # The scan top of _solve_neff: below V and the first Bessel zero.
+        zero = disp._J1_FIRST_ZERO if mode_model == "he11" else disp._J0_FIRST_ZERO
+        recorded = [(fun, *disp._first_brackets(fun, args, 1e-6,
+                                                np.minimum(args[0], zero) * (1.0 - 1e-12), 2049),
+                     args) for fun, _, _, args in recorded]
     return recorded
 
 

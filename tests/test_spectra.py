@@ -1,6 +1,7 @@
 """Pump envelope, phase-matching functions, JSA grids, marginals, filter scans."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,8 +23,9 @@ from sfwm import (
     phi_signal,
     pump_envelope,
 )
+from sfwm import cli, spectra
 from sfwm.dispersion import TWO_PI_C
-from sfwm.spectra import GridResolutionError
+from sfwm.spectra import ENVELOPE_FLOOR, GridResolutionError
 
 from conftest import PUMP_NM, catalog_assembly, catalog_point
 
@@ -57,6 +59,51 @@ def test_envelope_symmetric_in_arguments(pump_2nm):
     a = pump_envelope(pump_2nm, 1.76e15, 2.18e15)
     b = pump_envelope(pump_2nm, 2.18e15, 1.76e15)
     assert a == b
+
+
+def test_envelope_flush_accepts_scalars_and_arrays(pump_2nm):
+    w = pump_2nm.omega_pc
+    far = 45.0 * pump_2nm.sigma_omega  # exp(-506): below the floor, not 0
+    assert 0.0 < math.exp(-(far / pump_2nm.sigma_omega) ** 2 / 4.0) < ENVELOPE_FLOOR
+    val = pump_envelope(pump_2nm, w + far, w)
+    assert np.ndim(val) == 0 and val == 0.0
+    row = pump_envelope(pump_2nm, w + np.array([0.0, far]), w)
+    assert row.tolist() == [1.0, 0.0]
+
+
+def _unflushed_envelope(pump, omega_s, omega_i):
+    det = np.asarray(omega_s) + np.asarray(omega_i) - 2.0 * pump.omega_pc
+    return np.exp(-(det**2) / (4.0 * pump.sigma_omega**2))
+
+
+def _flush_test_jsas(pump_2nm):
+    """The 2 nm pump on the four-segment 1378x512 grid, and every JSA of the
+    bundled configs/jsi_grids.json."""
+    yield build_jsa(catalog_assembly([("S1", 0.3), ("S2", 0.3), ("S3", 0.3), ("S4", 0.3)]),
+                    pump_2nm)
+    cfg = cli.load_config(Path(__file__).resolve().parents[1] / "configs" / "jsi_grids.json")
+    for _, assembly in cli._named_assemblies(cfg, cfg.pump):
+        yield build_jsa(assembly, cfg.pump, **cli._jsa_args(cfg))
+
+
+def test_envelope_flush_keeps_every_intensity_bit(pump_2nm, monkeypatch):
+    flushed_any = False
+    for jsa in _flush_test_jsas(pump_2nm):
+        with monkeypatch.context() as m:
+            m.setattr(spectra, "pump_envelope", _unflushed_envelope)
+            raw = build_jsa(jsa.assembly, jsa.pump, grid=jsa.grid)
+        assert np.array_equal(jsa.intensity(), raw.intensity())
+        flushed = (jsa.amplitude == 0) & (raw.amplitude != 0)
+        assert np.array_equal(jsa.amplitude[~flushed], raw.amplitude[~flushed])
+        flushed_any |= bool(flushed.any())
+    assert flushed_any  # the 2 nm grid's subnormal corners are gone
+
+
+def test_jsa_amplitude_has_no_subnormal_parts(pump_2nm):
+    # A subnormal tail slows the Gram's zherk 3-4x; the envelope flush keeps it out.
+    for jsa in _flush_test_jsas(pump_2nm):
+        parts = np.abs(jsa.amplitude.view(float))
+        assert not np.any((parts > 0) & (parts < np.finfo(float).tiny))
 
 
 # ---------------------------------------------------------------------------
