@@ -20,8 +20,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas
 
+from ._scipy import extension
 from .spectra import FrequencyGrid, JsaGrid, ZeroJsaError, build_jsa
 
 
@@ -77,7 +77,12 @@ def _end_corrected_gram(a: np.ndarray) -> np.ndarray:
     """Upper triangle of the Gram on the smaller side of ``a``, with the two
     end rows (columns) of the summed axis at half weight: one zherk on the
     transposed view, which needs no copy, then a rank-2 zherk that takes
-    half of those ends back out, in place."""
+    half of those ends back out, in place.
+
+    scipy's BLAS loads here, on first use, not at import: loading it starts
+    its OpenBLAS thread pool, whose ~0.1 s spin a subcommand without a Gram
+    would otherwise pay."""
+    blas = extension("linalg", "_fblas", "scipy.linalg.blas")
     trans = 0 if a.shape[0] >= a.shape[1] else 2
     ends = a[[0, -1]] if trans == 0 else a[:, [0, -1]]
     # a.T is Fortran-ordered: trans=0 gives conj(a^H a), trans=2 conj(a a^H).

@@ -25,7 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import Chebyshev
-from scipy.special import j0, j1, k0, k1
+
+from ._scipy import extension
+
+# The public scipy.special objects, without its ~0.35 s package import.
+_bessel = extension("special", "_special_ufuncs", "scipy.special")
+j0, j1, k0, k1 = _bessel.j0, _bessel.j1, _bessel.k0, _bessel.k1
 
 #: Speed of light in vacuum, m/s (exact by SI definition).
 C_LIGHT = 299_792_458.0
@@ -98,25 +103,6 @@ class FiberSegment:
             raise ValueError(f"air_fill must be in (0, 1), got {self.air_fill}")
         if self.length_m <= 0:
             raise ValueError(f"length_m must be > 0, got {self.length_m}")
-
-
-@dataclass(frozen=True)
-class DispersionCurve:
-    """Tabulated propagation constant k(lambda), either modelled or measured."""
-
-    wavelength_nm: tuple[float, ...]
-    k_rad_per_m: tuple[float, ...]
-    provenance: str
-
-    def __post_init__(self):
-        wl = np.asarray(self.wavelength_nm, dtype=float)
-        kk = np.asarray(self.k_rad_per_m, dtype=float)
-        if wl.size != kk.size:
-            raise ValueError("wavelength and k arrays must have the same length")
-        if wl.size < 2 or np.any(np.diff(wl) <= 0):
-            raise ValueError("wavelength samples must be strictly ascending")
-        if np.any(kk <= 0):
-            raise ValueError("k samples must be strictly positive")
 
 
 @dataclass(frozen=True)
@@ -494,14 +480,6 @@ def fit_structure(samples: list[GvdSample], initial_guess: tuple[float, float],
             best_params=(float(res.x[0]), float(res.x[1])), best_residual=final,
         )
     return StructureFit(float(res.x[0]), float(res.x[1]), final)
-
-
-def model_curve(segment: FiberSegment, wavelengths_nm, mode_model: str = "he11") -> DispersionCurve:
-    """DispersionCurve sampled from the mode solver."""
-    wl = np.asarray(wavelengths_nm, dtype=float)
-    ks = propagation_constant(segment, wl, mode_model)
-    return DispersionCurve(tuple(wl.tolist()), tuple(ks.tolist()),
-                           provenance=f"model({segment.label})")
 
 
 def dispersion_table(segment: FiberSegment, wavelengths_nm, mode_model: str = "he11") -> dict:

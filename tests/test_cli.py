@@ -269,20 +269,37 @@ def test_gvm_curve_runs_one_sweep_and_its_files_agree(tmp_path, monkeypatch):
 
 # Imports sfwm.cli, runs each (subcommand, config, out) of argv[1] in turn and
 # prints the steps after which scipy.optimize was loaded.
+# Packages whose __init__ no CLI call but fit runs: scipy.optimize, and the
+# scipy.linalg and scipy.special that pull in scipy._lib._util (numpy.f2py,
+# numpy.testing).  The CLI loads its compiled kernels without them.
+_HEAVY_MODULES = ("scipy.optimize", "scipy.linalg", "scipy.special", "scipy._lib._util")
+
+# Per step: the heavy modules loaded so far and the number of OpenBLAS
+# libraries mapped (None off Linux).
 _OPTIMIZE_PROBE = """
 import json, sys
 import sfwm.cli
-loaded = ["import"] if "scipy.optimize" in sys.modules else []
-for subcommand, config, out in json.loads(sys.argv[1]):
+steps, heavy = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+
+def state():
+    try:
+        with open("/proc/self/maps") as fh:
+            blas = len({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        blas = None
+    return [name for name in heavy if name in sys.modules], blas
+
+loaded = {"import": state()}
+for subcommand, config, out in steps:
     assert sfwm.cli.run(subcommand, config, out) == 0, subcommand
-    if "scipy.optimize" in sys.modules:
-        loaded.append(subcommand)
+    loaded[subcommand] = state()
 print(json.dumps(loaded))
 """
 
 
 def test_benchmark_subcommands_never_import_scipy_optimize(tmp_path):
-    # Only fit uses scipy.optimize; the root solvers are in-house.  A fresh
+    # Only fit uses scipy.optimize; the root solvers are in-house, and the
+    # Bessel functions and zherk load without their packages.  A fresh
     # interpreter imports sfwm from this checkout's src/, as criterion 11 does.
     dispersion = tmp_path / "dispersion.json"
     dispersion.write_text(json.dumps({
@@ -302,18 +319,39 @@ def test_benchmark_subcommands_never_import_scipy_optimize(tmp_path):
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps({**json.loads(g2.read_text()), "planner": {
         "target_total_length_m": 0.6, "tolerance_m": 0.0}}))
+    fit = tmp_path / "fit.json"
+    fit.write_text(json.dumps({"fit": {
+        "gvd_csv": str(CONFIGS / "gvd_samples.csv"),
+        "initial_core_radius_nm": 940.0, "initial_air_fill": 0.28}}))
+    # fit runs last: the full scipy.optimize import must take the compiled
+    # modules that the earlier calls already registered.
     steps = [("dispersion", str(dispersion)), ("gvm-curve", str(gvm)),
-             ("g2-table", str(g2)), ("plan", str(plan))]
+             ("g2-table", str(g2)), ("plan", str(plan)), ("fit", str(fit))]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (str(REPO / "src"), os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
         [sys.executable, "-c", _OPTIMIZE_PROBE,
-         json.dumps([(sub, cfg, str(tmp_path / sub)) for sub, cfg in steps])],
+         json.dumps([(sub, cfg, str(tmp_path / sub)) for sub, cfg in steps]),
+         json.dumps(_HEAVY_MODULES)],
         capture_output=True, text=True, env=env, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == []
+    loaded = json.loads(proc.stdout)
+    assert loaded.pop("fit")[0][0] == "scipy.optimize"
+    assert all(modules == [] for modules, _ in loaded.values()), loaded
+    # scipy's own OpenBLAS (and its thread pool) waits for the first Gram.
+    blas = {step: count for step, (_, count) in loaded.items()}
+    assert blas["dispersion"] == blas["gvm-curve"] == blas["import"], blas
     _, roots = read_csv(tmp_path / "gvm-curve" / "agvm_roots.csv")
     assert len(roots) == 2 and all(pump_nm for _, pump_nm in roots)  # both polished
+    fresh = tmp_path / "fit_fresh"
+    proc = subprocess.run(
+        [sys.executable, "-m", "sfwm.cli", "fit", "--config", str(fit), "--out", str(fresh)],
+        capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in fresh.iterdir()) == sorted(
+        p.name for p in (tmp_path / "fit").iterdir())
+    for path in fresh.iterdir():
+        assert path.read_bytes() == (tmp_path / "fit" / path.name).read_bytes(), path.name
 
 
 def test_missing_required_block(tmp_path, capsys):

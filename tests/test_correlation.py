@@ -143,15 +143,16 @@ def test_gram_matches_weighted_copy_formula(tall_and_square):
 
 
 def test_gram_is_one_zherk_and_a_rank_2_update(tall_and_square, monkeypatch):
-    from sfwm import correlation
+    from sfwm._scipy import extension
 
-    zherk, shapes = correlation.blas.zherk, []
+    blas = extension("linalg", "_fblas", "scipy.linalg.blas")
+    zherk, shapes = blas.zherk, []
 
     def counted(alpha, a, **kwargs):
         shapes.append(a.shape)
         return zherk(alpha, a, **kwargs)
 
-    monkeypatch.setattr(correlation.blas, "zherk", counted)
+    monkeypatch.setattr(blas, "zherk", counted)
     tall, square = tall_and_square
     for jsa in (tall, _transposed(tall), square):
         shapes.clear()

@@ -448,17 +448,3 @@ def test_segment_validation():
         FiberSegment("x", 900.0, 1.2, 1.0)
     with pytest.raises(ValueError):
         FiberSegment("x", 900.0, 0.3, 0.0)
-
-
-def test_model_curve_and_validation():
-    from sfwm.dispersion import DispersionCurve, model_curve
-
-    curve = model_curve(catalog_fiber("S2"), [1000.0, 1070.0, 1200.0])
-    assert curve.provenance == "model(S2)"
-    assert all(b < a for a, b in zip(curve.k_rad_per_m, curve.k_rad_per_m[1:]))
-    with pytest.raises(ValueError, match="ascending"):
-        DispersionCurve((1000.0, 990.0), (1e7, 1e7), "measured")
-    with pytest.raises(ValueError, match="positive"):
-        DispersionCurve((1000.0, 1010.0), (1e7, -1.0), "measured")
-    with pytest.raises(ValueError, match="length"):
-        DispersionCurve((1000.0, 1010.0), (1e7,), "measured")

@@ -5,10 +5,11 @@
 Starts 2N fresh interpreters (``python3 -I``), alternating the package under
 ``--src`` (the baseline, e.g. a parent checkout's ``src/``) and the one in
 this checkout's ``src/``.  Each imports ``sfwm.cli`` and reports the wall
-time of that import, the number of loaded modules, ``ru_maxrss`` after it
-and whether ``scipy.optimize`` was loaded.  Prints one JSON object: per side
-the median and quartiles of the import time and the medians of the rest,
-with the core count and the Python, numpy and scipy versions.
+time of that import, the number of loaded modules, ``ru_maxrss`` after it,
+which of the heavy SciPy packages were loaded and how many OpenBLAS
+libraries were mapped.  Prints one JSON object: per side the median and
+quartiles of the import time and the medians of the rest, with the core
+count and the Python, numpy and scipy versions.
 """
 
 from __future__ import annotations
@@ -32,17 +33,25 @@ import sfwm.cli
 import_s = time.perf_counter() - t0
 modules = len(sys.modules)
 import json, resource
+loaded = {name: name in sys.modules for name in json.loads(sys.argv[2])}
+with open("/proc/self/maps") as fh:
+    openblas = len({line.split()[-1] for line in fh if "openblas" in line.lower()})
 print(json.dumps({
     "import_s": import_s, "modules": modules,
     "maxrss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-    "scipy_optimize": "scipy.optimize" in sys.modules,
+    "loaded": loaded, "openblas_libs": openblas,
     "numpy": sys.modules["numpy"].__version__, "scipy": sys.modules["scipy"].__version__,
 }))
 """
 
+#: Packages whose import the CLI avoids: scipy.optimize (only fit needs it),
+#: and scipy.linalg and scipy.special, whose __init__ loads scipy._lib._util
+#: and with it numpy.f2py and numpy.testing.
+HEAVY = ("scipy.optimize", "scipy.linalg", "scipy.special", "scipy._lib._util")
+
 
 def _probe(src: Path) -> dict:
-    out = subprocess.run([sys.executable, "-I", "-c", _PROBE, str(src)],
+    out = subprocess.run([sys.executable, "-I", "-c", _PROBE, str(src), json.dumps(HEAVY)],
                          capture_output=True, text=True, check=True).stdout
     return json.loads(out)
 
@@ -67,7 +76,8 @@ def _summary(src: Path, samples: list[dict]) -> dict:
         "import_s": {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)},
         "modules": statistics.median_low(s["modules"] for s in samples),
         "maxrss_mib": round(statistics.median(s["maxrss_mib"] for s in samples), 1),
-        "scipy_optimize_loaded": any(s["scipy_optimize"] for s in samples),
+        "loaded": {name: any(s["loaded"][name] for s in samples) for name in HEAVY},
+        "openblas_libs": statistics.median_low(s["openblas_libs"] for s in samples),
     }
 
 
