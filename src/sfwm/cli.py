@@ -26,12 +26,13 @@ from .correlation import G2Row, g2_table
 from .dispersion import (
     TWO_PI_C,
     FiberSegment,
-    dispersion_table,
-    find_zdw,
+    _dispersion_table,
+    _find_zdw,
+    _KSeries,
     fit_structure,
     read_gvd_csv,
 )
-from .phasematch import PhaseMatchPoint, PumpSpec, agvm_roots, gvm_curve, solve_phase_match
+from .phasematch import PhaseMatchPoint, PumpSpec, _agvm_roots, _gvm_curve, solve_phase_match
 from .planner import SegmentPool, plan_exhaustive
 from .spectra import (
     DEFAULT_LOBES,
@@ -540,14 +541,15 @@ def _cmd_dispersion(cfg: RunConfig, out: _OutputSet) -> dict:
     zdw_rows = []
     for label, entry in cfg.segments.items():
         fiber = entry.fiber()
-        table = dispersion_table(fiber, wl)
+        series = _KSeries(fiber, "he11")  # one k(omega) series per fiber per call
+        table = _dispersion_table(series, fiber, wl, "he11")
         out.add_csv(
             f"dispersion_{label}.csv",
             ["wavelength_nm", "n_eff", "k_rad_per_m", "k1_ps_per_m", "beta2_ps2_per_m"],
             zip(table["wavelength_nm"], table["n_eff"], table["k_rad_per_m"],
                 table["k1_ps_per_m"], table["beta2_ps2_per_m"]),
         )
-        for z in find_zdw(fiber, cfg.dispersion["zdw_search_nm"]):
+        for z in _find_zdw(series, cfg.dispersion["zdw_search_nm"]):
             zdw_rows.append((label, z))
     out.add_csv("zdw.csv", ["label", "zdw_nm"], zdw_rows)
     return {}
@@ -593,7 +595,9 @@ def _cmd_gvm_curve(cfg: RunConfig, out: _OutputSet) -> dict:
     if label is None or label not in cfg.segments:
         raise ConfigError("sweep.segment_label missing or unknown")
     fiber = cfg.segments[label].fiber()
-    curve = gvm_curve(fiber, cfg.sweep["pump_range_nm"], cfg.sweep["n_points"])
+    series = _KSeries(fiber, "he11")  # shared by the sweep and the root polish
+    curve = _gvm_curve(series, fiber, cfg.sweep["pump_range_nm"], cfg.sweep["n_points"],
+                       fwhm_nm=1.0)
     rows = []
     for sample in curve:
         if sample.point is None:
@@ -608,7 +612,7 @@ def _cmd_gvm_curve(cfg: RunConfig, out: _OutputSet) -> dict:
          "tau_i_ps_per_m", "theta_rad"],
         rows,
     )
-    roots = agvm_roots(fiber, curve)
+    roots = _agvm_roots(series, fiber, curve)
     out.add_csv("agvm_roots.csv", ["condition", "pump_nm"],
                 [("tau_i_zero", roots.pump_for_tau_i_zero),
                  ("tau_s_zero", roots.pump_for_tau_s_zero)])

@@ -356,6 +356,17 @@ def _lobatto_neff(lam_max_nm: float, core_radius_nm: float, air_fill: float, mod
     return _solve_neff(core_radius_nm, air_fill, np.clip(wl, lo, lam_max_nm), mode_model)
 
 
+def _clenshaw(c, x):
+    """sum_j c[j] T_j(x) by Clenshaw's recurrence (Math. Tables Aids Comput.
+    9:118, 1955), one operation at a time as numpy's chebval runs it, so a
+    Python float and an ndarray x give the same bits; needs len(c) >= 2."""
+    x2 = 2 * x
+    c0, c1 = c[-2], c[-1]
+    for cj in c[-3::-1]:
+        c0, c1 = cj - c1, c0 + c1 * x2
+    return c0 + c1 * x
+
+
 class _KSeries:
     """k(omega) = n_eff(omega) omega / c of one fiber as a Chebyshev series in
     omega; called with omega (rad/s) and a derivative order (0, 1 or 2), it
@@ -363,7 +374,9 @@ class _KSeries:
 
     The domain depends on the fiber only: the whole window when the solver
     finds the mode at 2000 nm, else 300 nm up to the guided-mode limit.
-    Evaluation is elementwise, so a batch gives the same bits as scalar calls.
+    Evaluation is _clenshaw on Python floats for a scalar and on ndarrays for
+    an array: the same IEEE operations, so a batch gives the same bits as
+    scalar calls, and both the bits of numpy's Chebyshev.__call__.
     """
 
     def __init__(self, segment: FiberSegment, mode_model: str):
@@ -378,7 +391,7 @@ class _KSeries:
         if n_eff is None:
             self._domain = (math.nan, math.nan)  # refuses every request
             return
-        self._domain = (_omega(self.lam_max_nm), _omega(WAVELENGTH_WINDOW_NM[0]))
+        self._domain = (float(_omega(self.lam_max_nm)), float(_omega(WAVELENGTH_WINDOW_NM[0])))
         # Interpolation coefficients from the node values (a DCT-I).
         j = np.arange(SERIES_DEGREE + 1)
         half = np.where((j == 0) | (j == SERIES_DEGREE), 0.5, 1.0)
@@ -390,11 +403,17 @@ class _KSeries:
                                   f"{_TAIL_TERMS} Chebyshev coefficients reach {tail:.1e} of"
                                   f" the largest (limit {SERIES_TAIL_TOL:.0e})", float(tail))
         k = Chebyshev(coef, self._domain) * Chebyshev.identity(self._domain) / C_LIGHT
-        self._derivs = (k, k.deriv(), k.deriv(2))
+        # Per order, the map of omega onto [-1, 1] and the coefficients.
+        self._terms = tuple((*map(float, d.mapparms()), tuple(d.coef.tolist()))
+                            for d in (k, k.deriv(), k.deriv(2)))
 
     def __call__(self, omega, order: int = 0):
+        lo, hi = self._domain
+        if isinstance(omega, float) and lo <= omega <= hi:
+            off, scl, c = self._terms[order]
+            return _clenshaw(c, off + scl * float(omega))
         omega = np.asarray(omega, dtype=float)
-        out = ~((omega >= self._domain[0]) & (omega <= self._domain[1]))
+        out = ~((omega >= lo) & (omega <= hi))
         if out.any():
             lam = np.round(TWO_PI_C / omega[out] * 1e9, 9)  # the request, to 1e-9 nm
             silica_refractive_index(lam)  # DispersionDomainError outside the window
@@ -402,7 +421,8 @@ class _KSeries:
                      else f"guided up to {self.lam_max_nm:.2f} nm")
             raise ModeCutoffError(f"no guided fundamental mode for {self._fiber}, "
                                   f"lambda={float(lam[0])} nm ({limit})")
-        return self._derivs[order](omega)
+        off, scl, c = self._terms[order]
+        return _clenshaw(c, off + scl * omega)
 
 
 def group_slowness(segment: FiberSegment, wavelength_nm, mode_model: str = "he11"):
@@ -419,10 +439,14 @@ def find_zdw(segment: FiberSegment, search_range_nm: tuple[float, float] = (900.
              mode_model: str = "he11") -> list[float]:
     """All zero-dispersion wavelengths in the range, ascending: the real roots
     of the beta2 series, from its colleague matrix."""
+    return _find_zdw(_KSeries(segment, mode_model), search_range_nm)
+
+
+def _find_zdw(series: _KSeries, search_range_nm: tuple[float, float]) -> list[float]:
+    """find_zdw on the segment's k(omega) series."""
     lo, hi = min(search_range_nm), max(search_range_nm)
-    series = _KSeries(segment, mode_model)
     series(_omega((lo, hi)))  # the range must be guided
-    roots = series._derivs[2].roots()
+    roots = Chebyshev(series._terms[2][2], series._domain).roots()  # the beta2 series'
     omega = roots.real[(roots.imag == 0) & (roots.real > 0)]
     lam = np.sort(TWO_PI_C / omega * 1e9)
     return [float(x) for x in lam[(lam >= lo) & (lam <= hi)]]
@@ -484,10 +508,16 @@ def fit_structure(samples: list[GvdSample], initial_guess: tuple[float, float],
 
 def dispersion_table(segment: FiberSegment, wavelengths_nm, mode_model: str = "he11") -> dict:
     """Column dict for the dispersion CSV export."""
+    return _dispersion_table(_KSeries(segment, mode_model), segment, wavelengths_nm, mode_model)
+
+
+def _dispersion_table(series: _KSeries, segment: FiberSegment, wavelengths_nm,
+                      mode_model: str) -> dict:
+    """dispersion_table on the segment's k(omega) series."""
     wl = np.asarray(wavelengths_nm, dtype=float)
     n_eff = effective_index(segment, wl, mode_model)
     k = n_eff * 2.0 * math.pi / (wl * 1e-9)
-    series, omega = _KSeries(segment, mode_model), _omega(wl)
+    omega = _omega(wl)
     return {
         "wavelength_nm": wl,
         "n_eff": n_eff,

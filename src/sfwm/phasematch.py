@@ -243,24 +243,21 @@ def _phase_match(series: _KSeries, segment: FiberSegment, pump: PumpSpec,
 
     w_grid = TWO_PI_C / (lam_grid * 1e-9)
     vals = mismatch_at_signal(w_grid)
-    brackets = [
-        (w_grid[i + 1], w_grid[i])  # omega descends along the lambda grid
-        for i in range(len(lam_grid) - 1)
-        if vals[i] * vals[i + 1] < 0
-    ]
-    if not brackets:
+    brackets = np.flatnonzero(vals[:-1] * vals[1:] < 0)
+    if not brackets.size:
         raise PhaseMatchError(
             f"no phase matching for {segment.label} (r={segment.core_radius_nm} nm, "
             f"f={segment.air_fill}) with pump {lam_p} nm in signal window [{lo:.0f}, {hi:.0f}] nm"
         )
-    if len(brackets) > 1:
+    if brackets.size > 1:
         warnings.warn(
-            f"{len(brackets)} phase-matching roots for {segment.label}; "
+            f"{brackets.size} phase-matching roots for {segment.label}; "
             "returning the one closest to the pump", stacklevel=2,
         )
-    # The bracket at largest omega_s = smallest signal wavelength.
-    w_a, w_b = brackets[0]
-    w_s0 = _brentq(mismatch_at_signal, w_a, w_b, xtol=1e-3)
+    # The bracket at largest omega_s = smallest signal wavelength; omega
+    # descends along the lambda grid.
+    i = brackets[0]
+    w_s0 = _brentq(mismatch_at_signal, w_grid[i + 1], w_grid[i], xtol=1e-3)
     w_i0 = 2.0 * w_p - w_s0
 
     slow_p, slow_s, slow_i = series(np.array((w_p, w_s0, w_i0)), 1)
@@ -291,8 +288,13 @@ def gvm_curve(segment: FiberSegment, pump_range_nm: tuple[float, float],
     The linearization does not depend on the pump bandwidth; fwhm_nm only
     parameterizes the intermediate PumpSpec.
     """
+    return _gvm_curve(_KSeries(segment, mode_model), segment, pump_range_nm, n_points, fwhm_nm)
+
+
+def _gvm_curve(series: _KSeries, segment: FiberSegment, pump_range_nm: tuple[float, float],
+               n_points: int, fwhm_nm: float) -> list[GvmSample]:
+    """gvm_curve on the segment's k(omega) series."""
     lo, hi = min(pump_range_nm), max(pump_range_nm)
-    series = _KSeries(segment, mode_model)
     out: list[GvmSample] = []
     for lam_p in np.linspace(lo, hi, n_points):
         pump = PumpSpec(float(lam_p), fwhm_nm)
@@ -321,13 +323,17 @@ def agvm_roots(segment: FiberSegment, sweep: list[GvmSample],
     then polished with _brentq; a root between two samples whose tau has the
     same sign is missed.
     """
+    return _agvm_roots(_KSeries(segment, mode_model), segment, sweep)
+
+
+def _agvm_roots(series: _KSeries, segment: FiberSegment,
+                sweep: list[GvmSample]) -> AgvmRoots:
+    """agvm_roots on the segment's k(omega) series."""
     pumps = [s.lambda_p_nm for s in sweep]
     if len(pumps) < 2:
         raise ValueError(f"agvm_roots needs at least 2 sweep samples, got {len(pumps)}")
     if any(b <= a for a, b in zip(pumps, pumps[1:])):
         raise ValueError("agvm_roots needs sweep pumps in strictly ascending order")
-
-    series = _KSeries(segment, mode_model)
 
     def polish(component: str) -> float | None:
         def tau(lam_p: float) -> float:

@@ -245,14 +245,14 @@ def test_fit_subcommand_uses_bundled_samples(tmp_path):
 def test_gvm_curve_runs_one_sweep_and_its_files_agree(tmp_path, monkeypatch):
     from sfwm import cli, phasematch
 
-    sweep, calls = phasematch.gvm_curve, []
+    sweep, calls = phasematch._gvm_curve, []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return sweep(*args, **kwargs)
 
-    monkeypatch.setattr(phasematch, "gvm_curve", counted)
-    monkeypatch.setattr(cli, "gvm_curve", counted)
+    monkeypatch.setattr(phasematch, "_gvm_curve", counted)
+    monkeypatch.setattr(cli, "_gvm_curve", counted)
     assert run("gvm-curve", CONFIGS / "gvm_sweep.json", tmp_path) == 0
     assert len(calls) == 1
     header, rows = read_csv(tmp_path / "gvm_curve.csv")
@@ -265,6 +265,54 @@ def test_gvm_curve_runs_one_sweep_and_its_files_agree(tmp_path, monkeypatch):
             float(a[0]) <= float(pump_nm) <= float(b[0])
             and float(a[column]) * float(b[column]) < 0
             for a, b in zip(rows, rows[1:]) if a[column] and b[column])
+
+
+def test_cli_builds_one_series_per_fiber_and_matches_the_public_calls(tmp_path, monkeypatch):
+    # One k(omega) series per fiber per call: the dispersion table and the
+    # ZDW search share it, and so do the pump sweep and its AGVM-root polish.
+    # What the CLI writes is, bit for bit, what the public functions return.
+    from sfwm import cli, dispersion
+    from sfwm.dispersion import dispersion_table, find_zdw
+    from sfwm.phasematch import agvm_roots, gvm_curve
+
+    solve, builds = dispersion._lobatto_neff, []
+
+    def counted(*args):
+        n_eff = solve(*args)
+        builds.append(args)
+        return n_eff
+
+    monkeypatch.setattr(dispersion, "_lobatto_neff", counted)
+    returned = {}
+    for name in ("_dispersion_table", "_find_zdw", "_gvm_curve", "_agvm_roots"):
+        def recorded(*args, _fn=getattr(cli, name), _name=name, **kwargs):
+            result = _fn(*args, **kwargs)
+            returned.setdefault(_name, []).append(result)
+            return result
+        monkeypatch.setattr(cli, name, recorded)
+
+    def bits(table):
+        return {key: np.asarray(col, dtype=float).tobytes() for key, col in table.items()}
+
+    cfg = load_config(CONFIGS / "dispersion_curves.json")
+    assert run("dispersion", CONFIGS / "dispersion_curves.json", tmp_path / "d") == 0
+    assert len(builds) == len(cfg.segments) == 4
+    lo, hi = cfg.dispersion["wavelength_range_nm"]
+    wl = np.linspace(lo, hi, cfg.dispersion["n_points"])
+    fibers = [entry.fiber() for entry in cfg.segments.values()]
+    assert [bits(t) for t in returned["_dispersion_table"]] == [
+        bits(dispersion_table(fiber, wl)) for fiber in fibers]
+    assert repr(returned["_find_zdw"]) == repr(
+        [find_zdw(fiber, cfg.dispersion["zdw_search_nm"]) for fiber in fibers])
+
+    builds.clear()
+    cfg = load_config(CONFIGS / "gvm_sweep.json")
+    assert run("gvm-curve", CONFIGS / "gvm_sweep.json", tmp_path / "g") == 0
+    assert len(builds) == 1
+    fiber = cfg.segments[cfg.sweep["segment_label"]].fiber()
+    curve = gvm_curve(fiber, cfg.sweep["pump_range_nm"], cfg.sweep["n_points"])
+    assert repr(returned["_gvm_curve"]) == repr([curve])
+    assert repr(returned["_agvm_roots"]) == repr([agvm_roots(fiber, curve)])
 
 
 # Imports sfwm.cli, runs each (subcommand, config, out) of argv[1] in turn and

@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.constants
+from numpy.polynomial import Chebyshev
 
 from sfwm import dispersion as disp
 from sfwm.dispersion import (
@@ -379,6 +380,32 @@ def test_small_core_series_stops_at_the_guided_limit():
             fn(small, [1070.0, 1990.0])
     (zdw,) = find_zdw(small, (850.0, 1450.0))
     assert abs(gvd(small, zdw)) < 1e-9
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("fiber, mode_model", [
+    (R948, "he11"), (R948, "lp01"), (FiberSegment("small", 200.0, 0.296, 1.0), "he11")])
+def test_series_evaluator_matches_numpy_chebyshev_bit_for_bit(fiber, mode_model, monkeypatch):
+    # The in-house Clenshaw recurrence against numpy's Chebyshev.__call__ of
+    # the same coefficients and domain; the r = 200 nm series stops at the
+    # guided limit.  Both domain ends are among the points.
+    series = disp._KSeries(fiber, mode_model)
+    omega = np.linspace(*series._domain, 24)
+    assert (omega[0], omega[-1]) == series._domain
+    requests = [omega, omega.reshape(4, 6)] + [x(w) for w in omega for x in (float, np.float64)]
+    oracle = [Chebyshev(series._terms[order][2], series._domain) for order in range(3)]
+    expected = [[_bits(cheb(r)) for r in requests] for cheb in oracle]
+    # No evaluation goes through numpy's polynomial class.
+    monkeypatch.setattr(Chebyshev, "__call__", lambda *a: pytest.fail("Chebyshev.__call__"))
+    for order in range(3):
+        assert [_bits(series(r, order)) for r in requests] == expected[order]
+        # Each scalar gives the bits of its element of the batch.
+        batch = series(omega, order)
+        assert [_bits(series(r, order)) for r in requests[2:]] == [
+            _bits(x) for x in np.repeat(batch, 2)]
 
 
 def test_unresolved_series_is_explicit(monkeypatch):

@@ -3,14 +3,18 @@
     python3 tools/bench_dispersion.py [--src DIR] [--repeats N]
 
 Times, on the catalog fiber S1 (r = 947 nm, f = 0.296): one build of the
-Chebyshev series of n_eff(omega) (where the package has one), ``gvd`` on
+Chebyshev series of n_eff(omega) (where the package has one), 100 scalar
+evaluations of that series at each derivative order 0-2, ``gvd`` on
 61 wavelengths over 850-1450 nm, ``find_zdw`` on 900-1250 nm,
 ``solve_phase_match`` at a 1070 nm pump, ``gvm_curve`` over 29 pumps on
 955-1095 nm, ``agvm_roots`` on that sweep, and the full-model
-``build_jsa`` of S2 (0.3 m) on its 512x512 grid.  Prints one JSON object:
-the median over the repeats (ms per call), the core count and the
-OpenBLAS builds and thread counts the process loaded.  ``--src`` times the
-package under another checkout's ``src/`` the same way.
+``build_jsa`` of S2 (0.3 m) on its 512x512 grid; then the in-process
+``dispersion`` and ``gvm-curve`` CLI calls on the configs of the
+benchmark's seed-1 ``dispersion_curves`` and ``gvm_sweep`` steps
+(``perfbench/workloads.py``).  Prints one JSON object: the median over the
+repeats (ms per call), the core count and the OpenBLAS builds and thread
+counts the process loaded.  ``--src`` times the package under another
+checkout's ``src/`` the same way.
 """
 
 from __future__ import annotations
@@ -20,10 +24,11 @@ import json
 import os
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
-from bench_splice_kernel import _openblas
+from bench_splice_kernel import REPO, _openblas
 
 PUMP_NM = 1070.0
 
@@ -65,8 +70,32 @@ def main() -> int:
         "build_jsa_full_512x512": lambda: build_jsa(full, pump, grid=grid),
     }
     if hasattr(dispersion, "_KSeries"):
-        calls = {"series_build": lambda: dispersion._KSeries(s1, "he11"), **calls}
+        series = dispersion._KSeries(s1, "he11")
+        omegas = [float(w) for w in dispersion._omega(np.linspace(850.0, 1450.0, 100))]
+        calls = {"series_build": lambda: dispersion._KSeries(s1, "he11"),
+                 "series_scalar_300": lambda: [series(w, order) for order in range(3)
+                                               for w in omegas],
+                 **calls}
+
+    sys.path.insert(0, str(REPO / "perfbench"))
+    from workloads import SUBCOMMAND, make_config
+
+    from sfwm import cli
+
+    def cli_step(step: str, work: Path):
+        config = work / f"{step}.json"
+        config.write_text(json.dumps(make_config(step, 1)))
+
+        def call():
+            if cli.run(SUBCOMMAND[step], config, work / step) != 0:
+                raise RuntimeError(f"{step}: the CLI call failed")
+        return call
+
+    work = tempfile.TemporaryDirectory()
+    for step in ("dispersion_curves", "gvm_sweep"):
+        calls[f"cli_{step}_seed1"] = cli_step(step, Path(work.name))
     layers = {name: _median_ms(fn, args.repeats) for name, fn in calls.items()}
+    work.cleanup()
     print(json.dumps({"repeats": args.repeats, "nproc": os.cpu_count(),
                       "openblas": _openblas(), "ms_per_call": layers}, indent=1))
     return 0
