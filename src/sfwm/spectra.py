@@ -269,43 +269,51 @@ def _full_sum(assembly: AssemblySpec, omega_s, omega_i):
 SINC_SERIES_CUT = 0.05
 
 
-def _linearized_sum(segments, omega_s, omega_i=None):
-    """Coherent sum for the linearized mismatch dk_n = p_n(w_s) + q_n(w_i).
-
-    With a_n = p_n L_n / 2, b_n = q_n L_n / 2 and the phases accumulated in
-    the segments before, P_n = sum_{l<n} p_l L_l and Q_n likewise, segment
-    n contributes
+def _linearized_factors(segments, omega_s, omega_i=None):
+    """Per-segment one-axis factors (a, b, e^{ia}, e^{ib}, L e^{i(a+P)}, e^{i(b+Q)})
+    of the linearized mismatch dk_n = p_n(w_s) + q_n(w_i): a_n = p_n L_n / 2,
+    b_n = q_n L_n / 2, and P_n = sum_{l<n} p_l L_l and Q_n likewise are the
+    phases accumulated in the segments before.  Segment n contributes
 
         L_n Im(e^{i a_n} e^{i b_n}) / (a_n + b_n) * e^{i(a_n + P_n)} e^{i(b_n + Q_n)}.
 
-    Every sin, cos and exp acts on one axis; the broadcast grid only
-    multiplies and adds their outer products, in place.  ``omega_i=None``
-    drops the idler walk-off (b_n = Q_n = 0).
+    ``omega_i=None`` drops the idler walk-off (b_n = Q_n = 0).
     """
     ws = np.asarray(omega_s, dtype=float)
     wi = None if omega_i is None else np.asarray(omega_i, dtype=float)
-    shape = ws.shape if wi is None else np.broadcast_shapes(ws.shape, wi.shape)
-    phi = np.zeros(shape, dtype=complex)
-    term = np.empty(shape, dtype=complex)
-    x = np.empty(shape)
-    sinc = np.empty(shape)
+    factors = []
     p_acc = q_acc = 0.0
     for seg in segments:
         half = seg.length_m / 2.0
         a = seg.point.tau_s_si * (ws - seg.point.omega_s0) * half
         b = 0.0 if wi is None else seg.point.tau_i_si * (wi - seg.point.omega_i0) * half
-        np.add(a, b, out=x)
-        np.multiply(np.exp(1j * a), np.exp(1j * b), out=term)
+        factors.append((a, b, np.exp(1j * a), np.exp(1j * b),
+                        seg.length_m * np.exp(1j * (a + p_acc)), np.exp(1j * (b + q_acc))))
+        p_acc, q_acc = p_acc + 2.0 * a, q_acc + 2.0 * b
+    return factors
+
+
+def _linearized_combine(factors, rows, phi, term, x, sinc):
+    """Write the sum over signal rows ``rows`` into ``phi`` through scratch of its shape."""
+    phi[...] = 0.0
+    for a, b, ua, vb, ul, vq in factors:
+        np.add(a[rows], b, out=x)
+        np.multiply(ua[rows], vb, out=term)
         with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(term.imag, x, out=sinc)
         small = np.abs(x) < SINC_SERIES_CUT
         x2 = x[small] ** 2
         sinc[small] = 1.0 - x2 / 6.0 * (1.0 - x2 / 20.0 * (1.0 - x2 / 42.0))
-        np.multiply(seg.length_m * np.exp(1j * (a + p_acc)), np.exp(1j * (b + q_acc)), out=term)
+        np.multiply(ul[rows], vq, out=term)
         term *= sinc
         phi += term
-        p_acc = p_acc + 2.0 * a
-        q_acc = q_acc + 2.0 * b
+
+
+def _linearized_sum(segments, omega_s, omega_i=None):
+    factors = _linearized_factors(segments, omega_s, omega_i)
+    shape = np.broadcast_shapes(np.shape(factors[0][0]), np.shape(factors[0][1]))
+    phi = np.empty(shape, dtype=complex)
+    _linearized_combine(factors, ..., phi, np.empty_like(phi), np.empty(shape), np.empty(shape))
     return phi
 
 
@@ -376,7 +384,7 @@ class JsaGrid:
         amp = np.asarray(self.amplitude)
         if amp.shape != (self.grid.signal.size, self.grid.idler.size):
             raise ValueError("amplitude shape does not match the grid")
-        if not np.all(np.isfinite(amp.real)) or not np.all(np.isfinite(amp.imag)):
+        if not np.isfinite(amp).all():
             raise ValueError("amplitude must be finite everywhere")
         object.__setattr__(self, "amplitude", amp.astype(complex, copy=False))
 
@@ -410,16 +418,19 @@ def build_jsa(assembly: AssemblySpec, pump: PumpSpec, grid: FrequencyGrid | None
     _check_resolution(assembly, grid)
     ws = grid.signal[:, None]
     wi = grid.idler[None, :]
-    amp = np.empty((grid.signal.size, grid.idler.size), dtype=complex)
     # The full model builds each segment's k(omega) series once per call, so
     # it takes the grid in one block; the linearized kernel works cell by cell.
-    step = grid.signal.size
-    if assembly.model_mode == "linearized":
-        step = max(1, FILL_BLOCK_CELLS // grid.idler.size)
+    if assembly.model_mode == "full":
+        amp = phi_assembly(assembly, ws, wi) * pump_envelope(pump, ws, wi)
+        return JsaGrid(grid, amp, pump, assembly)
+    factors = _linearized_factors(assembly.segments, ws, wi)
+    amp = np.empty((grid.signal.size, grid.idler.size), dtype=complex)
+    step = min(grid.signal.size, max(1, FILL_BLOCK_CELLS // grid.idler.size))
+    scratch = [np.empty((step, grid.idler.size), dtype=t) for t in (complex, float, float)]
     for r in range(0, grid.signal.size, step):
-        rows = phi_assembly(assembly, ws[r:r + step], wi)
-        rows *= pump_envelope(pump, ws[r:r + step], wi)
-        amp[r:r + step] = rows
+        block = amp[r:r + step]
+        _linearized_combine(factors, slice(r, r + step), block, *(s[:len(block)] for s in scratch))
+        block *= pump_envelope(pump, ws[r:r + step], wi)
     return JsaGrid(grid, amp, pump, assembly)
 
 
@@ -488,8 +499,12 @@ def filter_scan(target, filt: FilterSpec, centers_nm, pump: PumpSpec | None = No
         lo = min(s_lo, centers_omega.min() - 6 * sigma)
         hi = max(s_hi, centers_omega.max() + 6 * sigma)
         slope = sum(abs(s.point.tau_s_si) * s.length_m for s in target.segments)
-        n = max(_required_points(hi - lo, slope), int(math.ceil((hi - lo) / (sigma / 3))) + 1)
-        n = min(max(n, 2048), 1 << 18)
+        need = _required_points(hi - lo, slope)
+        if need > 1 << 18:
+            raise GridResolutionError(
+                f"filter-scan axis needs {need} points for a phase step <= "
+                f"{MAX_EDGE_PHASE_STEP:.3f} rad, above its {1 << 18}-point cap", need, 0)
+        n = min(max(need, int(math.ceil((hi - lo) / (sigma / 3))) + 1, 2048), 1 << 18)
         axis = np.linspace(lo, hi, n)
         intensity = np.abs(phi_signal(target, axis)) ** 2
         outside = np.zeros(centers.shape, dtype=bool)

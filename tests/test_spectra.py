@@ -380,6 +380,80 @@ def test_block_fill_matches_any_row_split(pump_2nm):
     _assert_any_row_split_matches(build_jsa(asm, pump_2nm, ns=192, ni=160))
 
 
+def _per_block_sum(segments, omega_s, omega_i=None):
+    """Oracle: the linearized kernel as it ran once per row block, taking every
+    one-axis exponential again on each call."""
+    ws = np.asarray(omega_s, dtype=float)
+    wi = None if omega_i is None else np.asarray(omega_i, dtype=float)
+    shape = ws.shape if wi is None else np.broadcast_shapes(ws.shape, wi.shape)
+    phi = np.zeros(shape, dtype=complex)
+    term = np.empty(shape, dtype=complex)
+    x = np.empty(shape)
+    sinc = np.empty(shape)
+    p_acc = q_acc = 0.0
+    for seg in segments:
+        half = seg.length_m / 2.0
+        a = seg.point.tau_s_si * (ws - seg.point.omega_s0) * half
+        b = 0.0 if wi is None else seg.point.tau_i_si * (wi - seg.point.omega_i0) * half
+        np.add(a, b, out=x)
+        np.multiply(np.exp(1j * a), np.exp(1j * b), out=term)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(term.imag, x, out=sinc)
+        small = np.abs(x) < spectra.SINC_SERIES_CUT
+        x2 = x[small] ** 2
+        sinc[small] = 1.0 - x2 / 6.0 * (1.0 - x2 / 20.0 * (1.0 - x2 / 42.0))
+        np.multiply(seg.length_m * np.exp(1j * (a + p_acc)), np.exp(1j * (b + q_acc)), out=term)
+        term *= sinc
+        phi += term
+        p_acc = p_acc + 2.0 * a
+        q_acc = q_acc + 2.0 * b
+    return phi
+
+
+def _per_block_fill(jsa):
+    """Oracle: build_jsa's row loop over _per_block_sum, one fresh block a call."""
+    ws = jsa.grid.signal[:, None]
+    wi = jsa.grid.idler[None, :]
+    amp = np.empty(jsa.amplitude.shape, dtype=complex)
+    step = max(1, spectra.FILL_BLOCK_CELLS // wi.size)
+    for r in range(0, ws.shape[0], step):
+        rows = _per_block_sum(jsa.assembly.segments, ws[r:r + step], wi)
+        rows *= pump_envelope(jsa.pump, ws[r:r + step], wi)
+        amp[r:r + step] = rows
+    return amp
+
+
+def _anchored_grid(asm, ns, ni, step_s, step_i):
+    # Offsets times the step from the first segment's pair: both anchors land
+    # exactly on the grid, so x = a + b is exactly 0 in that cell.
+    pt = asm.segments[0].point
+    return FrequencyGrid(pt.omega_s0 + step_s * np.arange(-(ns // 2), ns - ns // 2),
+                         pt.omega_i0 + step_i * np.arange(-(ni // 2), ni - ni // 2))
+
+
+def test_factored_fill_matches_per_block_kernel_bit_for_bit(pump_2nm, pump_5nm):
+    four = catalog_assembly([("S1", 0.3), ("S2", 0.3), ("S3", 0.3), ("S4", 0.3)])
+    two = catalog_assembly([("S1", 0.3), ("S2", 0.3)])
+    flat = AssemblySpec((AssemblySegment(0.3, make_point(theta=0.0)),)
+                        + catalog_assembly([("S3", 0.3)]).segments, "linearized")
+    assert flat.segments[0].point.tau_i_si == 0.0
+    jsas = [build_jsa(four, pump_2nm), build_jsa(four, pump_5nm),
+            build_jsa(two, pump_2nm, grid=_anchored_grid(two, 193, 160, 4e10, 2e11)),
+            build_jsa(flat, pump_2nm, ns=300, ni=128)]
+    assert [j.amplitude.shape for j in jsas[:3]] == [(1378, 512), (1378, 512), (193, 160)]
+    assert 193 % (spectra.FILL_BLOCK_CELLS // 160) != 0  # a ragged last block
+    # The anchored grid holds exact zeros of x, so the Taylor branch runs there.
+    seg = two.segments[0]
+    a = seg.point.tau_s_si * (jsas[2].grid.signal[:, None] - seg.point.omega_s0) * 0.15
+    b = seg.point.tau_i_si * (jsas[2].grid.idler[None, :] - seg.point.omega_i0) * 0.15
+    assert np.count_nonzero(a + b == 0.0) > 0
+    for jsa in jsas:
+        assert jsa.amplitude.tobytes() == _per_block_fill(jsa).tobytes()
+    for asm in (four, flat):
+        axis = jsas[0].grid.signal
+        assert phi_signal(asm, axis).tobytes() == _per_block_sum(asm.segments, axis).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # marginals
 
@@ -485,6 +559,15 @@ def test_filter_scan_warns_outside_grid_support(pump_2nm):
         scan = filter_scan(jsa, FilterSpec(1414.0, 0.8), centers)
     assert scan.values[-1] == 0.0 and scan.values[0] == 0.0
     assert scan.values[1] > 0.0
+
+
+def test_filter_scan_refuses_an_axis_past_its_cap():
+    # 100 m at 3.2 ps/m over 1000-2000 nm needs ~772,000 samples for the pi/8
+    # phase step; capped at 2^18, its step would be ~1.16 rad.
+    asm = make_assembly([(100.0, {})])
+    with pytest.raises(GridResolutionError, match="772388 points.*262144-point cap") as err:
+        filter_scan(asm, FilterSpec(1500.0, 1.0), np.linspace(1000.0, 2000.0, 11))
+    assert err.value.required_ns == 772388
 
 
 # ---------------------------------------------------------------------------
