@@ -26,7 +26,7 @@ from .correlation import G2Row, g2_table
 from .dispersion import (
     TWO_PI_C,
     FiberSegment,
-    _dispersion_table,
+    _dispersion_tables,
     _find_zdw,
     _KSeries,
     fit_structure,
@@ -539,10 +539,8 @@ def _cmd_dispersion(cfg: RunConfig, out: _OutputSet) -> dict:
     lo, hi = cfg.dispersion["wavelength_range_nm"]
     wl = np.linspace(lo, hi, cfg.dispersion["n_points"])
     zdw_rows = []
-    for label, entry in cfg.segments.items():
-        fiber = entry.fiber()
-        series = _KSeries(fiber, "he11")  # one k(omega) series per fiber per call
-        table = _dispersion_table(series, fiber, wl, "he11")
+    tables = _dispersion_tables([entry.fiber() for entry in cfg.segments.values()], wl, "he11")
+    for label, (series, table) in zip(cfg.segments, tables):
         out.add_csv(
             f"dispersion_{label}.csv",
             ["wavelength_nm", "n_eff", "k_rad_per_m", "k1_ps_per_m", "beta2_ps2_per_m"],

@@ -57,6 +57,12 @@ _TAIL_TERMS = 8
 
 # Resolution of the guided-mode limit that bounds a small core's series, nm.
 _CUTOFF_TOL_NM = 0.01
+# Bisection steps of that limit per solver call (2**_BISECT_LEVELS - 1 midpoints).
+_BISECT_LEVELS = 4
+
+# Up to _FLOAT_SUM_MAX omegas a series sums Python floats, beating numpy's
+# per-call cost; beyond _SUM_BLOCK it sums blocks, keeping temporaries small.
+_FLOAT_SUM_MAX, _SUM_BLOCK = 24, 1 << 13
 
 # Residuals evaluated per step of the bracket march (rows x open columns).
 _MARCH_CELLS = 1 << 14
@@ -269,20 +275,21 @@ def _chandrupatla(fun, a, b, args=(), maxiter: int = 2046):
     return x_out, status_out == 0, status_out, f_out
 
 
-def _solve_neff(core_radius_nm: float, air_fill: float, wavelength_nm,
-                mode_model: str):
-    """Effective index of the fundamental mode, elementwise over wavelength_nm.
+def _solve_neff(core_radius_nm, air_fill, wavelength_nm, mode_model: str):
+    """Effective index of the fundamental mode, elementwise over the core
+    radius, the air fill and the wavelength, broadcast together; NaN where the
+    bracket scan finds no guided mode.
 
-    Each wavelength is bracketed by the first sign change of the residual on
+    Each element is bracketed by the first sign change of the residual on
     129 points of u, then all brackets are polished in one vectorized
-    Chandrupatla solve.  Every element depends on its own wavelength only,
-    so a batch gives the same bits as scalar calls.
+    Chandrupatla solve.  Every element depends on its own inputs only, so a
+    batch gives the same bits as one call per element.
     """
-    wl_in = np.asarray(wavelength_nm, dtype=float)
-    wl = wl_in.ravel()
+    r, fill, wl = np.broadcast_arrays(core_radius_nm, air_fill, np.asarray(wavelength_nm, float))
+    shape, r, fill, wl = wl.shape, r.ravel(), fill.ravel(), wl.ravel()
     n_co = silica_refractive_index(wl)
-    n_cl = (1.0 - air_fill) * n_co + air_fill
-    a_m = core_radius_nm * 1e-9
+    n_cl = (1.0 - fill) * n_co + fill
+    a_m = r * 1e-9
     k0_ = 2.0 * math.pi / (wl * 1e-9)
     v = k0_ * a_m * np.sqrt(n_co * n_co - n_cl * n_cl)
 
@@ -296,25 +303,34 @@ def _solve_neff(core_radius_nm: float, air_fill: float, wavelength_nm,
         raise ValueError(f"unknown mode_model {mode_model!r}")
 
     u_lo, u_hi = _first_brackets(fun, args, 1e-3, hi, 129)
-    miss = np.isnan(u_lo)
-    if miss.any():
-        i = np.flatnonzero(miss)[0]
-        raise ModeCutoffError(
-            f"no guided fundamental mode for r={core_radius_nm} nm, f={air_fill}, "
-            f"lambda={float(wl[i])} nm (V={v[i]:.3f})"
-        )
-    u, success, status, f_u = _chandrupatla(fun, u_lo, u_hi, args)
+    ok = np.flatnonzero(~np.isnan(u_lo))
+    u, success, status, f_u = _chandrupatla(fun, u_lo[ok], u_hi[ok], tuple(x[ok] for x in args))
     if not success.all():
         i = np.flatnonzero(~success)[0]
-        raise ModeSolverError(f"eigenvalue iteration failed at lambda={float(wl[i])} nm "
+        raise ModeSolverError(f"eigenvalue iteration failed at lambda={float(wl[ok[i]])} nm "
                               f"(status {int(status[i])})", residual=float(f_u[i]))
-    beta = np.sqrt((k0_ * n_co) ** 2 - (u / a_m) ** 2)
-    return (beta / k0_).reshape(wl_in.shape)[()]
+    n_eff = np.full(wl.size, np.nan)
+    n_eff[ok] = np.sqrt((k0_[ok] * n_co[ok]) ** 2 - (u / a_m[ok]) ** 2) / k0_[ok]
+    return n_eff.reshape(shape)[()]
+
+
+def _guided(n_eff, core_radius_nm: float, air_fill: float, wavelength_nm):
+    """n_eff, or the ModeCutoffError of its first element without a mode."""
+    miss = np.isnan(n_eff)
+    if np.any(miss):
+        wl = float(np.broadcast_to(wavelength_nm, np.shape(miss))[miss][0])
+        n_co = silica_refractive_index(wl)
+        n_cl = (1.0 - air_fill) * n_co + air_fill
+        v = 2.0 * math.pi / (wl * 1e-9) * (core_radius_nm * 1e-9) * math.sqrt(n_co**2 - n_cl**2)
+        raise ModeCutoffError(f"no guided fundamental mode for r={core_radius_nm} nm, "
+                              f"f={air_fill}, lambda={wl} nm (V={v:.3f})")
+    return n_eff
 
 
 def effective_index(segment: FiberSegment, wavelength_nm, mode_model: str = "he11"):
     """Fundamental-mode effective index, elementwise; n_cl < n_eff < n_co."""
-    return _solve_neff(segment.core_radius_nm, segment.air_fill, wavelength_nm, mode_model)
+    r, f = segment.core_radius_nm, segment.air_fill
+    return _guided(_solve_neff(r, f, wavelength_nm, mode_model), r, f, wavelength_nm)
 
 
 def propagation_constant(segment: FiberSegment, wavelength_nm, mode_model: str = "he11"):
@@ -331,29 +347,33 @@ def _guided_limit_nm(core_radius_nm: float, air_fill: float, mode_model: str):
     """Longest window wavelength, to _CUTOFF_TOL_NM, at which the solver finds
     the mode (V falls with wavelength); None if it finds none at 300 nm."""
     lo, hi = WAVELENGTH_WINDOW_NM
-    try:
-        _solve_neff(core_radius_nm, air_fill, lo, mode_model)
-    except ModeCutoffError:
-        return None
+    first = [lo]  # the first call also checks 300 nm
     while hi - lo > _CUTOFF_TOL_NM:
-        mid = 0.5 * (lo + hi)
-        try:
-            _solve_neff(core_radius_nm, air_fill, mid, mode_model)
-            lo = mid
-        except ModeCutoffError:
-            hi = mid
+        spans, level = [], [(lo, hi)]
+        for _ in range(_BISECT_LEVELS):  # every span the next steps may bisect; level d has 2**d
+            spans += level
+            level = [s for a, b in level for s in ((a, 0.5 * (a + b)), (0.5 * (a + b), b))]
+        wl = first + [0.5 * (a + b) for a, b in spans]
+        guided = ~np.isnan(_solve_neff(core_radius_nm, air_fill, wl, mode_model))
+        if first and not guided[0]:
+            return None
+        guided, first, node = guided[len(first):], [], 0
+        for d in range(_BISECT_LEVELS):  # the path, one step a level
+            if hi - lo > _CUTOFF_TOL_NM:
+                mid, up = 0.5 * (lo + hi), guided[2**d - 1 + node]
+                lo, hi, node = (mid, hi, 2 * node + 1) if up else (lo, mid, 2 * node)
     return lo
 
 
-def _lobatto_neff(lam_max_nm: float, core_radius_nm: float, air_fill: float, mode_model: str):
-    """n_eff at the SERIES_DEGREE + 1 Chebyshev-Lobatto points of omega
-    between omega(lam_max_nm) and omega(300 nm), in one solver call."""
+def _lobatto_nm(lam_max_nm: float):
+    """The SERIES_DEGREE + 1 Chebyshev-Lobatto points of omega between
+    omega(lam_max_nm) and omega(300 nm), as wavelengths in nm."""
     lo = WAVELENGTH_WINDOW_NM[0]
     w_lo, w_hi = _omega(lam_max_nm), _omega(lo)
     x = np.cos(np.pi * np.arange(SERIES_DEGREE + 1) / SERIES_DEGREE)
     wl = TWO_PI_C / (0.5 * (w_hi + w_lo + (w_hi - w_lo) * x)) * 1e9
     # The end nodes are clipped onto the bounds they round-trip to.
-    return _solve_neff(core_radius_nm, air_fill, np.clip(wl, lo, lam_max_nm), mode_model)
+    return np.clip(wl, lo, lam_max_nm)
 
 
 def _clenshaw(c, x):
@@ -373,24 +393,26 @@ class _KSeries:
     returns that derivative in SI units.
 
     The domain depends on the fiber only: the whole window when the solver
-    finds the mode at 2000 nm, else 300 nm up to the guided-mode limit.
-    Evaluation is _clenshaw on Python floats for a scalar and on ndarrays for
-    an array: the same IEEE operations, so a batch gives the same bits as
-    scalar calls, and both the bits of numpy's Chebyshev.__call__.
+    finds the mode at the 2000 nm nodes (n_eff, if given, holds its values
+    at _lobatto_nm(2000 nm)), else 300 nm up to the guided-mode limit.
+    Evaluation is _clenshaw on Python floats for a scalar or a short array
+    and on ndarrays for a longer one: the same IEEE operations, so a batch
+    gives the same bits as scalar calls, and both the bits of numpy's
+    Chebyshev.__call__.
     """
 
-    def __init__(self, segment: FiberSegment, mode_model: str):
-        self._fiber = f"r={segment.core_radius_nm} nm, f={segment.air_fill}"
-        args = (segment.core_radius_nm, segment.air_fill, mode_model)
+    def __init__(self, segment: FiberSegment, mode_model: str, n_eff=None):
+        r, f = segment.core_radius_nm, segment.air_fill
+        self._fiber = f"r={r} nm, f={f}"
         self.lam_max_nm = WAVELENGTH_WINDOW_NM[1]
-        try:
-            n_eff = _lobatto_neff(self.lam_max_nm, *args)
-        except ModeCutoffError:
-            self.lam_max_nm = _guided_limit_nm(*args)
-            n_eff = None if self.lam_max_nm is None else _lobatto_neff(self.lam_max_nm, *args)
         if n_eff is None:
-            self._domain = (math.nan, math.nan)  # refuses every request
-            return
+            n_eff = _solve_neff(r, f, _lobatto_nm(self.lam_max_nm), mode_model)
+        if np.isnan(n_eff).any():
+            self.lam_max_nm = _guided_limit_nm(r, f, mode_model)
+            if self.lam_max_nm is None:
+                self._domain = (math.nan, math.nan)  # refuses every request
+                return
+            n_eff = effective_index(segment, _lobatto_nm(self.lam_max_nm), mode_model)
         self._domain = (float(_omega(self.lam_max_nm)), float(_omega(WAVELENGTH_WINDOW_NM[0])))
         # Interpolation coefficients from the node values (a DCT-I).
         j = np.arange(SERIES_DEGREE + 1)
@@ -422,6 +444,12 @@ class _KSeries:
             raise ModeCutoffError(f"no guided fundamental mode for {self._fiber}, "
                                   f"lambda={float(lam[0])} nm ({limit})")
         off, scl, c = self._terms[order]
+        if omega.size > _SUM_BLOCK:
+            blocks = np.array_split(omega.ravel(), -(-omega.size // _SUM_BLOCK))
+            return np.concatenate([self(w, order) for w in blocks]).reshape(omega.shape)
+        if omega.size <= _FLOAT_SUM_MAX:
+            return np.array([_clenshaw(c, off + scl * w) for w in omega.ravel().tolist()],
+                            dtype=float).reshape(omega.shape)[()]
         return _clenshaw(c, off + scl * omega)
 
 
@@ -508,23 +536,27 @@ def fit_structure(samples: list[GvdSample], initial_guess: tuple[float, float],
 
 def dispersion_table(segment: FiberSegment, wavelengths_nm, mode_model: str = "he11") -> dict:
     """Column dict for the dispersion CSV export."""
-    return _dispersion_table(_KSeries(segment, mode_model), segment, wavelengths_nm, mode_model)
+    ((_, table),) = _dispersion_tables([segment], wavelengths_nm, mode_model)
+    return table
 
 
-def _dispersion_table(series: _KSeries, segment: FiberSegment, wavelengths_nm,
-                      mode_model: str) -> dict:
-    """dispersion_table on the segment's k(omega) series."""
+def _dispersion_tables(fibers, wavelengths_nm, mode_model: str):
+    """Per fiber, in turn, its k(omega) series and its dispersion_table, from
+    one solver call over every fiber's series nodes and the wavelengths."""
     wl = np.asarray(wavelengths_nm, dtype=float)
-    n_eff = effective_index(segment, wl, mode_model)
-    k = n_eff * 2.0 * math.pi / (wl * 1e-9)
-    omega = _omega(wl)
-    return {
-        "wavelength_nm": wl,
-        "n_eff": n_eff,
-        "k_rad_per_m": k,
-        "k1_ps_per_m": series(omega, 1) * 1e12,
-        "beta2_ps2_per_m": series(omega, 2) * 1e24,
-    }
+    nodes, omega = _lobatto_nm(WAVELENGTH_WINDOW_NM[1]), _omega(wl)
+    r, f = np.array([(x.core_radius_nm, x.air_fill) for x in fibers]).T[..., None]  # a column each
+    n_eff = _solve_neff(r, f, np.concatenate((nodes, wl.ravel())), mode_model)
+    for fiber, row in zip(fibers, n_eff):
+        series = _KSeries(fiber, mode_model, row[:nodes.size])
+        n = _guided(row[nodes.size:].reshape(wl.shape), fiber.core_radius_nm, fiber.air_fill, wl)
+        yield series, {
+            "wavelength_nm": wl,
+            "n_eff": n,
+            "k_rad_per_m": n * 2.0 * math.pi / (wl * 1e-9),
+            "k1_ps_per_m": series(omega, 1) * 1e12,
+            "beta2_ps2_per_m": series(omega, 2) * 1e24,
+        }
 
 
 def read_gvd_csv(path) -> list[GvdSample]:

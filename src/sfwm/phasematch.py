@@ -141,71 +141,59 @@ class PhaseMatchPoint:
 
 
 _BRENT_RTOL = 4 * float(np.finfo(float).eps)
+_LAM_MIN_NM, _LAM_MAX_NM = WAVELENGTH_WINDOW_NM
 
 
-def _brentq(f, a: float, b: float, xtol: float, rtol: float = _BRENT_RTOL,
-            maxiter: int = 100) -> float:
-    """Root of the scalar function f in [a, b] by Brent's method
-    (*Algorithms for Minimization without Derivatives*, 1973, ch. 4).
+def _brentq(f, a, b, xtol: float, rtol: float = _BRENT_RTOL, args=(), maxiter: int = 100):
+    """Root of f(x, *args) in each bracket [a, b], elementwise, by Brent's
+    method (*Algorithms for Minimization without Derivatives*, 1973, ch. 4).
 
-    A port of SciPy's scipy.optimize.brentq, step for step, so it returns the
-    same bits: inverse quadratic extrapolation, secant interpolation or
-    bisection, stopping once half the bracket is below (xtol + rtol |x|) / 2.
-    Needs xtol > 0 and rtol >= 4 eps, as brentq does.
+    A port of SciPy's scipy.optimize.brentq run step for step on each open
+    element, so each gets brentq's bits; NaN where brentq raises ValueError
+    (f(a), f(b) of one sign, or a NaN value).  Needs xtol > 0 and rtol >= 4 eps.
     """
-    def value(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"the function value at x={x} is NaN; solver cannot continue")
-        return fx
-
-    xpre, xcur = float(a), float(b)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
+    xa, xb = (np.array(x, dtype=float).ravel() for x in (a, b))
+    fa, fb = np.split(f(np.concatenate((xa, xb)), *(np.concatenate((v, v)) for v in args)), 2)
+    nan = np.isnan(fa) | np.isnan(fb)
+    # An end that is a root is returned as given, a before b.
+    root = np.where(nan | (fa != 0) & (fb != 0), np.nan, np.where(fa == 0, xa, xb))
+    open_ = np.flatnonzero(~nan & (fa != 0) & (fb != 0) & (np.signbit(fa) != np.signbit(fb)))
+    state = np.vstack((xa, xb, fa, fb, np.zeros((4, xa.size))))[:, open_]
+    args = tuple(np.asarray(v)[open_] for v in args)
     for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        if not open_.size:
+            return root
+        xpre, xcur, fpre, fcur, xblk, fblk, spre, scur = state
+        j = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
+        xblk, fblk, spre, scur = np.where(
+            j, (xpre, fpre, xcur - xpre, xcur - xpre), (xblk, fblk, spre, scur))
+        j = np.abs(fblk) < np.abs(fcur)  # swap so that cur is the better end
+        xpre, xcur, xblk, fpre, fcur, fblk = np.where(
+            j, (xcur, xblk, xcur, fcur, fblk, fcur), (xpre, xcur, xblk, fpre, fcur, fblk))
+        delta = (xtol + rtol * np.abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:  # IEEE gives inf or NaN, which bisects below
-                stry = math.nan
-            bound = 3 * abs(sbis) - delta
-            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
-    raise RuntimeError(f"brentq did not converge after {maxiter} iterations, value is {xcur}")
-
-
-def _default_search_window(lambda_pc_nm: float) -> tuple[float, float]:
-    lo = lambda_pc_nm + 10.0
-    hi = min(lambda_pc_nm + 500.0, WAVELENGTH_WINDOW_NM[1] - 5.0)
-    return lo, hi
+        done = (fcur == 0) | (np.abs(sbis) < delta)
+        root[open_[done]] = xcur[done]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            interpolate = -fcur * (xcur - xpre) / (fcur - fpre)
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            extrapolate = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        stry = np.where(xpre == xblk, interpolate, extrapolate)
+        bound = 3 * np.abs(sbis) - delta
+        good = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))  # a NaN step bisects
+                & (2 * np.abs(stry) < np.where(np.abs(spre) < bound, np.abs(spre), bound)))
+        spre, scur = np.where(good, (scur, stry), sbis)
+        x = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+        state = np.stack((xcur, x, fcur, x, xblk, fblk, spre, scur))[:, ~done]
+        open_, args = open_[~done], tuple(v[~done] for v in args)
+        if open_.size:
+            state[3] = f(state[1], *args)
+            ok = ~np.isnan(state[3])  # brentq stops at a NaN value
+            state, open_, args = state[:, ok], open_[ok], tuple(v[ok] for v in args)
+    if open_.size:
+        raise RuntimeError(f"brentq did not converge after {maxiter} iterations")
+    return root
 
 
 def solve_phase_match(segment: FiberSegment, pump: PumpSpec,
@@ -217,58 +205,65 @@ def solve_phase_match(segment: FiberSegment, pump: PumpSpec,
     polishes the root to machine precision so the momentum residual at the
     returned point is far below 1e-6 rad/m.
     """
-    return _phase_match(_KSeries(segment, mode_model), segment, pump, search_window_nm)
+    (pt,) = _phase_match(_KSeries(segment, mode_model), segment, [pump], search_window_nm)
+    if isinstance(pt, PhaseMatchError):
+        raise pt
+    return pt
 
 
-def _phase_match(series: _KSeries, segment: FiberSegment, pump: PumpSpec,
-                 search_window_nm: tuple[float, float] | None) -> PhaseMatchPoint:
-    """solve_phase_match on the segment's k(omega) series."""
-    lam_p = pump.center_wavelength_nm
-    w_p = pump.omega_pc
-    k_p = series(w_p)
+def _phase_match(series: _KSeries, segment: FiberSegment, pumps: list[PumpSpec],
+                 search_window_nm: tuple[float, float] | None) -> list:
+    """solve_phase_match on the segment's series for all the pumps at once,
+    bit for bit: per pump, its PhaseMatchPoint or its PhaseMatchError.  One
+    series call scans, one per Brent iteration polishes, one gives slownesses.
+    """
+    windows, scans = [], []
+    for pump in pumps:
+        lam_p, w_p = pump.center_wavelength_nm, pump.omega_pc
+        lo, hi = search_window_nm or (lam_p + 10.0, min(lam_p + 500.0, _LAM_MAX_NM - 5.0))
+        # Integer-nm coarse grid, independent of the window's fractional part,
+        # so neighbouring pumps of a sweep bracket on the same lattice; the
+        # idler counterpart of each candidate must stay inside the window.
+        lam_grid = np.arange(math.ceil(lo), math.floor(hi) + 1.0, 1.0)
+        idler_nm = 1.0 / (2.0 / lam_p - 1.0 / lam_grid)
+        keep = (idler_nm > _LAM_MIN_NM + 5.0) & (idler_nm < _LAM_MAX_NM)
+        w_grid = TWO_PI_C / (lam_grid[keep] * 1e-9) if keep.sum() >= 2 else np.empty(0)
+        windows.append((lo, hi))
+        scans += [np.array([w_p]), w_grid, 2.0 * w_p - w_grid]  # in a lone pump's order
+    k = np.split(series(np.concatenate([np.empty(0), *scans])),
+                 np.cumsum([w.size for w in scans], dtype=int)[:-1])
+    out, solve = [None] * len(pumps), []
+    for n, (pump, (lo, hi)) in enumerate(zip(pumps, windows)):
+        lam_p, w_grid = pump.center_wavelength_nm, scans[3 * n + 1]
+        vals = 2.0 * k[3 * n] - k[3 * n + 1] - k[3 * n + 2]
+        brackets = np.flatnonzero(vals[:-1] * vals[1:] < 0)
+        if not w_grid.size:
+            out[n] = PhaseMatchError(f"empty search window for pump {lam_p} nm")
+        elif not brackets.size:
+            out[n] = PhaseMatchError(
+                f"no phase matching for {segment.label} (r={segment.core_radius_nm} nm, "
+                f"f={segment.air_fill}) with pump {lam_p} nm in signal window "
+                f"[{lo:.0f}, {hi:.0f}] nm")
+        else:
+            if brackets.size > 1:
+                warnings.warn(f"{brackets.size} phase-matching roots for {segment.label}; "
+                              "returning the one closest to the pump", stacklevel=2)
+            # The bracket at largest omega_s = smallest signal wavelength;
+            # omega descends along the lambda grid.
+            i = brackets[0]
+            solve.append((n, w_grid[i + 1], w_grid[i], k[3 * n][0], pump.omega_pc))
+    at, w_a, w_b, k_p, w_p = np.array(solve, dtype=float).reshape(-1, 5).T
 
-    def mismatch_at_signal(w_s):
-        return 2.0 * k_p - series(w_s) - series(2.0 * w_p - w_s)
+    def mismatch(w_s, k_p, w_p):
+        k = series(np.concatenate((w_s, 2.0 * w_p - w_s)))
+        return 2.0 * k_p - k[:w_s.size] - k[w_s.size:]
 
-    lo, hi = search_window_nm if search_window_nm else _default_search_window(lam_p)
-    # Integer-nm coarse grid, independent of the window's fractional part, so
-    # neighbouring pumps of a sweep bracket on the same lattice; the idler
-    # counterpart of each candidate must stay inside the material window.
-    lam_grid = np.arange(math.ceil(lo), math.floor(hi) + 1.0, 1.0)
-    idler_nm = 1.0 / (2.0 / lam_p - 1.0 / lam_grid)
-    keep = (idler_nm > WAVELENGTH_WINDOW_NM[0] + 5.0) & (idler_nm < WAVELENGTH_WINDOW_NM[1])
-    lam_grid = lam_grid[keep]
-    if lam_grid.size < 2:
-        raise PhaseMatchError(f"empty search window for pump {lam_p} nm")
-
-    w_grid = TWO_PI_C / (lam_grid * 1e-9)
-    vals = mismatch_at_signal(w_grid)
-    brackets = np.flatnonzero(vals[:-1] * vals[1:] < 0)
-    if not brackets.size:
-        raise PhaseMatchError(
-            f"no phase matching for {segment.label} (r={segment.core_radius_nm} nm, "
-            f"f={segment.air_fill}) with pump {lam_p} nm in signal window [{lo:.0f}, {hi:.0f}] nm"
-        )
-    if brackets.size > 1:
-        warnings.warn(
-            f"{brackets.size} phase-matching roots for {segment.label}; "
-            "returning the one closest to the pump", stacklevel=2,
-        )
-    # The bracket at largest omega_s = smallest signal wavelength; omega
-    # descends along the lambda grid.
-    i = brackets[0]
-    w_s0 = _brentq(mismatch_at_signal, w_grid[i + 1], w_grid[i], xtol=1e-3)
-    w_i0 = 2.0 * w_p - w_s0
-
-    slow_p, slow_s, slow_i = series(np.array((w_p, w_s0, w_i0)), 1)
-    tau_s = (slow_p - slow_s) * 1e12
-    tau_i = (slow_p - slow_i) * 1e12
-    return PhaseMatchPoint.for_pump(
-        lambda_pc_nm=lam_p,
-        lambda_s0_nm=TWO_PI_C / w_s0 * 1e9,
-        tau_s_ps_per_m=tau_s,
-        tau_i_ps_per_m=tau_i,
-    )
+    w_s0 = _brentq(mismatch, w_a, w_b, xtol=1e-3, args=(k_p, w_p))
+    slow = np.split(series(np.concatenate((w_p, w_s0, 2.0 * w_p - w_s0)), 1), 3)
+    for n, w, slow_p, slow_s, slow_i in zip(at.astype(int), w_s0, *slow):
+        out[n] = PhaseMatchPoint.for_pump(pumps[n].center_wavelength_nm, TWO_PI_C / float(w) * 1e9,
+                                          (slow_p - slow_s) * 1e12, (slow_p - slow_i) * 1e12)
+    return out
 
 
 @dataclass(frozen=True)
@@ -293,17 +288,12 @@ def gvm_curve(segment: FiberSegment, pump_range_nm: tuple[float, float],
 
 def _gvm_curve(series: _KSeries, segment: FiberSegment, pump_range_nm: tuple[float, float],
                n_points: int, fwhm_nm: float) -> list[GvmSample]:
-    """gvm_curve on the segment's k(omega) series."""
+    """gvm_curve on the segment's k(omega) series: one phase-match solve of
+    all the pumps."""
     lo, hi = min(pump_range_nm), max(pump_range_nm)
-    out: list[GvmSample] = []
-    for lam_p in np.linspace(lo, hi, n_points):
-        pump = PumpSpec(float(lam_p), fwhm_nm)
-        try:
-            pt = _phase_match(series, segment, pump, None)
-        except PhaseMatchError:
-            pt = None
-        out.append(GvmSample(float(lam_p), pt))
-    return out
+    pumps = [PumpSpec(float(lam_p), fwhm_nm) for lam_p in np.linspace(lo, hi, n_points)]
+    return [GvmSample(pump.center_wavelength_nm, None if isinstance(pt, PhaseMatchError) else pt)
+            for pump, pt in zip(pumps, _phase_match(series, segment, pumps, None))]
 
 
 @dataclass(frozen=True)
@@ -335,22 +325,30 @@ def _agvm_roots(series: _KSeries, segment: FiberSegment,
     if any(b <= a for a, b in zip(pumps, pumps[1:])):
         raise ValueError("agvm_roots needs sweep pumps in strictly ascending order")
 
-    def polish(component: str) -> float | None:
-        def tau(lam_p: float) -> float:
-            pt = _phase_match(series, segment, PumpSpec(lam_p, 1.0), None)
-            return getattr(pt, component)
-
+    names = ("tau_i_ps_per_m", "tau_s_ps_per_m")
+    roots, polish = [None, None], []
+    for c, name in enumerate(names):
         for a, b in zip(sweep, sweep[1:]):
             if a.point is None or b.point is None:
                 continue
-            va, vb = getattr(a.point, component), getattr(b.point, component)
+            va, vb = getattr(a.point, name), getattr(b.point, name)
             if va == 0.0:
-                return a.lambda_p_nm
+                roots[c] = a.lambda_p_nm
+                break
             if va * vb < 0:
-                return _brentq(tau, a.lambda_p_nm, b.lambda_p_nm, xtol=1e-2)
-        return None
+                polish.append((c, a.lambda_p_nm, b.lambda_p_nm))
+                break
 
-    return AgvmRoots(
-        pump_for_tau_i_zero=polish("tau_i_ps_per_m"),
-        pump_for_tau_s_zero=polish("tau_s_ps_per_m"),
-    )
+    def tau(lam_p, component):
+        points = _phase_match(series, segment, [PumpSpec(float(x), 1.0) for x in lam_p], None)
+        for pt in points:
+            if isinstance(pt, PhaseMatchError):
+                raise pt
+        return np.array([getattr(pt, names[int(c)]) for pt, c in zip(points, component)])
+
+    component, a, b = np.array(polish, dtype=float).reshape(-1, 3).T  # both roots at once
+    for c, x in zip(component.astype(int), _brentq(tau, a, b, xtol=1e-2, args=(component,))):
+        if math.isnan(x):
+            raise ValueError(f"the sweep's {names[c]} does not change sign on this fiber")
+        roots[c] = float(x)
+    return AgvmRoots(pump_for_tau_i_zero=roots[0], pump_for_tau_s_zero=roots[1])

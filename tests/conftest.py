@@ -1,5 +1,8 @@
 """Shared fixtures: the four-segment catalog and assembly builders."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -50,6 +53,15 @@ TEN_CONFIGURATIONS = [
     ("hom_0.9", [("S2", 0.9)]),
     ("hom_1.5", [("S2", 1.5)]),
 ]
+
+
+def benchmark_config(step: str, seed: int) -> dict:
+    """The config of one benchmark step (perfbench/workloads.py) for one seed."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_benchmark_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.make_config(step, seed)
 
 
 def catalog_point(label: str, tau_i_sign: float = +1.0) -> PhaseMatchPoint:

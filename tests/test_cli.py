@@ -18,6 +18,8 @@ from scipy.constants import c
 
 from sfwm.cli import ConfigError, load_config, run
 
+from conftest import benchmark_config
+
 TWO_PI_C = 2 * math.pi * c
 
 REPO = Path(__file__).resolve().parents[1]
@@ -275,19 +277,22 @@ def test_cli_builds_one_series_per_fiber_and_matches_the_public_calls(tmp_path, 
     from sfwm.dispersion import dispersion_table, find_zdw
     from sfwm.phasematch import agvm_roots, gvm_curve
 
-    solve, builds = dispersion._lobatto_neff, []
+    build, builds = dispersion._KSeries.__init__, []
 
-    def counted(*args):
-        n_eff = solve(*args)
+    def counted(self, *args):
+        build(self, *args)
         builds.append(args)
-        return n_eff
 
-    monkeypatch.setattr(dispersion, "_lobatto_neff", counted)
+    monkeypatch.setattr(dispersion._KSeries, "__init__", counted)
     returned = {}
-    for name in ("_dispersion_table", "_find_zdw", "_gvm_curve", "_agvm_roots"):
+    for name in ("_dispersion_tables", "_find_zdw", "_gvm_curve", "_agvm_roots"):
         def recorded(*args, _fn=getattr(cli, name), _name=name, **kwargs):
             result = _fn(*args, **kwargs)
-            returned.setdefault(_name, []).append(result)
+            if _name == "_dispersion_tables":  # a generator of (series, table)
+                result = list(result)
+                returned[_name] = [table for _, table in result]
+            else:
+                returned.setdefault(_name, []).append(result)
             return result
         monkeypatch.setattr(cli, name, recorded)
 
@@ -300,7 +305,7 @@ def test_cli_builds_one_series_per_fiber_and_matches_the_public_calls(tmp_path, 
     lo, hi = cfg.dispersion["wavelength_range_nm"]
     wl = np.linspace(lo, hi, cfg.dispersion["n_points"])
     fibers = [entry.fiber() for entry in cfg.segments.values()]
-    assert [bits(t) for t in returned["_dispersion_table"]] == [
+    assert [bits(t) for t in returned["_dispersion_tables"]] == [
         bits(dispersion_table(fiber, wl)) for fiber in fibers]
     assert repr(returned["_find_zdw"]) == repr(
         [find_zdw(fiber, cfg.dispersion["zdw_search_nm"]) for fiber in fibers])
@@ -313,6 +318,41 @@ def test_cli_builds_one_series_per_fiber_and_matches_the_public_calls(tmp_path, 
     curve = gvm_curve(fiber, cfg.sweep["pump_range_nm"], cfg.sweep["n_points"])
     assert repr(returned["_gvm_curve"]) == repr([curve])
     assert repr(returned["_agvm_roots"]) == repr([agvm_roots(fiber, curve)])
+
+
+def test_fiber_design_steps_batch_their_solves(tmp_path, monkeypatch):
+    # On the seed-1 benchmark configs: `dispersion` makes one mode-solver call
+    # for all four fibers' series nodes and table rows; `gvm-curve` makes one
+    # array Brent for the pump sweep and one for the AGVM polish of both
+    # roots (the polish's evaluations nest their phase-match solves).
+    from sfwm import dispersion, phasematch
+
+    solve, solves = dispersion._solve_neff, []
+    monkeypatch.setattr(dispersion, "_solve_neff", lambda *a: solves.append(a) or solve(*a))
+    brent, depth, outer = phasematch._brentq, [], []
+
+    def counted(f, a, b, **kwargs):
+        if not depth:
+            outer.append((len(a), kwargs["xtol"]))
+        depth.append(1)
+        try:
+            return brent(f, a, b, **kwargs)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(phasematch, "_brentq", counted)
+    for step, subcommand in (("dispersion_curves", "dispersion"), ("gvm_sweep", "gvm-curve")):
+        config = tmp_path / f"{step}.json"
+        config.write_text(json.dumps(benchmark_config(step, 1)))
+        assert run(subcommand, config, tmp_path / step) == 0
+        if step == "dispersion_curves":
+            ((r_nm, fill, wl, _),) = solves
+            assert np.broadcast(r_nm, fill, wl).size == 4 * (65 + 61)
+            assert outer == []
+    assert len(solves) == 2  # and the sweep fiber's series nodes
+    _, rows = read_csv(tmp_path / "gvm_sweep" / "gvm_curve.csv")
+    assert outer == [(sum(bool(row[1]) for row in rows), 1e-3), (2, 1e-2)]
+    assert len(rows) == 29
 
 
 # Imports sfwm.cli, runs each (subcommand, config, out) of argv[1] in turn and

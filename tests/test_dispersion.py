@@ -386,16 +386,88 @@ def _bits(x):
     return np.asarray(x, dtype=float).tobytes()
 
 
+def _one_solve_per_step_limit(r_nm, fill, mode_model):
+    """The guided-mode limit by a bisection that solves one wavelength a step."""
+    lo, hi = disp.WAVELENGTH_WINDOW_NM
+    if np.isnan(disp._solve_neff(r_nm, fill, lo, mode_model)):
+        return None
+    while hi - lo > disp._CUTOFF_TOL_NM:
+        mid = 0.5 * (lo + hi)
+        if np.isnan(disp._solve_neff(r_nm, fill, mid, mode_model)):
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
+@pytest.mark.parametrize("r_nm, mode_model, limited", [
+    (200.0, "he11", True), (100.0, "lp01", True), (230.0, "he11", True), (10.0, "he11", False)])
+def test_guided_limit_matches_one_solve_per_step(r_nm, mode_model, limited, monkeypatch):
+    # Four bisection levels per solver call follow the same midpoints as one
+    # solve per step: the same limit, bit for bit, in 5 calls instead of 19.
+    expected = _one_solve_per_step_limit(r_nm, 0.296, mode_model)
+    solve, calls = disp._solve_neff, []
+    monkeypatch.setattr(disp, "_solve_neff", lambda *a: calls.append(a) or solve(*a))
+    got = disp._guided_limit_nm(r_nm, 0.296, mode_model)
+    assert (got is None) == (not limited)
+    assert got is None or _bits(got) == _bits(expected) and type(got) is float
+    assert expected is None or len(calls) == 5
+
+
+def test_mixed_fiber_batch_matches_one_call_per_fiber():
+    # Per-element radii and fills, a fiber without a mode at most wavelengths
+    # among them: each element gives the bits of its own fiber's call, NaN
+    # where that fiber has no guided mode.
+    rng = np.random.default_rng(7)
+    fibers = [(948.0, 0.296), (200.0, 0.296), (50.0, 0.296), (1210.0, 0.52)]
+    for mode_model in ("he11", "lp01"):
+        wl = rng.uniform(300.0, 2000.0, (len(fibers), 23))
+        r, f = (np.array(x)[:, None] for x in zip(*fibers))
+        batch = disp._solve_neff(r, f, wl, mode_model)
+        alone = [disp._solve_neff(rk, fk, wk, mode_model) for (rk, fk), wk in zip(fibers, wl)]
+        assert _bits(batch) == _bits(alone)
+        assert np.isnan(batch[2]).any() and not np.isnan(batch[0]).any()
+        # The row of a fiber broadcast against its wavelengths, one at a time.
+        assert _bits([disp._solve_neff(948.0, 0.296, x, mode_model) for x in wl[0]]) == _bits(
+            batch[0])
+
+
+def test_dispersion_tables_of_a_fiber_batch_match_the_public_calls():
+    # One solver call for every fiber's series nodes and table wavelengths;
+    # the r = 200 nm fiber bisects its guided limit and the r = 50 nm one
+    # raises the ModeCutoffError of its first unguided table wavelength.
+    wl = np.linspace(850.0, 1450.0, 7)
+    fibers = [R948, FiberSegment("small", 200.0, 0.296, 1.0),
+              FiberSegment("thin", 50.0, 0.296, 1.0)]
+    tables = disp._dispersion_tables(fibers, wl, "he11")
+    for fiber, (series, table) in zip(fibers[:2], tables):
+        assert [_bits(c) for c in table.values()] == [
+            _bits(c) for c in disp.dispersion_table(fiber, wl).values()]
+        assert _bits(table["n_eff"]) == _bits(effective_index(fiber, wl))
+        alone = disp._KSeries(fiber, "he11")
+        assert (series.lam_max_nm, repr(series._terms)) == (alone.lam_max_nm, repr(alone._terms))
+    with pytest.raises(ModeCutoffError) as batch:
+        next(tables)
+    with pytest.raises(ModeCutoffError) as alone:
+        effective_index(fibers[2], wl)
+    assert str(batch.value) == str(alone.value)
+
+
 @pytest.mark.parametrize("fiber, mode_model", [
     (R948, "he11"), (R948, "lp01"), (FiberSegment("small", 200.0, 0.296, 1.0), "he11")])
 def test_series_evaluator_matches_numpy_chebyshev_bit_for_bit(fiber, mode_model, monkeypatch):
     # The in-house Clenshaw recurrence against numpy's Chebyshev.__call__ of
     # the same coefficients and domain; the r = 200 nm series stops at the
-    # guided limit.  Both domain ends are among the points.
+    # guided limit.  Both domain ends are among the points.  Arrays up to
+    # _FLOAT_SUM_MAX long are summed one Python float at a time, longer ones
+    # as ndarrays, in blocks beyond _SUM_BLOCK.
     series = disp._KSeries(fiber, mode_model)
     omega = np.linspace(*series._domain, 24)
-    assert (omega[0], omega[-1]) == series._domain
-    requests = [omega, omega.reshape(4, 6)] + [x(w) for w in omega for x in (float, np.float64)]
+    assert (omega[0], omega[-1]) == series._domain and omega.size <= disp._FLOAT_SUM_MAX
+    long, huge = np.tile(omega, 3), np.tile(omega, 400).reshape(96, 100)
+    assert disp._FLOAT_SUM_MAX < long.size and huge.size > disp._SUM_BLOCK
+    requests = [omega, omega.reshape(4, 6), long, long.reshape(8, 9), huge] + [
+        x(w) for w in omega for x in (float, np.float64)]
     oracle = [Chebyshev(series._terms[order][2], series._domain) for order in range(3)]
     expected = [[_bits(cheb(r)) for r in requests] for cheb in oracle]
     # No evaluation goes through numpy's polynomial class.
@@ -404,8 +476,9 @@ def test_series_evaluator_matches_numpy_chebyshev_bit_for_bit(fiber, mode_model,
         assert [_bits(series(r, order)) for r in requests] == expected[order]
         # Each scalar gives the bits of its element of the batch.
         batch = series(omega, order)
-        assert [_bits(series(r, order)) for r in requests[2:]] == [
+        assert [_bits(series(r, order)) for r in requests[5:]] == [
             _bits(x) for x in np.repeat(batch, 2)]
+        assert _bits(series(long, order)) == _bits(np.tile(batch, 3))
 
 
 def test_unresolved_series_is_explicit(monkeypatch):

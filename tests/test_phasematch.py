@@ -1,11 +1,14 @@
 """Phase-matching solver, linearization data, and group-velocity-matching sweeps."""
 
 import math
+import warnings
 
+import numpy as np
 import pytest
 from scipy.constants import c
 
 from sfwm import (
+    FiberSegment,
     PhaseMatchPoint,
     PumpSpec,
     agvm_roots,
@@ -13,9 +16,10 @@ from sfwm import (
     propagation_constant,
     solve_phase_match,
 )
-from sfwm.phasematch import GvmSample, PhaseMatchError
+from sfwm.dispersion import _KSeries
+from sfwm.phasematch import GvmSample, PhaseMatchError, _phase_match
 
-from conftest import CATALOG, PUMP_NM, catalog_fiber
+from conftest import CATALOG, PUMP_NM, benchmark_config, catalog_fiber
 
 
 def test_pump_sigma_matches_fwhm_conversion():
@@ -154,3 +158,51 @@ def test_agvm_roots_refuses_a_sweep_that_cannot_bracket(pumps, message):
     with pytest.raises(ValueError) as info:
         agvm_roots(catalog_fiber("S3", 1.9), sweep)
     assert str(info.value) == message
+
+
+def _phase_match_outcomes(series, fiber, pumps, window):
+    """repr of each pump's point (types included) or its error, and the
+    warnings issued, from one batched call and from one call per pump."""
+    def outcomes(points):
+        return [repr(p) if isinstance(p, PhaseMatchPoint) else f"{type(p).__name__}: {p}"
+                for p in points]
+
+    with warnings.catch_warnings(record=True) as batch_warnings:
+        warnings.simplefilter("always")
+        batch = outcomes(_phase_match(series, fiber, pumps, window))
+    with warnings.catch_warnings(record=True) as alone_warnings:
+        warnings.simplefilter("always")
+        alone = outcomes([_phase_match(series, fiber, [p], window)[0] for p in pumps])
+    return ((batch, [str(w.message) for w in batch_warnings]),
+            (alone, [str(w.message) for w in alone_warnings]))
+
+
+# Pumps outside the sweep: no root in the window, or an empty window.
+_OFF_SWEEP_NM = (600.0, 950.0, 1300.0, 1700.0, 1990.0)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_batched_phase_match_matches_one_pump_calls_on_benchmark_sweeps(seed):
+    cfg = benchmark_config("gvm_sweep", seed)
+    seg = cfg["segments"][0]
+    fiber = FiberSegment(seg["label"], seg["core_radius_nm"], seg["air_fill"], seg["length_m"])
+    lams = np.concatenate((np.linspace(*cfg["sweep"]["pump_range_nm"], cfg["sweep"]["n_points"]),
+                           _OFF_SWEEP_NM))
+    pumps = [PumpSpec(float(lam), 1.0) for lam in lams]
+    (batch, batch_warnings), (alone, alone_warnings) = _phase_match_outcomes(
+        _KSeries(fiber, "he11"), fiber, pumps, None)
+    assert batch == alone and batch_warnings == alone_warnings
+    assert sum(o.startswith("PhaseMatchError") for o in batch) >= 2
+
+
+@pytest.mark.parametrize("window", [None, (1090.0, 1120.0), (1380.0, 1440.0)])
+def test_batched_phase_match_matches_one_pump_calls_on_the_catalog(window):
+    pumps = [PumpSpec(lam, fwhm) for lam in (1060.0, PUMP_NM, 1080.0) for fwhm in (2.0, 5.0)]
+    for label in CATALOG:
+        fiber = catalog_fiber(label)
+        series = _KSeries(fiber, "he11")
+        (batch, batch_warnings), (alone, alone_warnings) = _phase_match_outcomes(
+            series, fiber, pumps, window)
+        assert batch == alone and batch_warnings == alone_warnings
+        if window is None:
+            assert batch[2] == repr(solve_phase_match(fiber, pumps[2]))

@@ -10,6 +10,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.optimize.elementwise import find_root
 
@@ -117,34 +119,93 @@ def _random_smooth(rng, center, scale):
     return (f, b, a) if rng.random() < 0.5 else (f, a, b)
 
 
-def _brent_outcome(solver, f, a, b, **tol):
+def _brent_outcome(f, a, b, **tol):
+    """brentq's root, or the type of the exception it raises."""
     try:
-        return solver(f, a, b, **tol)
+        return brentq(f, a, b, **tol)
     except ValueError as exc:
         return type(exc)
+
+
+def _array_brent_outcome(f, a, b, **tol):
+    """The array port on the one bracket of a scalar f: NaN stands for
+    brentq's ValueError."""
+    (x,) = pm._brentq(lambda x: np.array([f(float(v)) for v in x]), [a], [b], **tol)
+    return ValueError if math.isnan(x) else float(x)
 
 
 # The (xtol, rtol) pairs the package passes, at the x-scale of their calls:
 # phase matching in omega (rad/s) and the AGVM polish in pump wavelength (nm).
 # The coarse pair makes the tolerance a fair share of the bracket, where the
 # step rule's delta terms decide.
-@pytest.mark.parametrize("center, scale, xtol, rtol", [
+_TOLERANCES = [
     (1.3e15, 1e13, 1e-3, pm._BRENT_RTOL),
     (1000.0, 10.0, 1e-2, pm._BRENT_RTOL),
     (0.0, 1.0, 0.2, 1e-3),
-])
+]
+
+
+@pytest.mark.parametrize("center, scale, xtol, rtol", _TOLERANCES)
 def test_brent_matches_brentq_on_random_smooth_functions(center, scale, xtol, rtol):
+    # 2000 random brackets in one array call, each element against brentq.
     rng = random.Random(17)
+    funcs, a, b = zip(*(_random_smooth(rng, center, scale) for _ in range(2000)))
+
+    def each(x, which):
+        return np.array([funcs[i](v) for v, i in zip(x.tolist(), which.tolist())])
+
+    got = pm._brentq(each, a, b, xtol=xtol, rtol=rtol, args=(np.arange(len(funcs)),))
     roots = 0
-    for _ in range(2000):
-        f, a, b = _random_smooth(rng, center, scale)
-        ref = _brent_outcome(brentq, f, a, b, xtol=xtol, rtol=rtol)
-        got = _brent_outcome(pm._brentq, f, a, b, xtol=xtol, rtol=rtol)
-        assert type(got) is type(ref)
+    for k, f in enumerate(funcs):
+        ref = _brent_outcome(f, a[k], b[k], xtol=xtol, rtol=rtol)
         if isinstance(ref, float):
             roots += 1
-            assert _same_bits(got, ref), (a, b)
+            assert _same_bits(float(got[k]), ref), (a[k], b[k])
+        else:
+            assert ref is ValueError and math.isnan(got[k])
     assert roots > 1500  # most random brackets are valid
+
+
+def _cubic(x, root, scale, c1, c2, mag, nan_above):
+    """A cubic through root, NaN above nan_above; only +, -, *, /, so a
+    Python float and an ndarray element get the same bits."""
+    y = (x - root) / scale
+    return np.where(x > nan_above, np.nan, mag * (y + c1 * y * y + c2 * y * y * y))
+
+
+_BRACKET = st.tuples(
+    st.floats(-0.5, 0.5), st.floats(-1.2, 1.2), st.floats(-1.2, 1.2),  # root, c1, c2
+    st.floats(-300.0, 300.0), st.sampled_from([1.0, -1.0]),  # log10 |mag|, sign
+    st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, -0.0])),  # a's offset below root
+    st.floats(-0.3, 1.0), st.booleans(),  # b's offset above root; swap a and b
+    st.one_of(st.just(math.inf), st.floats(-0.5, 1.5)),  # NaN above
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(brackets=st.lists(_BRACKET, min_size=1, max_size=12),
+       tol=st.sampled_from(_TOLERANCES))
+def test_array_brent_matches_brentq_on_every_element(brackets, tol):
+    # A batch of cubics in one array call against brentq on each: roots at an
+    # end (a zero offset), same-sign brackets (an offset below the root or a
+    # root of the cubic's other branch), NaN values and magnitudes near
+    # underflow and overflow; NaN marks where brentq raises ValueError.
+    center, scale, xtol, rtol = tol
+    rows = []
+    for root, c1, c2, log_mag, sign, da, db, swap, nan_above in brackets:
+        root = center + scale * root
+        a, b = root - scale * da, root + scale * db
+        rows.append((*((b, a) if swap else (a, b)), root, scale, c1, c2,
+                     sign * 10.0 ** log_mag, center + scale * nan_above))
+    a, b, *args = (np.array(col) for col in zip(*rows))
+    got = pm._brentq(_cubic, a, b, xtol=xtol, rtol=rtol, args=tuple(args))
+    for k, row in enumerate(rows):
+        ref = _brent_outcome(lambda x, p=row[2:]: float(_cubic(x, *p)), row[0], row[1],
+                             xtol=xtol, rtol=rtol)
+        if ref is ValueError:
+            assert math.isnan(got[k])
+        else:
+            assert _same_bits(float(got[k]), ref)
 
 
 def test_brent_endpoint_root_and_same_sign_bracket():
@@ -152,23 +213,30 @@ def test_brent_endpoint_root_and_same_sign_bracket():
         return x - 2.0
 
     # A root at either end is returned as given, the sign of a zero included.
-    for g, a, b in ((f, 2.0, 5.0), (f, 0.0, 2.0), (math.sin, -0.0, 1.0)):
-        assert _same_bits(pm._brentq(g, a, b, xtol=1e-3), brentq(g, a, b, xtol=1e-3))
-    assert math.copysign(1.0, pm._brentq(math.sin, -0.0, 1.0, xtol=1e-3)) == -1.0
+    for g, a, b in ((f, 2.0, 5.0), (f, 0.0, 2.0), (math.sin, -0.0, 1.0),
+                    (lambda x: x * (x - 1.0), 1.0, 0.0)):  # both ends: a wins
+        assert _same_bits(_array_brent_outcome(g, a, b, xtol=1e-3), brentq(g, a, b, xtol=1e-3))
+    assert math.copysign(1.0, _array_brent_outcome(math.sin, -0.0, 1.0, xtol=1e-3)) == -1.0
     with pytest.raises(ValueError, match="different signs"):
         brentq(f, 3.0, 4.0)
-    with pytest.raises(ValueError, match="different signs"):
-        pm._brentq(f, 3.0, 4.0, xtol=1e-3)
+    assert _array_brent_outcome(f, 3.0, 4.0, xtol=1e-3) is ValueError
+    # In one batch: a root at a, at b, a same-sign bracket and a plain one.
+    x = pm._brentq(lambda x: x - 2.0, [2.0, 0.0, 3.0, 1.0], [5.0, 2.0, 4.0, 3.0], xtol=1e-3)
+    assert x[:2].tolist() == [2.0, 2.0] and math.isnan(x[2]) and abs(x[3] - 2.0) < 1e-3
 
 
 def test_brent_matches_brentq_on_the_package_calls(monkeypatch):
-    # Each phase-match and AGVM polish of a short gvm-curve step, replayed.
+    # Each array Brent of a phase-match solve, a short gvm-curve sweep and
+    # its AGVM polish, replayed element by element through brentq.
     port, calls = pm._brentq, []
 
-    def checked(f, a, b, xtol, rtol=pm._BRENT_RTOL):
-        got = port(f, a, b, xtol, rtol)
-        assert _same_bits(got, brentq(f, a, b, xtol=xtol, rtol=rtol))
-        calls.append(xtol)
+    def checked(f, a, b, xtol, rtol=pm._BRENT_RTOL, args=()):
+        got = port(f, a, b, xtol, rtol, args)
+        for k in range(len(got)):
+            def one(x, k=k):
+                return f(np.array([x]), *(np.asarray(v)[k:k + 1] for v in args))[0]
+            assert _same_bits(got[k], brentq(one, a[k], b[k], xtol=xtol, rtol=rtol))
+        calls.append((xtol, len(got)))
         return got
 
     monkeypatch.setattr(pm, "_brentq", checked)
@@ -176,4 +244,4 @@ def test_brent_matches_brentq_on_the_package_calls(monkeypatch):
     solve_phase_match(seg, PumpSpec(1070.0, 2.0))
     roots = agvm_roots(seg, gvm_curve(seg, (955.0, 1095.0), 8))
     assert roots.pump_for_tau_i_zero is not None and roots.pump_for_tau_s_zero is not None
-    assert {1e-3, 1e-2} <= set(calls)
+    assert (1e-3, 8) in calls and (1e-2, 2) in calls

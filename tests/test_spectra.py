@@ -1,5 +1,6 @@
 """Pump envelope, phase-matching functions, JSA grids, marginals, filter scans."""
 
+import json
 import math
 from pathlib import Path
 
@@ -23,11 +24,11 @@ from sfwm import (
     phi_signal,
     pump_envelope,
 )
-from sfwm import cli, spectra
+from sfwm import cli, correlation, planner, spectra
 from sfwm.dispersion import TWO_PI_C
 from sfwm.spectra import ENVELOPE_FLOOR, GridResolutionError
 
-from conftest import PUMP_NM, catalog_assembly, catalog_point
+from conftest import PUMP_NM, benchmark_config, catalog_assembly, catalog_point
 
 
 def make_point(ls0=1413.6, tau_s=3.2, theta=0.002, sign=+1.0):
@@ -84,6 +85,43 @@ def _flush_test_jsas(pump_2nm):
     cfg = cli.load_config(Path(__file__).resolve().parents[1] / "configs" / "jsi_grids.json")
     for _, assembly in cli._named_assemblies(cfg, cfg.pump):
         yield build_jsa(assembly, cfg.pump, **cli._jsa_args(cfg))
+
+
+def _flushed_bits(pump, omega_s, omega_i):
+    """The envelope without the exponent clamp: exp, then the flush."""
+    env = _unflushed_envelope(pump, omega_s, omega_i)
+    return np.where(env < ENVELOPE_FLOOR, 0.0, env).tobytes()
+
+
+def test_envelope_clamp_keeps_every_bit(pump_2nm, tmp_path, monkeypatch):
+    # The clamped exponent against exp of the raw one, cell for cell: on a
+    # far-detuned axis, then on every block of the 35 JSAs of the seed-1
+    # splice-design benchmark (g2-table, then plan).  Both reach exponents
+    # where exp is subnormal (-745 to -708) or 0.
+    w, sigma = pump_2nm.omega_pc, pump_2nm.sigma_omega
+    far = w + np.linspace(0.0, 60.0, 6001) * sigma  # exponents down to -900
+    assert pump_envelope(pump_2nm, far, w).tobytes() == _flushed_bits(pump_2nm, far, w)
+    envelope, jsas, lowest = spectra.pump_envelope, [], []
+
+    def checked(pump, omega_s, omega_i):
+        env = envelope(pump, omega_s, omega_i)
+        assert env.tobytes() == _flushed_bits(pump, omega_s, omega_i)
+        det = omega_s + omega_i - 2.0 * pump.omega_pc
+        lowest.append((-(det**2) / (4.0 * pump.sigma_omega**2)).min())
+        return env
+
+    def counted(*args, _build=spectra.build_jsa, **kwargs):
+        jsas.append(args)
+        return _build(*args, **kwargs)
+
+    monkeypatch.setattr(spectra, "pump_envelope", checked)
+    for module in (correlation, planner):
+        monkeypatch.setattr(module, "build_jsa", counted)
+    for step, subcommand in (("g2_table", "g2-table"), ("splice_plan", "plan")):
+        config = tmp_path / f"{step}.json"
+        config.write_text(json.dumps(benchmark_config(step, 1)))
+        assert cli.run(subcommand, config, tmp_path / step) == 0
+    assert len(jsas) == 35 and min(lowest) < -745.0
 
 
 def test_envelope_flush_keeps_every_intensity_bit(pump_2nm, monkeypatch):

@@ -7,14 +7,16 @@ Chebyshev series of n_eff(omega) (where the package has one), 100 scalar
 evaluations of that series at each derivative order 0-2, ``gvd`` on
 61 wavelengths over 850-1450 nm, ``find_zdw`` on 900-1250 nm,
 ``solve_phase_match`` at a 1070 nm pump, ``gvm_curve`` over 29 pumps on
-955-1095 nm, ``agvm_roots`` on that sweep, and the full-model
-``build_jsa`` of S2 (0.3 m) on its 512x512 grid; then the in-process
-``dispersion`` and ``gvm-curve`` CLI calls on the configs of the
+955-1095 nm, ``agvm_roots`` on that sweep, the same sweep and AGVM-root
+polish on S1's prebuilt series (``gvm_sweep_29``, ``agvm_polish``), and the
+full-model ``build_jsa`` of S2 (0.3 m) on its 512x512 grid; then the
+in-process ``dispersion`` and ``gvm-curve`` CLI calls on the configs of the
 benchmark's seed-1 ``dispersion_curves`` and ``gvm_sweep`` steps
 (``perfbench/workloads.py``).  Prints one JSON object: the median over the
-repeats (ms per call), the core count and the OpenBLAS builds and thread
-counts the process loaded.  ``--src`` times the package under another
-checkout's ``src/`` the same way.
+repeats (ms per call), the mode-solver (``_solve_neff``) and Brent
+(``_brentq``) calls one of each of those CLI calls makes, the core count
+and the OpenBLAS builds and thread counts the process loaded.  ``--src``
+times the package under another checkout's ``src/`` the same way.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ def main() -> int:
 
     from sfwm import (FiberSegment, PumpSpec, agvm_roots, assembly_from_fibers, build_jsa,
                       default_grid, find_zdw, gvd, gvm_curve, solve_phase_match)
-    from sfwm import dispersion
+    from sfwm import dispersion, phasematch
 
     s1 = FiberSegment("S1", 947.0, 0.296, 0.3)
     s2 = FiberSegment("S2", 947.5, 0.296, 0.3)
@@ -75,7 +77,10 @@ def main() -> int:
         calls = {"series_build": lambda: dispersion._KSeries(s1, "he11"),
                  "series_scalar_300": lambda: [series(w, order) for order in range(3)
                                                for w in omegas],
-                 **calls}
+                 **calls,
+                 "gvm_sweep_29": lambda: phasematch._gvm_curve(series, s1, (955.0, 1095.0), 29,
+                                                               1.0),
+                 "agvm_polish": lambda: phasematch._agvm_roots(series, s1, sweep)}
 
     sys.path.insert(0, str(REPO / "perfbench"))
     from workloads import SUBCOMMAND, make_config
@@ -91,13 +96,30 @@ def main() -> int:
                 raise RuntimeError(f"{step}: the CLI call failed")
         return call
 
+    def counted(module, name, log):
+        fn = getattr(module, name)
+
+        def call(*a, **kw):
+            log[name] += 1
+            return fn(*a, **kw)
+        setattr(module, name, call)
+        return fn
+
     work = tempfile.TemporaryDirectory()
+    solves = {}
     for step in ("dispersion_curves", "gvm_sweep"):
         calls[f"cli_{step}_seed1"] = cli_step(step, Path(work.name))
+        log = solves[f"cli_{step}_seed1"] = {"_solve_neff": 0, "_brentq": 0}
+        saved = [(m, n, counted(m, n, log)) for m, n in ((dispersion, "_solve_neff"),
+                                                        (phasematch, "_brentq"))]
+        calls[f"cli_{step}_seed1"]()
+        for module, name, fn in saved:
+            setattr(module, name, fn)
     layers = {name: _median_ms(fn, args.repeats) for name, fn in calls.items()}
     work.cleanup()
     print(json.dumps({"repeats": args.repeats, "nproc": os.cpu_count(),
-                      "openblas": _openblas(), "ms_per_call": layers}, indent=1))
+                      "openblas": _openblas(), "ms_per_call": layers,
+                      "solver_calls_per_cli_call": solves}, indent=1))
     return 0
 
 
