@@ -539,7 +539,7 @@ def _cmd_dispersion(cfg: RunConfig, out: _OutputSet) -> dict:
     lo, hi = cfg.dispersion["wavelength_range_nm"]
     wl = np.linspace(lo, hi, cfg.dispersion["n_points"])
     zdw_rows = []
-    tables = _dispersion_tables([entry.fiber() for entry in cfg.segments.values()], wl, "he11")
+    tables = _dispersion_tables([entry.fiber() for entry in cfg.segments.values()], wl)
     for label, (series, table) in zip(cfg.segments, tables):
         out.add_csv(
             f"dispersion_{label}.csv",
@@ -593,9 +593,8 @@ def _cmd_gvm_curve(cfg: RunConfig, out: _OutputSet) -> dict:
     if label is None or label not in cfg.segments:
         raise ConfigError("sweep.segment_label missing or unknown")
     fiber = cfg.segments[label].fiber()
-    series = _KSeries(fiber, "he11")  # shared by the sweep and the root polish
-    curve = _gvm_curve(series, fiber, cfg.sweep["pump_range_nm"], cfg.sweep["n_points"],
-                       fwhm_nm=1.0)
+    series = _KSeries(fiber)  # shared by the sweep and the root polish
+    curve = _gvm_curve(series, fiber, cfg.sweep["pump_range_nm"], cfg.sweep["n_points"])
     rows = []
     for sample in curve:
         if sample.point is None:

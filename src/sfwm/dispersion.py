@@ -6,12 +6,11 @@ air-fraction-weighted average of silica and air,
 
     n_cl(lambda, f) = (1 - f) * n_silica(lambda) + f.
 
-The guided fundamental mode is solved from the exact (full-vector) HE11
-characteristic equation by default; the scalar weakly-guiding LP01 equation
-is available for comparison via ``mode_model="lp01"``.  At the index
-contrasts of interest here (n_co - n_cl ~ 0.13) the scalar approximation
-misplaces the dispersion curve by enough to remove the anomalous-dispersion
-window entirely, so it is not the default.
+The guided fundamental mode is the solution of the exact (full-vector) HE11
+characteristic equation.  At the index contrasts of interest here
+(n_co - n_cl ~ 0.13) the scalar weakly-guiding LP01 approximation misplaces
+the dispersion curve by enough to remove the anomalous-dispersion window
+entirely, so the package has no scalar model.
 
 All frequency-domain math is done in SI units (rad/s, m); wavelengths in nm
 and group quantities in ps/m, ps^2/m appear only at the interfaces.
@@ -43,7 +42,6 @@ _SELLMEIER_C_UM2 = (0.0684043**2, 0.1162414**2, 9.896161**2)
 #: Validity window of the silica material model, nm.
 WAVELENGTH_WINDOW_NM = (300.0, 2000.0)
 
-_J0_FIRST_ZERO = 2.404825557695773
 _J1_FIRST_ZERO = 3.8317059702075125
 
 #: Degree of the per-fiber Chebyshev series of n_eff(omega); its
@@ -161,12 +159,6 @@ def _he11_residual(u, v, nrat2, inv_kna2):
     return (a + b) * (a + nrat2 * b) - (1.0 - u * u * inv_kna2) * ((v / (u * w)) ** 2) ** 2
 
 
-def _lp01_residual(u, v):
-    """Scalar LP01 characteristic residual, elementwise."""
-    w = np.sqrt(v * v - u * u)
-    return u * j1(u) / j0(u) - w * k1(w) / k0(w)
-
-
 def _first_brackets(fun, args, start: float, stop, num: int):
     """Per column, the first sign change of fun(u, *args) on the rows of
     np.linspace(start, stop, num); NaN where there is none.
@@ -198,92 +190,72 @@ def _first_brackets(fun, args, start: float, stop, num: int):
     return lo, hi
 
 
-def _chandrupatla(fun, a, b, args=(), maxiter: int = 2046):
-    """Root of fun(x, *args) in each bracket [a, b], elementwise, by
-    Chandrupatla's hybrid of inverse quadratic interpolation and bisection
-    (Adv. Eng. Softw. 28:145, 1997).
+_BRENT_RTOL = 4 * float(np.finfo(float).eps)
 
-    A port of SciPy's scipy.optimize.elementwise.find_root at its default
-    tolerances (xatol = 4 tiny, xrtol = 4 eps, fatol = tiny, frtol = 0),
-    step for step, so it returns the same bits; converged elements leave the
-    active set after each iteration.  Returns (x, success, status, f_x):
-    status 0 is converged, -1 a bracket without a sign change, -2 maxiter
-    reached and -3 a non-finite abscissa or NaN residual.
+
+def _brentq(f, a, b, xtol: float, rtol: float = _BRENT_RTOL, args=(), maxiter: int = 100):
+    """Root of f(x, *args) in each bracket [a, b], elementwise, by Brent's
+    method (*Algorithms for Minimization without Derivatives*, 1973, ch. 4).
+
+    A port of SciPy's scipy.optimize.brentq run step for step on each open
+    element, so each gets brentq's bits; NaN where brentq raises ValueError
+    (f(a), f(b) of one sign, or a NaN value).  Needs xtol > 0 and rtol >= 4 eps.
     """
-    x1, x2 = np.array(a, dtype=float), np.array(b, dtype=float)
-    f1, f2 = fun(x1, *args), fun(x2, *args)
-    x_out, f_out = np.zeros(x1.size), np.zeros(x1.size)
-    status_out = np.ones(x1.size, dtype=np.int32)
-    active = np.arange(x1.size)
-    frtol = 0.0 * np.minimum(np.abs(f1), np.abs(f2))  # frtol = 0; NaN at an infinite end
-    tiny, eps = np.finfo(float).tiny, np.finfo(float).eps
-    xatol, xrtol, fatol = 4 * tiny, 4 * eps, tiny
-    x3, f3 = x2, f2  # the third point, read from the second step on
-    t = 0.5
-    nit = 0
-    while True:
-        # Termination tests, in find_root's order.
-        status = np.ones(x1.size, dtype=np.int32)
-        i = np.abs(f1) < np.abs(f2)
-        xmin, fmin = np.where(i, x1, x2), np.where(i, f1, f2)
-        stop = np.abs(fmin) <= fatol + frtol
-        status[stop] = 0
-        i = (np.sign(f1) == np.sign(f2)) & ~stop
-        xmin[i], fmin[i], status[i] = np.nan, np.nan, -1
-        stop |= i
-        i = (~(np.isfinite(x1) & np.isfinite(x2)) | (np.isnan(f1) & np.isnan(f2))) & ~stop
-        xmin[i], fmin[i], status[i] = np.nan, np.nan, -3
-        stop |= i
-        dx = np.abs(x2 - x1)
-        tol = np.abs(xmin) * xrtol + xatol
-        i = dx < tol
-        status[i] = 0
-        stop |= i
-        if stop.any():
-            done = active[stop]
-            x_out[done], f_out[done], status_out[done] = xmin[stop], fmin[stop], status[stop]
-            keep = ~stop
-            active = active[keep]
-            x1, f1, x2, f2, x3, f3, frtol, xmin, fmin, dx, tol = (
-                v[keep] for v in (x1, f1, x2, f2, x3, f3, frtol, xmin, fmin, dx, tol))
-            args = tuple(v[keep] for v in args)
-        if not active.size or nit >= maxiter:
-            break
-        if nit:
-            # Inverse quadratic step, or bisection where the quadratic
-            # through the three points is not safe (Chandrupatla's eq. 1).
-            with np.errstate(divide="ignore", invalid="ignore"):
-                xi1 = (x1 - x2) / (x3 - x2)
-                phi1 = (f1 - f2) / (f3 - f2)
-                alpha = (x3 - x1) / (x2 - x1)
-                j = ((1 - np.sqrt(1 - xi1)) < phi1) & (phi1 < np.sqrt(xi1))
-                f1j, f2j, f3j, alphaj = f1[j], f2[j], f3[j], alpha[j]
-                t = np.full_like(alpha, 0.5)
-                t[j] = (f1j / (f1j - f2j) * f3j / (f3j - f2j)
-                        - alphaj * f1j / (f3j - f1j) * f2j / (f2j - f3j))
-                tl = 0.5 * tol / dx
-            t = np.clip(t, tl, 1 - tl)
-        x = x1 + t * (x2 - x1)
-        f = fun(x, *args)
-        x3, f3 = x2.copy(), f2.copy()
-        j = np.sign(f) == np.sign(f1)
-        x3[j], f3[j] = x1[j], f1[j]
-        x2[~j], f2[~j] = x1[~j], f1[~j]
-        x1, f1 = x, f
-        nit += 1
-    x_out[active], f_out[active], status_out[active] = xmin, fmin, -2
-    return x_out, status_out == 0, status_out, f_out
+    xa, xb = (np.array(x, dtype=float).ravel() for x in (a, b))
+    fa, fb = np.split(f(np.concatenate((xa, xb)), *(np.concatenate((v, v)) for v in args)), 2)
+    nan = np.isnan(fa) | np.isnan(fb)
+    # An end that is a root is returned as given, a before b.
+    root = np.where(nan | (fa != 0) & (fb != 0), np.nan, np.where(fa == 0, xa, xb))
+    open_ = np.flatnonzero(~nan & (fa != 0) & (fb != 0) & (np.signbit(fa) != np.signbit(fb)))
+    state = np.vstack((xa, xb, fa, fb, np.zeros((4, xa.size))))[:, open_]
+    args = tuple(np.asarray(v)[open_] for v in args)
+    for _ in range(maxiter):
+        if not open_.size:
+            return root
+        xpre, xcur, fpre, fcur, xblk, fblk, spre, scur = state
+        j = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
+        xblk, fblk, spre, scur = np.where(
+            j, (xpre, fpre, xcur - xpre, xcur - xpre), (xblk, fblk, spre, scur))
+        j = np.abs(fblk) < np.abs(fcur)  # swap so that cur is the better end
+        xpre, xcur, xblk, fpre, fcur, fblk = np.where(
+            j, (xcur, xblk, xcur, fcur, fblk, fcur), (xpre, xcur, xblk, fpre, fcur, fblk))
+        delta = (xtol + rtol * np.abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        done = (fcur == 0) | (np.abs(sbis) < delta)
+        root[open_[done]] = xcur[done]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            interpolate = -fcur * (xcur - xpre) / (fcur - fpre)
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            extrapolate = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        stry = np.where(xpre == xblk, interpolate, extrapolate)
+        bound = 3 * np.abs(sbis) - delta
+        good = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))  # a NaN step bisects
+                & (2 * np.abs(stry) < np.where(np.abs(spre) < bound, np.abs(spre), bound)))
+        spre, scur = np.where(good, (scur, stry), sbis)
+        x = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+        state = np.stack((xcur, x, fcur, x, xblk, fblk, spre, scur))[:, ~done]
+        open_, args = open_[~done], tuple(v[~done] for v in args)
+        if open_.size:
+            state[3] = f(state[1], *args)
+            ok = ~np.isnan(state[3])  # brentq stops at a NaN value
+            state, open_, args = state[:, ok], open_[ok], tuple(v[ok] for v in args)
+    if open_.size:
+        raise RuntimeError(f"brentq did not converge after {maxiter} iterations")
+    return root
 
 
-def _solve_neff(core_radius_nm, air_fill, wavelength_nm, mode_model: str):
-    """Effective index of the fundamental mode, elementwise over the core
-    radius, the air fill and the wavelength, broadcast together; NaN where the
-    bracket scan finds no guided mode.
+def _solve_neff(core_radius_nm, air_fill, wavelength_nm):
+    """Effective index of the HE11 mode, elementwise over the core radius, the
+    air fill and the wavelength, broadcast together; NaN where the bracket
+    scan finds no guided mode.
 
     Each element is bracketed by the first sign change of the residual on
-    129 points of u, then all brackets are polished in one vectorized
-    Chandrupatla solve.  Every element depends on its own inputs only, so a
-    batch gives the same bits as one call per element.
+    129 points of u, then all brackets are polished in one _brentq call to
+    4 tiny absolute and 4 eps relative in u.  Every element depends on its own
+    inputs only, so a batch gives the same bits as one call per element.  A
+    polish stopped by a NaN residual or by the iteration cap raises the
+    ModeSolverError of its first element, with that element's last residual.
     """
     r, fill, wl = np.broadcast_arrays(core_radius_nm, air_fill, np.asarray(wavelength_nm, float))
     shape, r, fill, wl = wl.shape, r.ravel(), fill.ravel(), wl.ravel()
@@ -292,23 +264,29 @@ def _solve_neff(core_radius_nm, air_fill, wavelength_nm, mode_model: str):
     a_m = r * 1e-9
     k0_ = 2.0 * math.pi / (wl * 1e-9)
     v = k0_ * a_m * np.sqrt(n_co * n_co - n_cl * n_cl)
+    args = (v, (n_cl / n_co) ** 2, 1.0 / (k0_ * n_co * a_m) ** 2)
 
-    if mode_model == "he11":
-        fun, args = _he11_residual, (v, (n_cl / n_co) ** 2, 1.0 / (k0_ * n_co * a_m) ** 2)
-        hi = np.minimum(v, _J1_FIRST_ZERO) * (1.0 - 1e-12)
-    elif mode_model == "lp01":
-        fun, args = _lp01_residual, (v,)
-        hi = np.minimum(v, _J0_FIRST_ZERO) * (1.0 - 1e-12)
-    else:
-        raise ValueError(f"unknown mode_model {mode_model!r}")
-
-    u_lo, u_hi = _first_brackets(fun, args, 1e-3, hi, 129)
+    u_lo, u_hi = _first_brackets(_he11_residual, args, 1e-3,
+                                 np.minimum(v, _J1_FIRST_ZERO) * (1.0 - 1e-12), 129)
     ok = np.flatnonzero(~np.isnan(u_lo))
-    u, success, status, f_u = _chandrupatla(fun, u_lo[ok], u_hi[ok], tuple(x[ok] for x in args))
-    if not success.all():
-        i = np.flatnonzero(~success)[0]
+    f_u, last = np.zeros(ok.size), [None]  # per bracket its latest residual; the latest brackets
+
+    def residual(u, at, *args):
+        last[0] = at
+        f_u[at] = f = _he11_residual(u, *args)
+        return f
+
+    try:
+        u = _brentq(residual, u_lo[ok], u_hi[ok], xtol=4 * np.finfo(float).tiny,
+                    args=(np.arange(ok.size), *(x[ok] for x in args)))
+        failed = np.isnan(u)  # a NaN residual stopped these
+    except RuntimeError:  # the iteration cap, with the latest brackets still open
+        failed = np.isnan(f_u)
+        failed[last[0]] = True
+    if failed.any():
+        i = np.flatnonzero(failed)[0]
         raise ModeSolverError(f"eigenvalue iteration failed at lambda={float(wl[ok[i]])} nm "
-                              f"(status {int(status[i])})", residual=float(f_u[i]))
+                              f"(last residual {f_u[i]:.3g})", residual=float(f_u[i]))
     n_eff = np.full(wl.size, np.nan)
     n_eff[ok] = np.sqrt((k0_[ok] * n_co[ok]) ** 2 - (u / a_m[ok]) ** 2) / k0_[ok]
     return n_eff.reshape(shape)[()]
@@ -327,15 +305,15 @@ def _guided(n_eff, core_radius_nm: float, air_fill: float, wavelength_nm):
     return n_eff
 
 
-def effective_index(segment: FiberSegment, wavelength_nm, mode_model: str = "he11"):
+def effective_index(segment: FiberSegment, wavelength_nm):
     """Fundamental-mode effective index, elementwise; n_cl < n_eff < n_co."""
     r, f = segment.core_radius_nm, segment.air_fill
-    return _guided(_solve_neff(r, f, wavelength_nm, mode_model), r, f, wavelength_nm)
+    return _guided(_solve_neff(r, f, wavelength_nm), r, f, wavelength_nm)
 
 
-def propagation_constant(segment: FiberSegment, wavelength_nm, mode_model: str = "he11"):
+def propagation_constant(segment: FiberSegment, wavelength_nm):
     """Propagation constant k = n_eff * 2*pi/lambda in rad/m, elementwise."""
-    n = effective_index(segment, wavelength_nm, mode_model)
+    n = effective_index(segment, wavelength_nm)
     return n * 2.0 * math.pi / (np.asarray(wavelength_nm, dtype=float) * 1e-9)
 
 
@@ -343,7 +321,7 @@ def _omega(wavelength_nm):
     return TWO_PI_C / (np.asarray(wavelength_nm, dtype=float) * 1e-9)
 
 
-def _guided_limit_nm(core_radius_nm: float, air_fill: float, mode_model: str):
+def _guided_limit_nm(core_radius_nm: float, air_fill: float):
     """Longest window wavelength, to _CUTOFF_TOL_NM, at which the solver finds
     the mode (V falls with wavelength); None if it finds none at 300 nm."""
     lo, hi = WAVELENGTH_WINDOW_NM
@@ -354,7 +332,7 @@ def _guided_limit_nm(core_radius_nm: float, air_fill: float, mode_model: str):
             spans += level
             level = [s for a, b in level for s in ((a, 0.5 * (a + b)), (0.5 * (a + b), b))]
         wl = first + [0.5 * (a + b) for a, b in spans]
-        guided = ~np.isnan(_solve_neff(core_radius_nm, air_fill, wl, mode_model))
+        guided = ~np.isnan(_solve_neff(core_radius_nm, air_fill, wl))
         if first and not guided[0]:
             return None
         guided, first, node = guided[len(first):], [], 0
@@ -401,18 +379,18 @@ class _KSeries:
     Chebyshev.__call__.
     """
 
-    def __init__(self, segment: FiberSegment, mode_model: str, n_eff=None):
+    def __init__(self, segment: FiberSegment, n_eff=None):
         r, f = segment.core_radius_nm, segment.air_fill
         self._fiber = f"r={r} nm, f={f}"
         self.lam_max_nm = WAVELENGTH_WINDOW_NM[1]
         if n_eff is None:
-            n_eff = _solve_neff(r, f, _lobatto_nm(self.lam_max_nm), mode_model)
+            n_eff = _solve_neff(r, f, _lobatto_nm(self.lam_max_nm))
         if np.isnan(n_eff).any():
-            self.lam_max_nm = _guided_limit_nm(r, f, mode_model)
+            self.lam_max_nm = _guided_limit_nm(r, f)
             if self.lam_max_nm is None:
                 self._domain = (math.nan, math.nan)  # refuses every request
                 return
-            n_eff = effective_index(segment, _lobatto_nm(self.lam_max_nm), mode_model)
+            n_eff = effective_index(segment, _lobatto_nm(self.lam_max_nm))
         self._domain = (float(_omega(self.lam_max_nm)), float(_omega(WAVELENGTH_WINDOW_NM[0])))
         # Interpolation coefficients from the node values (a DCT-I).
         j = np.arange(SERIES_DEGREE + 1)
@@ -453,21 +431,21 @@ class _KSeries:
         return _clenshaw(c, off + scl * omega)
 
 
-def group_slowness(segment: FiberSegment, wavelength_nm, mode_model: str = "he11"):
+def group_slowness(segment: FiberSegment, wavelength_nm):
     """Reciprocal group velocity dk/domega in s/m, elementwise."""
-    return _KSeries(segment, mode_model)(_omega(wavelength_nm), 1)
+    return _KSeries(segment)(_omega(wavelength_nm), 1)
 
 
-def gvd(segment: FiberSegment, wavelength_nm, mode_model: str = "he11"):
+def gvd(segment: FiberSegment, wavelength_nm):
     """Group-velocity dispersion beta2 = d^2k/domega^2 in ps^2/m, elementwise."""
-    return _KSeries(segment, mode_model)(_omega(wavelength_nm), 2) * 1e24
+    return _KSeries(segment)(_omega(wavelength_nm), 2) * 1e24
 
 
-def find_zdw(segment: FiberSegment, search_range_nm: tuple[float, float] = (900.0, 1250.0),
-             mode_model: str = "he11") -> list[float]:
+def find_zdw(segment: FiberSegment,
+             search_range_nm: tuple[float, float] = (900.0, 1250.0)) -> list[float]:
     """All zero-dispersion wavelengths in the range, ascending: the real roots
     of the beta2 series, from its colleague matrix."""
-    return _find_zdw(_KSeries(segment, mode_model), search_range_nm)
+    return _find_zdw(_KSeries(segment), search_range_nm)
 
 
 def _find_zdw(series: _KSeries, search_range_nm: tuple[float, float]) -> list[float]:
@@ -488,10 +466,10 @@ class StructureFit:
 
 
 _FIT_BOUNDS = ((700.0, 0.10), (1300.0, 0.60))
+_FIT_MAX_NFEV = 400
 
 
-def fit_structure(samples: list[GvdSample], initial_guess: tuple[float, float],
-                  mode_model: str = "he11", max_nfev: int = 400) -> StructureFit:
+def fit_structure(samples: list[GvdSample], initial_guess: tuple[float, float]) -> StructureFit:
     """Least-squares fit of (core radius, air fill) to tabulated GVD samples.
 
     Requires at least 6 samples whose beta2 values change sign (the data must
@@ -513,7 +491,7 @@ def fit_structure(samples: list[GvdSample], initial_guess: tuple[float, float],
 
     def residuals(x):
         r, f = x
-        return _KSeries(FiberSegment("fit", r, f, 1.0), mode_model)(omegas, 2) * 1e24 - b2
+        return _KSeries(FiberSegment("fit", r, f, 1.0))(omegas, 2) * 1e24 - b2
 
     # Relative step of the forward-difference Jacobian.  The beta2 series is
     # smooth to ~1e-11 ps^2/m, so steps from 1e-3 down to 1e-7 reach the same
@@ -523,7 +501,7 @@ def fit_structure(samples: list[GvdSample], initial_guess: tuple[float, float],
         bounds=([r_lo, f_lo], [r_hi, f_hi]),
         x_scale=(100.0, 0.05), diff_step=(1e-3, 2e-3),
         xtol=1e-12, ftol=1e-14, gtol=1e-14,
-        max_nfev=max_nfev,
+        max_nfev=_FIT_MAX_NFEV,
     )
     final = float(np.sum(res.fun**2))
     if not res.success:
@@ -534,21 +512,21 @@ def fit_structure(samples: list[GvdSample], initial_guess: tuple[float, float],
     return StructureFit(float(res.x[0]), float(res.x[1]), final)
 
 
-def dispersion_table(segment: FiberSegment, wavelengths_nm, mode_model: str = "he11") -> dict:
+def dispersion_table(segment: FiberSegment, wavelengths_nm) -> dict:
     """Column dict for the dispersion CSV export."""
-    ((_, table),) = _dispersion_tables([segment], wavelengths_nm, mode_model)
+    ((_, table),) = _dispersion_tables([segment], wavelengths_nm)
     return table
 
 
-def _dispersion_tables(fibers, wavelengths_nm, mode_model: str):
+def _dispersion_tables(fibers, wavelengths_nm):
     """Per fiber, in turn, its k(omega) series and its dispersion_table, from
     one solver call over every fiber's series nodes and the wavelengths."""
     wl = np.asarray(wavelengths_nm, dtype=float)
     nodes, omega = _lobatto_nm(WAVELENGTH_WINDOW_NM[1]), _omega(wl)
     r, f = np.array([(x.core_radius_nm, x.air_fill) for x in fibers]).T[..., None]  # a column each
-    n_eff = _solve_neff(r, f, np.concatenate((nodes, wl.ravel())), mode_model)
+    n_eff = _solve_neff(r, f, np.concatenate((nodes, wl.ravel())))
     for fiber, row in zip(fibers, n_eff):
-        series = _KSeries(fiber, mode_model, row[:nodes.size])
+        series = _KSeries(fiber, row[:nodes.size])
         n = _guided(row[nodes.size:].reshape(wl.shape), fiber.core_radius_nm, fiber.air_fill, wl)
         yield series, {
             "wavelength_nm": wl,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import C_LIGHT, TWO_PI_C, WAVELENGTH_WINDOW_NM, FiberSegment, _KSeries
+from .dispersion import C_LIGHT, TWO_PI_C, WAVELENGTH_WINDOW_NM, FiberSegment, _brentq, _KSeries
 
 SQRT_LN2 = math.sqrt(math.log(2.0))
 
@@ -140,72 +140,21 @@ class PhaseMatchPoint:
         return self.tau_i_ps_per_m * 1e-12
 
 
-_BRENT_RTOL = 4 * float(np.finfo(float).eps)
 _LAM_MIN_NM, _LAM_MAX_NM = WAVELENGTH_WINDOW_NM
 
-
-def _brentq(f, a, b, xtol: float, rtol: float = _BRENT_RTOL, args=(), maxiter: int = 100):
-    """Root of f(x, *args) in each bracket [a, b], elementwise, by Brent's
-    method (*Algorithms for Minimization without Derivatives*, 1973, ch. 4).
-
-    A port of SciPy's scipy.optimize.brentq run step for step on each open
-    element, so each gets brentq's bits; NaN where brentq raises ValueError
-    (f(a), f(b) of one sign, or a NaN value).  Needs xtol > 0 and rtol >= 4 eps.
-    """
-    xa, xb = (np.array(x, dtype=float).ravel() for x in (a, b))
-    fa, fb = np.split(f(np.concatenate((xa, xb)), *(np.concatenate((v, v)) for v in args)), 2)
-    nan = np.isnan(fa) | np.isnan(fb)
-    # An end that is a root is returned as given, a before b.
-    root = np.where(nan | (fa != 0) & (fb != 0), np.nan, np.where(fa == 0, xa, xb))
-    open_ = np.flatnonzero(~nan & (fa != 0) & (fb != 0) & (np.signbit(fa) != np.signbit(fb)))
-    state = np.vstack((xa, xb, fa, fb, np.zeros((4, xa.size))))[:, open_]
-    args = tuple(np.asarray(v)[open_] for v in args)
-    for _ in range(maxiter):
-        if not open_.size:
-            return root
-        xpre, xcur, fpre, fcur, xblk, fblk, spre, scur = state
-        j = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
-        xblk, fblk, spre, scur = np.where(
-            j, (xpre, fpre, xcur - xpre, xcur - xpre), (xblk, fblk, spre, scur))
-        j = np.abs(fblk) < np.abs(fcur)  # swap so that cur is the better end
-        xpre, xcur, xblk, fpre, fcur, fblk = np.where(
-            j, (xcur, xblk, xcur, fcur, fblk, fcur), (xpre, xcur, xblk, fpre, fcur, fblk))
-        delta = (xtol + rtol * np.abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        done = (fcur == 0) | (np.abs(sbis) < delta)
-        root[open_[done]] = xcur[done]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            interpolate = -fcur * (xcur - xpre) / (fcur - fpre)
-            dpre = (fpre - fcur) / (xpre - xcur)
-            dblk = (fblk - fcur) / (xblk - xcur)
-            extrapolate = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-        stry = np.where(xpre == xblk, interpolate, extrapolate)
-        bound = 3 * np.abs(sbis) - delta
-        good = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))  # a NaN step bisects
-                & (2 * np.abs(stry) < np.where(np.abs(spre) < bound, np.abs(spre), bound)))
-        spre, scur = np.where(good, (scur, stry), sbis)
-        x = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
-        state = np.stack((xcur, x, fcur, x, xblk, fblk, spre, scur))[:, ~done]
-        open_, args = open_[~done], tuple(v[~done] for v in args)
-        if open_.size:
-            state[3] = f(state[1], *args)
-            ok = ~np.isnan(state[3])  # brentq stops at a NaN value
-            state, open_, args = state[:, ok], open_[ok], tuple(v[ok] for v in args)
-    if open_.size:
-        raise RuntimeError(f"brentq did not converge after {maxiter} iterations")
-    return root
+# The pump FWHM of a sweep's PumpSpecs; the linearization does not depend on it.
+_SWEEP_FWHM_NM = 1.0
 
 
 def solve_phase_match(segment: FiberSegment, pump: PumpSpec,
-                      search_window_nm: tuple[float, float] | None = None,
-                      mode_model: str = "he11") -> PhaseMatchPoint:
+                      search_window_nm: tuple[float, float] | None = None) -> PhaseMatchPoint:
     """Nondegenerate phase-matched pair with the signal on the red side.
 
     Brackets 2k(w_p) - k(w_s) - k(2w_p - w_s) on a 1 nm signal grid and
     polishes the root to machine precision so the momentum residual at the
     returned point is far below 1e-6 rad/m.
     """
-    (pt,) = _phase_match(_KSeries(segment, mode_model), segment, [pump], search_window_nm)
+    (pt,) = _phase_match(_KSeries(segment), segment, [pump], search_window_nm)
     if isinstance(pt, PhaseMatchError):
         raise pt
     return pt
@@ -276,22 +225,17 @@ class GvmSample:
 
 
 def gvm_curve(segment: FiberSegment, pump_range_nm: tuple[float, float],
-              n_points: int, fwhm_nm: float = 1.0,
-              mode_model: str = "he11") -> list[GvmSample]:
-    """Phase-matching linearization swept over the pump wavelength.
-
-    The linearization does not depend on the pump bandwidth; fwhm_nm only
-    parameterizes the intermediate PumpSpec.
-    """
-    return _gvm_curve(_KSeries(segment, mode_model), segment, pump_range_nm, n_points, fwhm_nm)
+              n_points: int) -> list[GvmSample]:
+    """Phase-matching linearization swept over the pump wavelength."""
+    return _gvm_curve(_KSeries(segment), segment, pump_range_nm, n_points)
 
 
 def _gvm_curve(series: _KSeries, segment: FiberSegment, pump_range_nm: tuple[float, float],
-               n_points: int, fwhm_nm: float) -> list[GvmSample]:
+               n_points: int) -> list[GvmSample]:
     """gvm_curve on the segment's k(omega) series: one phase-match solve of
     all the pumps."""
     lo, hi = min(pump_range_nm), max(pump_range_nm)
-    pumps = [PumpSpec(float(lam_p), fwhm_nm) for lam_p in np.linspace(lo, hi, n_points)]
+    pumps = [PumpSpec(float(lam_p), _SWEEP_FWHM_NM) for lam_p in np.linspace(lo, hi, n_points)]
     return [GvmSample(pump.center_wavelength_nm, None if isinstance(pt, PhaseMatchError) else pt)
             for pump, pt in zip(pumps, _phase_match(series, segment, pumps, None))]
 
@@ -304,8 +248,7 @@ class AgvmRoots:
     pump_for_tau_s_zero: float | None
 
 
-def agvm_roots(segment: FiberSegment, sweep: list[GvmSample],
-               mode_model: str = "he11") -> AgvmRoots:
+def agvm_roots(segment: FiberSegment, sweep: list[GvmSample]) -> AgvmRoots:
     """Root-polished pump wavelengths with tau_i = 0 and tau_s = 0.
 
     Each root is bracketed by the first sign change of its tau between
@@ -313,7 +256,7 @@ def agvm_roots(segment: FiberSegment, sweep: list[GvmSample],
     then polished with _brentq; a root between two samples whose tau has the
     same sign is missed.
     """
-    return _agvm_roots(_KSeries(segment, mode_model), segment, sweep)
+    return _agvm_roots(_KSeries(segment), segment, sweep)
 
 
 def _agvm_roots(series: _KSeries, segment: FiberSegment,
@@ -340,7 +283,8 @@ def _agvm_roots(series: _KSeries, segment: FiberSegment,
                 break
 
     def tau(lam_p, component):
-        points = _phase_match(series, segment, [PumpSpec(float(x), 1.0) for x in lam_p], None)
+        points = _phase_match(series, segment,
+                              [PumpSpec(float(x), _SWEEP_FWHM_NM) for x in lam_p], None)
         for pt in points:
             if isinstance(pt, PhaseMatchError):
                 raise pt

@@ -96,13 +96,9 @@ class AssemblySpec:
         return self.segments[0].point.pump_wavelength_nm
 
 
-def assembly_from_fibers(fibers, pump: PumpSpec, model_mode: str = "linearized",
-                         mode_model: str = "he11") -> AssemblySpec:
+def assembly_from_fibers(fibers, pump: PumpSpec, model_mode: str = "linearized") -> AssemblySpec:
     """Solve the phase matching of each fiber at the pump and splice them."""
-    segs = tuple(
-        AssemblySegment(fb.length_m, solve_phase_match(fb, pump, mode_model=mode_model), fb)
-        for fb in fibers
-    )
+    segs = tuple(AssemblySegment(fb.length_m, solve_phase_match(fb, pump), fb) for fb in fibers)
     return AssemblySpec(segs, model_mode)
 
 
@@ -229,7 +225,7 @@ def delta_k(point: PhaseMatchPoint, omega_s, omega_i):
         + point.tau_i_si * (np.asarray(omega_i) - point.omega_i0)
 
 
-def delta_k_full(fiber: FiberSegment, omega_s, omega_i, mode_model: str = "he11"):
+def delta_k_full(fiber: FiberSegment, omega_s, omega_i):
     """Mismatch 2k(w_p) - k(w_s) - k(w_i) with w_p = (w_s + w_i)/2, rad/m.
 
     k is evaluated from the fiber's Chebyshev series, whose domain depends on
@@ -238,7 +234,7 @@ def delta_k_full(fiber: FiberSegment, omega_s, omega_i, mode_model: str = "he11"
     """
     ws = np.asarray(omega_s, dtype=float)
     wi = np.asarray(omega_i, dtype=float)
-    k = _KSeries(fiber, mode_model)
+    k = _KSeries(fiber)
     return 2.0 * k(0.5 * (ws + wi)) - k(ws) - k(wi)
 
 

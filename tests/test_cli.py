@@ -346,7 +346,7 @@ def test_fiber_design_steps_batch_their_solves(tmp_path, monkeypatch):
         config.write_text(json.dumps(benchmark_config(step, 1)))
         assert run(subcommand, config, tmp_path / step) == 0
         if step == "dispersion_curves":
-            ((r_nm, fill, wl, _),) = solves
+            ((r_nm, fill, wl),) = solves
             assert np.broadcast(r_nm, fill, wl).size == 4 * (65 + 61)
             assert outer == []
     assert len(solves) == 2  # and the sweep fiber's series nodes

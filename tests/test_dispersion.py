@@ -82,14 +82,6 @@ def test_guided_mode_bound():
         assert cladding_index(lam, seg.air_fill) < n_eff < silica_refractive_index(lam)
 
 
-def test_scalar_model_also_bounded():
-    seg = catalog_fiber("S2")
-    n_eff = effective_index(seg, 1070.0, mode_model="lp01")
-    assert cladding_index(1070.0, seg.air_fill) < n_eff < silica_refractive_index(1070.0)
-    # The scalar approximation sits measurably apart from the vector solution.
-    assert abs(n_eff - effective_index(seg, 1070.0)) > 1e-4
-
-
 def test_propagation_constant_monotone_in_frequency():
     wl = np.arange(850.0, 1451.0, 2.0)
     for label in ("S1", "S4"):
@@ -299,7 +291,7 @@ def _cos_residual(u, a):
 
 def _residual_columns(kind, n):
     """Residual, args and scan top for n columns, the last of them (when
-    n > 1) without a bracket: HE11 or LP01 at n wavelengths on R948 with the
+    n > 1) without a bracket: HE11 at n wavelengths on R948 with the
     last on a 50 nm core that has no guided mode, or cos(a u) on [0, 3],
     whose many sign changes pin the first-sign-change rule."""
     if kind == "cos":
@@ -315,11 +307,8 @@ def _residual_columns(kind, n):
     n_cl = (1.0 - 0.296) * n_co + 0.296
     k0a = 2.0 * np.pi * r_nm / wl
     v = k0a * np.sqrt(n_co * n_co - n_cl * n_cl)
-    if kind == "he11":
-        top = np.minimum(v, disp._J1_FIRST_ZERO) * (1.0 - 1e-12)
-        return disp._he11_residual, (v, (n_cl / n_co) ** 2, 1.0 / (k0a * n_co) ** 2), top
-    top = np.minimum(v, disp._J0_FIRST_ZERO) * (1.0 - 1e-12)
-    return disp._lp01_residual, (v,), top
+    top = np.minimum(v, disp._J1_FIRST_ZERO) * (1.0 - 1e-12)
+    return disp._he11_residual, (v, (n_cl / n_co) ** 2, 1.0 / (k0a * n_co) ** 2), top
 
 
 def _assert_march_matches_oracle(kind, n, start, num):
@@ -330,18 +319,18 @@ def _assert_march_matches_oracle(kind, n, start, num):
     assert np.array_equal(lo, ref_lo, equal_nan=True)
     assert np.array_equal(hi, ref_hi, equal_nan=True)
     assert np.isfinite(lo[0])
-    if n > 1 and kind != "lp01":
+    if n > 1:
         assert np.isnan(lo[-1]) and np.isnan(hi[-1])
 
 
-@pytest.mark.parametrize("kind", ["he11", "lp01", "cos"])
+@pytest.mark.parametrize("kind", ["he11", "cos"])
 @pytest.mark.parametrize("start, num", [(1e-3, 129), (1e-6, 2049)])
 @pytest.mark.parametrize("n", [1, 2, 37])
 def test_block_march_matches_row_march(kind, n, start, num):
     _assert_march_matches_oracle(kind, n, start, num)
 
 
-@pytest.mark.parametrize("kind", ["he11", "lp01", "cos"])
+@pytest.mark.parametrize("kind", ["he11", "cos"])
 def test_block_march_matches_row_march_beyond_cell_budget(kind, monkeypatch):
     # More columns than the cell budget: one row per step on the 129-row pass.
     _assert_march_matches_oracle(kind, disp._MARCH_CELLS + 1, 1e-3, 129)
@@ -386,29 +375,28 @@ def _bits(x):
     return np.asarray(x, dtype=float).tobytes()
 
 
-def _one_solve_per_step_limit(r_nm, fill, mode_model):
+def _one_solve_per_step_limit(r_nm, fill):
     """The guided-mode limit by a bisection that solves one wavelength a step."""
     lo, hi = disp.WAVELENGTH_WINDOW_NM
-    if np.isnan(disp._solve_neff(r_nm, fill, lo, mode_model)):
+    if np.isnan(disp._solve_neff(r_nm, fill, lo)):
         return None
     while hi - lo > disp._CUTOFF_TOL_NM:
         mid = 0.5 * (lo + hi)
-        if np.isnan(disp._solve_neff(r_nm, fill, mid, mode_model)):
+        if np.isnan(disp._solve_neff(r_nm, fill, mid)):
             hi = mid
         else:
             lo = mid
     return lo
 
 
-@pytest.mark.parametrize("r_nm, mode_model, limited", [
-    (200.0, "he11", True), (100.0, "lp01", True), (230.0, "he11", True), (10.0, "he11", False)])
-def test_guided_limit_matches_one_solve_per_step(r_nm, mode_model, limited, monkeypatch):
+@pytest.mark.parametrize("r_nm, limited", [(200.0, True), (230.0, True), (10.0, False)])
+def test_guided_limit_matches_one_solve_per_step(r_nm, limited, monkeypatch):
     # Four bisection levels per solver call follow the same midpoints as one
     # solve per step: the same limit, bit for bit, in 5 calls instead of 19.
-    expected = _one_solve_per_step_limit(r_nm, 0.296, mode_model)
+    expected = _one_solve_per_step_limit(r_nm, 0.296)
     solve, calls = disp._solve_neff, []
     monkeypatch.setattr(disp, "_solve_neff", lambda *a: calls.append(a) or solve(*a))
-    got = disp._guided_limit_nm(r_nm, 0.296, mode_model)
+    got = disp._guided_limit_nm(r_nm, 0.296)
     assert (got is None) == (not limited)
     assert got is None or _bits(got) == _bits(expected) and type(got) is float
     assert expected is None or len(calls) == 5
@@ -420,16 +408,14 @@ def test_mixed_fiber_batch_matches_one_call_per_fiber():
     # where that fiber has no guided mode.
     rng = np.random.default_rng(7)
     fibers = [(948.0, 0.296), (200.0, 0.296), (50.0, 0.296), (1210.0, 0.52)]
-    for mode_model in ("he11", "lp01"):
-        wl = rng.uniform(300.0, 2000.0, (len(fibers), 23))
-        r, f = (np.array(x)[:, None] for x in zip(*fibers))
-        batch = disp._solve_neff(r, f, wl, mode_model)
-        alone = [disp._solve_neff(rk, fk, wk, mode_model) for (rk, fk), wk in zip(fibers, wl)]
-        assert _bits(batch) == _bits(alone)
-        assert np.isnan(batch[2]).any() and not np.isnan(batch[0]).any()
-        # The row of a fiber broadcast against its wavelengths, one at a time.
-        assert _bits([disp._solve_neff(948.0, 0.296, x, mode_model) for x in wl[0]]) == _bits(
-            batch[0])
+    wl = rng.uniform(300.0, 2000.0, (len(fibers), 23))
+    r, f = (np.array(x)[:, None] for x in zip(*fibers))
+    batch = disp._solve_neff(r, f, wl)
+    alone = [disp._solve_neff(rk, fk, wk) for (rk, fk), wk in zip(fibers, wl)]
+    assert _bits(batch) == _bits(alone)
+    assert np.isnan(batch[2]).any() and not np.isnan(batch[0]).any()
+    # The row of a fiber broadcast against its wavelengths, one at a time.
+    assert _bits([disp._solve_neff(948.0, 0.296, x) for x in wl[0]]) == _bits(batch[0])
 
 
 def test_dispersion_tables_of_a_fiber_batch_match_the_public_calls():
@@ -439,12 +425,12 @@ def test_dispersion_tables_of_a_fiber_batch_match_the_public_calls():
     wl = np.linspace(850.0, 1450.0, 7)
     fibers = [R948, FiberSegment("small", 200.0, 0.296, 1.0),
               FiberSegment("thin", 50.0, 0.296, 1.0)]
-    tables = disp._dispersion_tables(fibers, wl, "he11")
+    tables = disp._dispersion_tables(fibers, wl)
     for fiber, (series, table) in zip(fibers[:2], tables):
         assert [_bits(c) for c in table.values()] == [
             _bits(c) for c in disp.dispersion_table(fiber, wl).values()]
         assert _bits(table["n_eff"]) == _bits(effective_index(fiber, wl))
-        alone = disp._KSeries(fiber, "he11")
+        alone = disp._KSeries(fiber)
         assert (series.lam_max_nm, repr(series._terms)) == (alone.lam_max_nm, repr(alone._terms))
     with pytest.raises(ModeCutoffError) as batch:
         next(tables)
@@ -453,15 +439,14 @@ def test_dispersion_tables_of_a_fiber_batch_match_the_public_calls():
     assert str(batch.value) == str(alone.value)
 
 
-@pytest.mark.parametrize("fiber, mode_model", [
-    (R948, "he11"), (R948, "lp01"), (FiberSegment("small", 200.0, 0.296, 1.0), "he11")])
-def test_series_evaluator_matches_numpy_chebyshev_bit_for_bit(fiber, mode_model, monkeypatch):
+@pytest.mark.parametrize("fiber", [R948, FiberSegment("small", 200.0, 0.296, 1.0)])
+def test_series_evaluator_matches_numpy_chebyshev_bit_for_bit(fiber, monkeypatch):
     # The in-house Clenshaw recurrence against numpy's Chebyshev.__call__ of
     # the same coefficients and domain; the r = 200 nm series stops at the
     # guided limit.  Both domain ends are among the points.  Arrays up to
     # _FLOAT_SUM_MAX long are summed one Python float at a time, longer ones
     # as ndarrays, in blocks beyond _SUM_BLOCK.
-    series = disp._KSeries(fiber, mode_model)
+    series = disp._KSeries(fiber)
     omega = np.linspace(*series._domain, 24)
     assert (omega[0], omega[-1]) == series._domain and omega.size <= disp._FLOAT_SUM_MAX
     long, huge = np.tile(omega, 3), np.tile(omega, 400).reshape(96, 100)
@@ -489,11 +474,31 @@ def test_unresolved_series_is_explicit(monkeypatch):
 
 
 def test_unconverged_root_is_explicit(monkeypatch):
-    chandrupatla = disp._chandrupatla
-    monkeypatch.setattr(disp, "_chandrupatla", lambda *a: chandrupatla(*a, maxiter=1))
+    # The mode solver's Brent polish, capped at one iteration.
+    brent = disp._brentq
+    monkeypatch.setattr(disp, "_brentq", lambda *a, **kw: brent(*a, **kw, maxiter=1))
     with pytest.raises(ModeSolverError, match=r"lambda=1000\.0 nm") as info:
         effective_index(R948, [1000.0, 1070.0])
     assert np.isfinite(info.value.residual)
+
+
+def test_nan_residual_in_the_polish_is_explicit(monkeypatch):
+    # Residuals that turn NaN inside the brackets stop the mode solver's
+    # polish: it raises instead of returning a NaN n_eff.
+    brent = disp._brentq
+
+    def nan_inside(f, a, b, **kw):
+        calls = []
+
+        def g(x, *args):  # the bracket ends as they are, NaN after
+            calls.append(x)
+            return f(x, *args) if len(calls) == 1 else np.full_like(x, np.nan)
+
+        return brent(g, a, b, **kw)
+
+    monkeypatch.setattr(disp, "_brentq", nan_inside)
+    with pytest.raises(ModeSolverError, match=r"lambda=1000\.0 nm"):
+        effective_index(R948, [1000.0, 1070.0])
 
 
 def _model_samples(r_nm, fill, wavelengths):

@@ -99,7 +99,7 @@ def test_no_phase_matching_in_narrow_window(pump_2nm):
 
 def test_gvm_curve_marks_absent_points():
     seg = catalog_fiber("S2")
-    samples = gvm_curve(seg, (1060.0, 1080.0), 3, fwhm_nm=2.0)
+    samples = gvm_curve(seg, (1060.0, 1080.0), 3)
     assert all(s.point is not None for s in samples)
     # A window that cannot bracket the root yields absent entries, not values.
     narrow = [
@@ -190,7 +190,7 @@ def test_batched_phase_match_matches_one_pump_calls_on_benchmark_sweeps(seed):
                            _OFF_SWEEP_NM))
     pumps = [PumpSpec(float(lam), 1.0) for lam in lams]
     (batch, batch_warnings), (alone, alone_warnings) = _phase_match_outcomes(
-        _KSeries(fiber, "he11"), fiber, pumps, None)
+        _KSeries(fiber), fiber, pumps, None)
     assert batch == alone and batch_warnings == alone_warnings
     assert sum(o.startswith("PhaseMatchError") for o in batch) >= 2
 
@@ -200,7 +200,7 @@ def test_batched_phase_match_matches_one_pump_calls_on_the_catalog(window):
     pumps = [PumpSpec(lam, fwhm) for lam in (1060.0, PUMP_NM, 1080.0) for fwhm in (2.0, 5.0)]
     for label in CATALOG:
         fiber = catalog_fiber(label)
-        series = _KSeries(fiber, "he11")
+        series = _KSeries(fiber)
         (batch, batch_warnings), (alone, alone_warnings) = _phase_match_outcomes(
             series, fiber, pumps, window)
         assert batch == alone and batch_warnings == alone_warnings

@@ -1,8 +1,8 @@
-"""The in-house root solvers against SciPy's, bit for bit.
+"""The in-house array Brent against SciPy's brentq, bit for bit.
 
-dispersion._chandrupatla ports scipy.optimize.elementwise.find_root and
-phasematch._brentq ports scipy.optimize.brentq, so that the package runs
-without importing scipy.optimize; SciPy's routines are the oracle here.
+dispersion._brentq ports scipy.optimize.brentq, so that the package runs
+without importing scipy.optimize.  It polishes the mode solver's brackets,
+the phase-matching roots and the AGVM roots; brentq is the oracle here.
 """
 
 import math
@@ -13,11 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
-from scipy.optimize.elementwise import find_root
 
 from sfwm import FiberSegment, PumpSpec, agvm_roots, gvm_curve, solve_phase_match
 from sfwm import dispersion as disp
 from sfwm import phasematch as pm
+
+# The mode solver's polish tolerances in u.
+_MODE_XTOL, _MODE_RTOL = 4 * np.finfo(float).tiny, 4 * np.finfo(float).eps
 
 
 def _same_bits(got, ref):
@@ -25,81 +27,57 @@ def _same_bits(got, ref):
     return got.dtype == ref.dtype and got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
-def _assert_matches_find_root(fun, a, b, args, maxiter=2046):  # find_root's default
-    got = disp._chandrupatla(fun, a, b, args, maxiter)
-    ref = find_root(fun, (a, b), args=args, maxiter=maxiter)
-    for name, g, r in zip(("x", "success", "status", "f_x"), got,
-                          (ref.x, ref.success, ref.status, ref.f_x)):
-        assert _same_bits(g, r), name
-    return got
+def _assert_each_matches_brentq(f, a, b, xtol, rtol, args, got):
+    """Every element of an array Brent call, replayed alone through brentq."""
+    for k in range(len(got)):
+        def one(x, k=k):
+            return f(np.array([x]), *(np.asarray(v)[k:k + 1] for v in args))[0]
+        assert _same_bits(got[k], brentq(one, a[k], b[k], xtol=xtol, rtol=rtol)), k
 
 
-def _solver_brackets(monkeypatch, mode_model, second_pass, seed):
-    """Every bracket _solve_neff polishes for a seeded random fiber: its
-    series nodes and a random batch; second_pass marches the same columns
-    again, on 2049 rows from 1e-6, for finer brackets nearer u = 0."""
+def _solver_brackets(monkeypatch, second_pass, seed):
+    """Every array Brent call _solve_neff makes for a seeded random fiber (its
+    series nodes and a random batch), as (f, a, b, xtol, rtol, args); args are
+    the bracket indices, then the residual's (v, ...).  second_pass marches
+    the same columns again, on 2049 rows from 1e-6, for finer brackets nearer
+    u = 0."""
     recorded = []
-    port = disp._chandrupatla
+    brent = disp._brentq
 
-    def record(fun, a, b, args):
-        recorded.append((fun, a.copy(), b.copy(), tuple(x.copy() for x in args)))
-        return port(fun, a, b, args)
+    def record(f, a, b, xtol, rtol=disp._BRENT_RTOL, args=()):
+        recorded.append((f, a.copy(), b.copy(), xtol, rtol, tuple(x.copy() for x in args)))
+        return brent(f, a, b, xtol, rtol, args)
 
-    monkeypatch.setattr(disp, "_chandrupatla", record)
+    monkeypatch.setattr(disp, "_brentq", record)
     rng = np.random.default_rng(seed)
     r_nm, fill = rng.uniform(300.0, 1300.0), rng.uniform(0.1, 0.6)
     seg = FiberSegment("rand", r_nm, fill, 1.0)
     try:
-        disp._KSeries(seg, mode_model)
+        disp._KSeries(seg)
     except disp.ModeSolverError:
         pass  # an unresolved series still polished its nodes
-    disp._solve_neff(r_nm, fill, rng.uniform(400.0, 1900.0, 97), mode_model)
+    disp._solve_neff(r_nm, fill, rng.uniform(400.0, 1900.0, 97))
     monkeypatch.undo()
     if second_pass:
-        # The scan top of _solve_neff: below V and the first Bessel zero.
-        zero = disp._J1_FIRST_ZERO if mode_model == "he11" else disp._J0_FIRST_ZERO
-        recorded = [(fun, *disp._first_brackets(fun, args, 1e-6,
-                                                np.minimum(args[0], zero) * (1.0 - 1e-12), 2049),
-                     args) for fun, _, _, args in recorded]
+        # The scan top of _solve_neff: below V and the first zero of J1.
+        recorded = [(f, *disp._first_brackets(
+            disp._he11_residual, args[1:], 1e-6,
+            np.minimum(args[1], disp._J1_FIRST_ZERO) * (1.0 - 1e-12), 2049), xtol, rtol, args)
+            for f, _, _, xtol, rtol, args in recorded]
     return recorded
 
 
-@pytest.mark.parametrize("mode_model", ["he11", "lp01"])
 @pytest.mark.parametrize("second_pass", [False, True])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_chandrupatla_matches_find_root_on_solver_brackets(monkeypatch, mode_model,
-                                                          second_pass, seed):
-    brackets = _solver_brackets(monkeypatch, mode_model, second_pass, seed)
-    assert len(brackets) >= 2
-    for fun, a, b, args in brackets:
-        _, success, _, _ = _assert_matches_find_root(fun, a, b, args)
-        assert success.all()
-    # Capped early, the same brackets stop part-way: unconverged (-2)
-    # elements report the best end so far, converged ones their root.
-    fun, a, b, args = brackets[-1]
-    statuses = set()
-    for maxiter in (0, 1, 3, 5):
-        _, _, status, _ = _assert_matches_find_root(fun, a, b, args, maxiter)
-        statuses |= set(status.tolist())
-    assert statuses == {0, -2}
-
-
-def test_chandrupatla_matches_find_root_on_invalid_brackets():
-    # A bracket without a sign change (-1), a NaN residual at both ends (-3)
-    # and at one end only (not an error by itself), an endpoint that is
-    # exactly a root and two whose residual sits exactly on the absolute
-    # tolerance (tiny), next to an ordinary bracket.
-    def fun(x, c):
-        return np.where((c == 3.0) | ((c == 4.0) & (x < 0.25)), np.nan, x * x - c)
-
-    tiny = np.finfo(float).tiny
-    a = np.array([0.0, 2.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0])
-    b = np.array([2.0, 3.0, 1.0, 1.0, 1.0, 5.0, 1.0, 3.0])
-    c = np.array([2.0, 1.0, 3.0, 0.0, tiny, 7.0, -tiny, 4.0])
-    x, success, status, _ = _assert_matches_find_root(fun, a, b, (c,))
-    assert status.tolist()[:7] == [0, -1, -3, 0, 0, 0, 0] and status[7] != -3
-    assert success.tolist()[:7] == [True, False, False, True, True, True, True]
-    assert x[4] == x[6] == 0.0  # the residual test comes before the sign test
+def test_brent_matches_brentq_on_solver_brackets(monkeypatch, second_pass, seed):
+    calls = _solver_brackets(monkeypatch, second_pass, seed)
+    assert len(calls) >= 2
+    for f, a, b, xtol, rtol, args in calls:
+        assert (xtol, rtol) == (_MODE_XTOL, _MODE_RTOL)
+        assert np.isfinite(a).all() and np.isfinite(b).all()
+        got = disp._brentq(f, a, b, xtol, rtol, args)
+        assert np.isfinite(got).all()
+        _assert_each_matches_brentq(f, a, b, xtol, rtol, args, got)
 
 
 def _random_smooth(rng, center, scale):
@@ -130,7 +108,7 @@ def _brent_outcome(f, a, b, **tol):
 def _array_brent_outcome(f, a, b, **tol):
     """The array port on the one bracket of a scalar f: NaN stands for
     brentq's ValueError."""
-    (x,) = pm._brentq(lambda x: np.array([f(float(v)) for v in x]), [a], [b], **tol)
+    (x,) = disp._brentq(lambda x: np.array([f(float(v)) for v in x]), [a], [b], **tol)
     return ValueError if math.isnan(x) else float(x)
 
 
@@ -139,8 +117,8 @@ def _array_brent_outcome(f, a, b, **tol):
 # The coarse pair makes the tolerance a fair share of the bracket, where the
 # step rule's delta terms decide.
 _TOLERANCES = [
-    (1.3e15, 1e13, 1e-3, pm._BRENT_RTOL),
-    (1000.0, 10.0, 1e-2, pm._BRENT_RTOL),
+    (1.3e15, 1e13, 1e-3, disp._BRENT_RTOL),
+    (1000.0, 10.0, 1e-2, disp._BRENT_RTOL),
     (0.0, 1.0, 0.2, 1e-3),
 ]
 
@@ -154,7 +132,7 @@ def test_brent_matches_brentq_on_random_smooth_functions(center, scale, xtol, rt
     def each(x, which):
         return np.array([funcs[i](v) for v, i in zip(x.tolist(), which.tolist())])
 
-    got = pm._brentq(each, a, b, xtol=xtol, rtol=rtol, args=(np.arange(len(funcs)),))
+    got = disp._brentq(each, a, b, xtol=xtol, rtol=rtol, args=(np.arange(len(funcs)),))
     roots = 0
     for k, f in enumerate(funcs):
         ref = _brent_outcome(f, a[k], b[k], xtol=xtol, rtol=rtol)
@@ -198,7 +176,7 @@ def test_array_brent_matches_brentq_on_every_element(brackets, tol):
         rows.append((*((b, a) if swap else (a, b)), root, scale, c1, c2,
                      sign * 10.0 ** log_mag, center + scale * nan_above))
     a, b, *args = (np.array(col) for col in zip(*rows))
-    got = pm._brentq(_cubic, a, b, xtol=xtol, rtol=rtol, args=tuple(args))
+    got = disp._brentq(_cubic, a, b, xtol=xtol, rtol=rtol, args=tuple(args))
     for k, row in enumerate(rows):
         ref = _brent_outcome(lambda x, p=row[2:]: float(_cubic(x, *p)), row[0], row[1],
                              xtol=xtol, rtol=rtol)
@@ -221,27 +199,27 @@ def test_brent_endpoint_root_and_same_sign_bracket():
         brentq(f, 3.0, 4.0)
     assert _array_brent_outcome(f, 3.0, 4.0, xtol=1e-3) is ValueError
     # In one batch: a root at a, at b, a same-sign bracket and a plain one.
-    x = pm._brentq(lambda x: x - 2.0, [2.0, 0.0, 3.0, 1.0], [5.0, 2.0, 4.0, 3.0], xtol=1e-3)
+    x = disp._brentq(lambda x: x - 2.0, [2.0, 0.0, 3.0, 1.0], [5.0, 2.0, 4.0, 3.0], xtol=1e-3)
     assert x[:2].tolist() == [2.0, 2.0] and math.isnan(x[2]) and abs(x[3] - 2.0) < 1e-3
 
 
 def test_brent_matches_brentq_on_the_package_calls(monkeypatch):
     # Each array Brent of a phase-match solve, a short gvm-curve sweep and
-    # its AGVM polish, replayed element by element through brentq.
-    port, calls = pm._brentq, []
+    # its AGVM polish, and the mode solver's polish of their series nodes,
+    # replayed element by element through brentq.
+    port, calls = disp._brentq, []
 
-    def checked(f, a, b, xtol, rtol=pm._BRENT_RTOL, args=()):
+    def checked(f, a, b, xtol, rtol=disp._BRENT_RTOL, args=()):
         got = port(f, a, b, xtol, rtol, args)
-        for k in range(len(got)):
-            def one(x, k=k):
-                return f(np.array([x]), *(np.asarray(v)[k:k + 1] for v in args))[0]
-            assert _same_bits(got[k], brentq(one, a[k], b[k], xtol=xtol, rtol=rtol))
+        _assert_each_matches_brentq(f, a, b, xtol, rtol, args, got)
         calls.append((xtol, len(got)))
         return got
 
-    monkeypatch.setattr(pm, "_brentq", checked)
+    for module in (disp, pm):
+        monkeypatch.setattr(module, "_brentq", checked)
     seg = FiberSegment("R948", 948.0, 0.296, 1.9)
     solve_phase_match(seg, PumpSpec(1070.0, 2.0))
     roots = agvm_roots(seg, gvm_curve(seg, (955.0, 1095.0), 8))
     assert roots.pump_for_tau_i_zero is not None and roots.pump_for_tau_s_zero is not None
     assert (1e-3, 8) in calls and (1e-2, 2) in calls
+    assert (_MODE_XTOL, disp.SERIES_DEGREE + 1) in calls

@@ -8,15 +8,20 @@ evaluations of that series at each derivative order 0-2, ``gvd`` on
 61 wavelengths over 850-1450 nm, ``find_zdw`` on 900-1250 nm,
 ``solve_phase_match`` at a 1070 nm pump, ``gvm_curve`` over 29 pumps on
 955-1095 nm, ``agvm_roots`` on that sweep, the same sweep and AGVM-root
-polish on S1's prebuilt series (``gvm_sweep_29``, ``agvm_polish``), and the
-full-model ``build_jsa`` of S2 (0.3 m) on its 512x512 grid; then the
-in-process ``dispersion`` and ``gvm-curve`` CLI calls on the configs of the
-benchmark's seed-1 ``dispersion_curves`` and ``gvm_sweep`` steps
-(``perfbench/workloads.py``).  Prints one JSON object: the median over the
-repeats (ms per call), the mode-solver (``_solve_neff``) and Brent
-(``_brentq``) calls one of each of those CLI calls makes, the core count
-and the OpenBLAS builds and thread counts the process loaded.  ``--src``
-times the package under another checkout's ``src/`` the same way.
+polish on S1's prebuilt series (``gvm_sweep_29``, ``agvm_polish``), the
+series build of a 200 nm core, which bisects its guided-mode limit
+(``series_build_r200``), and the full-model ``build_jsa`` of S2 (0.3 m) on
+its 512x512 grid; then the in-process ``dispersion`` and ``gvm-curve`` CLI
+calls on the configs of the benchmark's seed-1 ``dispersion_curves`` and
+``gvm_sweep`` steps (``perfbench/workloads.py``), and the one mode-solver
+call of that ``dispersion`` call alone (``solve_neff_504``: 4 fibers x
+(65 series nodes + 61 table wavelengths)).  Prints one JSON object: the
+median over the repeats (ms per call), the mode-solver (``_solve_neff``)
+and Brent (``_brentq``, bound in ``dispersion`` or ``phasematch``) calls one
+of each of those CLI calls makes, the core count and the OpenBLAS builds
+and thread counts the process loaded.  ``--src`` times the package under
+another checkout's ``src/`` the same way, older ones too, whose k(omega)
+helpers take a mode model and a sweep FWHM.
 """
 
 from __future__ import annotations
@@ -72,15 +77,22 @@ def main() -> int:
         "build_jsa_full_512x512": lambda: build_jsa(full, pump, grid=grid),
     }
     if hasattr(dispersion, "_KSeries"):
-        series = dispersion._KSeries(s1, "he11")
+        try:
+            mode, fwhm = (), ()
+            series = dispersion._KSeries(s1)
+        except TypeError:  # an older checkout: it takes a mode model and a sweep FWHM
+            mode, fwhm = ("he11",), (1.0,)
+            series = dispersion._KSeries(s1, *mode)
+        small = FiberSegment("small", 200.0, 0.296, 1.0)
         omegas = [float(w) for w in dispersion._omega(np.linspace(850.0, 1450.0, 100))]
-        calls = {"series_build": lambda: dispersion._KSeries(s1, "he11"),
+        calls = {"series_build": lambda: dispersion._KSeries(s1, *mode),
                  "series_scalar_300": lambda: [series(w, order) for order in range(3)
                                                for w in omegas],
                  **calls,
                  "gvm_sweep_29": lambda: phasematch._gvm_curve(series, s1, (955.0, 1095.0), 29,
-                                                               1.0),
-                 "agvm_polish": lambda: phasematch._agvm_roots(series, s1, sweep)}
+                                                               *fwhm),
+                 "agvm_polish": lambda: phasematch._agvm_roots(series, s1, sweep),
+                 "series_build_r200": lambda: dispersion._KSeries(small, *mode)}
 
     sys.path.insert(0, str(REPO / "perfbench"))
     from workloads import SUBCOMMAND, make_config
@@ -96,25 +108,29 @@ def main() -> int:
                 raise RuntimeError(f"{step}: the CLI call failed")
         return call
 
-    def counted(module, name, log):
+    def counted(module, name, log, seen):
         fn = getattr(module, name)
 
         def call(*a, **kw):
             log[name] += 1
+            seen.append((fn, a, kw))
             return fn(*a, **kw)
         setattr(module, name, call)
         return fn
 
     work = tempfile.TemporaryDirectory()
-    solves = {}
+    solves, seen = {}, {"_solve_neff": [], "_brentq": []}
     for step in ("dispersion_curves", "gvm_sweep"):
         calls[f"cli_{step}_seed1"] = cli_step(step, Path(work.name))
         log = solves[f"cli_{step}_seed1"] = {"_solve_neff": 0, "_brentq": 0}
-        saved = [(m, n, counted(m, n, log)) for m, n in ((dispersion, "_solve_neff"),
-                                                        (phasematch, "_brentq"))]
+        saved = [(m, n, counted(m, n, log, seen[n])) for m, n in (
+            (dispersion, "_solve_neff"), (dispersion, "_brentq"), (phasematch, "_brentq"))
+            if hasattr(m, n)]
         calls[f"cli_{step}_seed1"]()
         for module, name, fn in saved:
             setattr(module, name, fn)
+    solve, solve_args, _ = seen["_solve_neff"][0]  # the dispersion call's one
+    calls["solve_neff_504"] = lambda: solve(*solve_args)
     layers = {name: _median_ms(fn, args.repeats) for name, fn in calls.items()}
     work.cleanup()
     print(json.dumps({"repeats": args.repeats, "nproc": os.cpu_count(),
