@@ -389,7 +389,12 @@ def _one_solve_per_step_limit(r_nm, fill):
     return lo
 
 
-@pytest.mark.parametrize("r_nm, limited", [(200.0, True), (230.0, True), (10.0, False)])
+# Case ids name the mode solved, HE11, so they stay those the cases had
+# when a second mode model was parametrized alongside.
+@pytest.mark.parametrize("r_nm, limited", [
+    pytest.param(200.0, True, id="200.0-he11-True"),
+    pytest.param(230.0, True, id="230.0-he11-True"),
+    pytest.param(10.0, False, id="10.0-he11-False")])
 def test_guided_limit_matches_one_solve_per_step(r_nm, limited, monkeypatch):
     # Four bisection levels per solver call follow the same midpoints as one
     # solve per step: the same limit, bit for bit, in 5 calls instead of 19.
@@ -439,7 +444,9 @@ def test_dispersion_tables_of_a_fiber_batch_match_the_public_calls():
     assert str(batch.value) == str(alone.value)
 
 
-@pytest.mark.parametrize("fiber", [R948, FiberSegment("small", 200.0, 0.296, 1.0)])
+@pytest.mark.parametrize("fiber", [
+    pytest.param(R948, id="fiber0-he11"),
+    pytest.param(FiberSegment("small", 200.0, 0.296, 1.0), id="fiber2-he11")])
 def test_series_evaluator_matches_numpy_chebyshev_bit_for_bit(fiber, monkeypatch):
     # The in-house Clenshaw recurrence against numpy's Chebyshev.__call__ of
     # the same coefficients and domain; the r = 200 nm series stops at the
