@@ -208,10 +208,28 @@ def _unique_labels(segments: list, path: str) -> None:
         seen.add(seg["label"])
 
 
+def _safe_name(name: str) -> str:
+    """``name`` as it appears in an output file name: every character that is
+    not a letter or a digit becomes ``_``."""
+    return "".join(ch if ch.isalnum() else "_" for ch in name)
+
+
+def _file_name_part(label: str, path: str) -> None:
+    if "/" in label or "\0" in label:
+        raise ConfigError(f"{path} = {label!r} must not contain '/' or NUL: "
+                          "it is part of an output file name")
+
+
 def _unique_names(assemblies: list, path: str) -> None:
     names = [a["name"] for a in assemblies]
     if len(set(names)) != len(names):
         raise ConfigError(f"{path} names must be unique")
+    first = {}
+    for i, name in enumerate(names):
+        j = first.setdefault(_safe_name(name), i)
+        if j != i:
+            raise ConfigError(f"{path}[{i}].name {name!r} and {path}[{j}].name "
+                              f"{names[j]!r} give the same output file suffix")
 
 
 def _ranges_together(grid: dict, path: str) -> None:
@@ -237,7 +255,8 @@ _PHASE_MATCH = {
 }
 
 _SEGMENT = {
-    "label": _Field("text", required=True, lo=1, expect="a non-empty string"),
+    "label": _Field("text", required=True, lo=1, expect="a non-empty string",
+                    rule=_file_name_part),
     "length_m": _Field(required=True, **_POSITIVE),
     "core_radius_nm": _Field(**_POSITIVE),
     "air_fill": _Field(**_FRACTION),
@@ -529,8 +548,7 @@ def _spectrum_rows(spectrum) -> list[tuple[float, float]]:
 def _suffix(name: str, multi: bool) -> str:
     if not multi:
         return ""
-    safe = "".join(ch if ch.isalnum() else "_" for ch in name)
-    return f"_{safe}"
+    return f"_{_safe_name(name)}"
 
 
 def _cmd_dispersion(cfg: RunConfig, out: _OutputSet) -> dict:

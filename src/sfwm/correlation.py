@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._scipy import extension
+from ._scipy import NUMPY_DIR, SCIPY_DIR, extension, park_openblas
 from .spectra import FrequencyGrid, JsaGrid, ZeroJsaError, build_jsa
 
 
@@ -81,13 +81,16 @@ def _end_corrected_gram(a: np.ndarray) -> np.ndarray:
 
     scipy's BLAS loads here, on first use, not at import: loading it starts
     its OpenBLAS thread pool, whose ~0.1 s spin a subcommand without a Gram
-    would otherwise pay."""
+    would otherwise pay.  The pool is parked again once the update is done,
+    so its worker does not spin through the fill of the next amplitude."""
     blas = extension("linalg", "_fblas", "scipy.linalg.blas")
     trans = 0 if a.shape[0] >= a.shape[1] else 2
     ends = a[[0, -1]] if trans == 0 else a[:, [0, -1]]
     # a.T is Fortran-ordered: trans=0 gives conj(a^H a), trans=2 conj(a a^H).
     upper = blas.zherk(1.0, a.T, trans=trans)
-    return blas.zherk(-0.5, ends.T, trans=trans, beta=1.0, c=upper, overwrite_c=1)
+    upper = blas.zherk(-0.5, ends.T, trans=trans, beta=1.0, c=upper, overwrite_c=1)
+    park_openblas(SCIPY_DIR)
+    return upper
 
 
 #: The Gram of the amplitude as it stands is used when its largest diagonal
@@ -132,6 +135,8 @@ def schmidt_decompose(jsa: JsaGrid) -> SchmidtResult:
         sv = np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"Schmidt decomposition failed to converge: {exc}") from exc
+    finally:
+        park_openblas(NUMPY_DIR)
     s2 = sv**2
     total = float(s2.sum())
     purity = float((s2**2).sum()) / total**2

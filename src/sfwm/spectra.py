@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._scipy import NUMPY_DIR, park_openblas
 from .dispersion import TWO_PI_C, FiberSegment, _KSeries
 from .phasematch import PhaseMatchPoint, PumpSpec, gaussian_sigma_omega, solve_phase_match
 
@@ -444,6 +445,7 @@ def marginal(jsa: JsaGrid, axis: str = "signal") -> Spectrum1D:
     else:
         vals = w_s @ intensity
         ax = jsa.grid.idler
+    park_openblas(NUMPY_DIR)  # the product is threaded from ~5e5 cells
     return Spectrum1D(ax, vals, "angular_frequency", "raw")
 
 

@@ -71,6 +71,29 @@ def test_rejects_invalid_air_fill(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_rejects_assembly_names_that_share_a_file_suffix(tmp_path, capsys):
+    # Both names would write marginal_signal_S1_S2.csv, the second over the first.
+    path = small_config(tmp_path, assemblies=[{"name": "S1+S2", "segments": ["S2"]},
+                                              {"name": "S1_S2", "segments": ["S2"]}])
+    assert run("marginal", path) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["stage"] == "config"
+    assert record["message"] == ("ConfigError: assemblies[1].name 'S1_S2' and "
+                                 "assemblies[0].name 'S1+S2' give the same output file suffix")
+    assert not (tmp_path / "out").exists()
+
+
+def test_rejects_segment_label_that_cannot_name_a_file(tmp_path, capsys):
+    # The label names dispersion_<label>.csv, written after all the solving.
+    path = small_config(tmp_path, segments=[{**_SEG, "label": "D/1"}])
+    assert run("dispersion", path) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["stage"] == "config"
+    assert record["message"] == ("ConfigError: segments[0].label = 'D/1' must not contain "
+                                 "'/' or NUL: it is part of an output file name")
+    assert not (tmp_path / "out").exists()
+
+
 def test_rejects_inconsistent_idler_override(tmp_path, capsys):
     cfg = json.loads(small_config(tmp_path).read_text())
     cfg["segments"][0]["phase_match"]["lambda_i0_nm"] = 858.0

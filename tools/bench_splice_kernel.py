@@ -7,8 +7,11 @@ auto-sized grids are 512x512 (S2, 0.3 m), 660x512 (S1+S2) and 1378x512
 (S1+S2+S3+S4), each at 2 and 5 nm pump FWHM, and times one
 ``plan_exhaustive`` call on the six-segment 0.6 m pool of the benchmark's
 seed-1 ``splice_plan`` step (``perfbench/workloads.py``), and prints one
-JSON object: the median over the repeats (ms per call), the core count and
-the OpenBLAS builds and thread counts the process loaded.
+JSON object: the median over the repeats of the wall time and of the
+process CPU time (``time.process_time``, every thread) per call, in ms, the
+core count and the OpenBLAS builds and thread counts the process loaded.
+A BLAS worker that spins after its call shows as CPU above wall time, in
+the call or in the one after it.
 ``--src`` times the package under another checkout's ``src/`` the same way.
 """
 
@@ -72,13 +75,15 @@ def _time_plan(repeats: int) -> dict:
         candidates.append((seg["label"], AssemblySegment(seg["length_m"], point)))
     pool = SegmentPool(tuple(candidates), cfg["planner"]["target_total_length_m"],
                        cfg["planner"]["tolerance_m"])
-    times = []
+    times, cpu = [], []
     for _ in range(repeats):
-        t0 = time.perf_counter()
+        t0, c0 = time.perf_counter(), time.process_time()
         plan = plan_exhaustive(pool, pump, ns=cfg["grid"]["ns"], ni=cfg["grid"]["ni"])
         times.append((time.perf_counter() - t0) * 1e3)
+        cpu.append((time.process_time() - c0) * 1e3)
     return {"pool": "splice_plan seed 1: six 0.3 m segments, 0.6 m target, 30 ordered pairs",
-            "ms": round(statistics.median(times), 1), "order": list(plan.order),
+            "ms": round(statistics.median(times), 1),
+            "cpu_ms": round(statistics.median(cpu), 1), "order": list(plan.order),
             "predicted_g2": plan.predicted_g2}
 
 
@@ -98,20 +103,25 @@ def main() -> int:
             for label in labels))
         for fwhm in (2.0, 5.0):
             pump = PumpSpec(PUMP_NM, fwhm)
-            fill, gram = [], []
+            fill, gram, fill_cpu, gram_cpu = [], [], [], []
             for _ in range(args.repeats):
-                t0 = time.perf_counter()
+                t0, c0 = time.perf_counter(), time.process_time()
                 jsa = build_jsa(assembly, pump)
-                t1 = time.perf_counter()
+                t1, c1 = time.perf_counter(), time.process_time()
                 g2_quadrature(jsa)
-                t2 = time.perf_counter()
+                t2, c2 = time.perf_counter(), time.process_time()
                 fill.append((t1 - t0) * 1e3)
                 gram.append((t2 - t1) * 1e3)
+                fill_cpu.append((c1 - c0) * 1e3)
+                gram_cpu.append((c2 - c1) * 1e3)
             shape = "x".join(map(str, jsa.amplitude.shape))
             if shape != name:
                 raise RuntimeError(f"{'+'.join(labels)} gave a {shape} grid, expected {name}")
-            cases[f"{name}@{fwhm:g}nm"] = {"fill_ms": round(statistics.median(fill), 2),
-                                           "g2_quadrature_ms": round(statistics.median(gram), 2)}
+            cases[f"{name}@{fwhm:g}nm"] = {
+                "fill_ms": round(statistics.median(fill), 2),
+                "fill_cpu_ms": round(statistics.median(fill_cpu), 2),
+                "g2_quadrature_ms": round(statistics.median(gram), 2),
+                "g2_quadrature_cpu_ms": round(statistics.median(gram_cpu), 2)}
     print(json.dumps({"repeats": args.repeats, "nproc": os.cpu_count(),
                       "openblas": _openblas(), "cases": cases,
                       "plan_exhaustive": _time_plan(args.repeats)}, indent=1))
