@@ -2,7 +2,14 @@
 
 __version__ = "0.1.0"
 
-from .correlation import G2Row, SchmidtResult, g2_quadrature, g2_table, schmidt_decompose
+from .correlation import (
+    G2Row,
+    SchmidtResult,
+    g2_quadrature,
+    g2_streamed,
+    g2_table,
+    schmidt_decompose,
+)
 from .dispersion import (
     FiberSegment,
     GvdSample,
@@ -38,6 +45,7 @@ from .spectra import (
     delta_k,
     delta_k_full,
     filter_scan,
+    jsa_grid,
     marginal,
     phi_assembly,
     phi_homogeneous,

@@ -19,10 +19,10 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-import scipy
 
 from . import __version__
-from .correlation import G2Row, g2_table
+from ._scipy import scipy_version
+from .correlation import G2Row, g2_streamed, g2_table
 from .dispersion import (
     TWO_PI_C,
     FiberSegment,
@@ -33,7 +33,7 @@ from .dispersion import (
     read_gvd_csv,
 )
 from .phasematch import PhaseMatchPoint, PumpSpec, _agvm_roots, _gvm_curve, solve_phase_match
-from .planner import SegmentPool, plan_exhaustive
+from .planner import SegmentPool, _scored_orders, plan_exhaustive
 from .spectra import (
     DEFAULT_LOBES,
     DEFAULT_PAD_SIGMAS,
@@ -43,6 +43,7 @@ from .spectra import (
     FrequencyGrid,
     build_jsa,
     filter_scan,
+    jsa_grid,
     marginal,
 )
 
@@ -536,6 +537,13 @@ def _assembly_record(name: str, assembly: AssemblySpec) -> dict:
     }
 
 
+def _jsa_entry(name: str, assembly: AssemblySpec, pump: PumpSpec, jsa_args: dict) -> dict:
+    """The manifest's record of one JSA that g2-table or plan streams."""
+    grid = jsa_grid(assembly, pump, **jsa_args)
+    return {"name": name, "pump_fwhm_nm": pump.fwhm_nm,
+            "ns": int(grid.signal.size), "ni": int(grid.idler.size)}
+
+
 def _spectrum_rows(spectrum) -> list[tuple[float, float]]:
     wl = spectrum.to_wavelength()
     return list(zip(wl.axis, wl.values))
@@ -713,9 +721,10 @@ def _cmd_g2(cfg: RunConfig, out: _OutputSet) -> dict:
     if len(named) != 1:
         raise ConfigError("g2 works on a single assembly; use g2-table for sets")
     name, assembly = named[0]
-    jsa = build_jsa(assembly, pump, **_jsa_args(cfg))
-    out.add_csv("g2.csv", _G2_HEADER, [astuple(G2Row.from_jsa(name, jsa))])
-    return {"grid": _grid_record(jsa.grid)}
+    grid = jsa_grid(assembly, pump, **_jsa_args(cfg))
+    g2, _ = g2_streamed(assembly, pump, grid)
+    out.add_csv("g2.csv", _G2_HEADER, [astuple(G2Row.from_g2(name, assembly, pump, g2))])
+    return {"grid": _grid_record(grid)}
 
 
 def _cmd_g2_table(cfg: RunConfig, out: _OutputSet) -> dict:
@@ -726,9 +735,11 @@ def _cmd_g2_table(cfg: RunConfig, out: _OutputSet) -> dict:
     pumps = [PumpSpec(pump.center_wavelength_nm, fw, pump.gamma_per_w_km,
                       pump.peak_power_w) for fw in fwhms]
     configurations = _named_assemblies(cfg, pumps[0])
-    rows = g2_table(configurations, pumps, **_jsa_args(cfg))
+    jsa_args = _jsa_args(cfg)
+    rows = g2_table(configurations, pumps, **jsa_args)
     out.add_csv("g2_table.csv", _G2_HEADER, map(astuple, rows))
-    return {}
+    return {"jsas": [_jsa_entry(name, assembly, p, jsa_args)
+                     for name, assembly in configurations for p in pumps]}
 
 
 def _cmd_plan(cfg: RunConfig, out: _OutputSet) -> dict:
@@ -746,8 +757,8 @@ def _cmd_plan(cfg: RunConfig, out: _OutputSet) -> dict:
         tolerance_m=cfg.planner["tolerance_m"],
         max_segments=cfg.planner["max_segments"],
     )
-    plan = plan_exhaustive(pool, pump, max_plans=cfg.planner["max_plans"],
-                           **_jsa_args(cfg))
+    jsa_args = _jsa_args(cfg)
+    plan = plan_exhaustive(pool, pump, max_plans=cfg.planner["max_plans"], **jsa_args)
     out.add_csv("plan_spectrum.csv", ["x_nm", "intensity"],
                 _spectrum_rows(plan.predicted_spectrum))
     lengths = " ".join(_fmt(segments[i].length_m) for i in plan.order)
@@ -759,7 +770,9 @@ def _cmd_plan(cfg: RunConfig, out: _OutputSet) -> dict:
         f"predicted_g2: {_fmt(plan.predicted_g2)}",
         "spectrum_csv: plan_spectrum.csv",
     ]) + "\n")
-    return {}
+    return {"jsas": [_jsa_entry("+".join(pool.candidates[i][0] for i in order),
+                                AssemblySpec(tuple(segments[i] for i in order)), pump, jsa_args)
+                     for order in _scored_orders(pool)]}
 
 
 _HANDLERS = {
@@ -790,10 +803,11 @@ def run(subcommand: str, config_path, out_dir=None) -> int:
             "versions": {
                 "sfwm": __version__,
                 "numpy": np.__version__,
-                "scipy": scipy.__version__,
+                "scipy": scipy_version(),
                 "python": ".".join(str(v) for v in sys.version_info[:3]),
             },
-            "grid": extra.get("grid"),
+            "grid": None,
+            **extra,
         }
         out.write_all(manifest)
         return 0

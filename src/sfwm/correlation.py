@@ -9,9 +9,11 @@ with singular values sigma_k of the weighted amplitude, g2 = 1 + P where
 the heralded purity P = sum sigma^4 / (sum sigma^2)^2 = 1/K and K is the
 Schmidt mode count.  g2 = 2 exactly when the amplitude factorizes.
 
-The Gram path (g2_quadrature) is the one evaluator behind every table row;
-the SVD path (schmidt_decompose) gives the full Schmidt spectrum and serves
-as its oracle.
+The Gram path is the one evaluator behind every table row: g2_streamed
+fills the amplitude in row blocks and adds each into the Gram, so the
+amplitude is never stored; g2_quadrature runs the same quadrature on a
+stored amplitude.  The SVD path (schmidt_decompose) gives the full Schmidt
+spectrum and serves as their oracle.
 """
 
 from __future__ import annotations
@@ -22,7 +24,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._scipy import NUMPY_DIR, SCIPY_DIR, extension, park_openblas
-from .spectra import FrequencyGrid, JsaGrid, ZeroJsaError, build_jsa
+from .phasematch import PumpSpec
+from .spectra import (
+    FILL_BLOCK_CELLS,
+    AssemblySpec,
+    FrequencyGrid,
+    JsaGrid,
+    Spectrum1D,
+    ZeroJsaError,
+    _amplitude_blocks,
+    jsa_grid,
+)
 
 
 @dataclass(frozen=True)
@@ -45,16 +57,21 @@ class SchmidtResult:
             raise ValueError("purity must lie in (0, 1]")
 
 
-def _unit_scaled(x: np.ndarray) -> np.ndarray:
-    """``x`` times the power of two that puts its largest real or imaginary
-    part in [0.5, 1).  Exact, except for entries it pushes below the normal
-    range; the exponent comes from the parts, not from |x|^2, so it cannot
-    overflow."""
+def _peak_part(x: np.ndarray) -> float:
+    """The largest |real or imaginary part| of ``x``."""
     parts = np.ascontiguousarray(x).view(float)
-    peak = max(float(parts.max()), -float(parts.min()))
+    return max(float(parts.max()), -float(parts.min()))
+
+
+def _unit_scaled(x: np.ndarray, peak: float | None = None) -> np.ndarray:
+    """``x`` times the power of two that puts ``peak``, its largest real or
+    imaginary part unless given, in [0.5, 1).  Exact, except for entries it
+    pushes below the normal range; the exponent comes from the parts, not
+    from |x|^2, so it cannot overflow."""
+    peak = _peak_part(x) if peak is None else peak
     if peak == 0.0:
         raise ZeroJsaError("JSA is identically zero; g2 undefined")
-    return np.ldexp(parts, -math.frexp(peak)[1]).view(x.dtype)
+    return np.ldexp(np.ascontiguousarray(x).view(float), -math.frexp(peak)[1]).view(x.dtype)
 
 
 def _weighted_amplitude(jsa: JsaGrid) -> np.ndarray:
@@ -73,21 +90,42 @@ def _weighted_amplitude(jsa: JsaGrid) -> np.ndarray:
     return a
 
 
-def _end_corrected_gram(a: np.ndarray) -> np.ndarray:
-    """Upper triangle of the Gram on the smaller side of ``a``, with the two
-    end rows (columns) of the summed axis at half weight: one zherk on the
-    transposed view, which needs no copy, then a rank-2 zherk that takes
-    half of those ends back out, in place.
+def _end_corrected_gram(blocks, shape: tuple[int, int]) -> np.ndarray:
+    """Upper triangle of the Gram on the smaller side of a ``shape`` amplitude
+    that ``blocks`` yields as (signal-row slice, block) pairs in row order,
+    with the two end rows (columns) of the summed axis at half weight.
+
+    Each block adds its zherk on the transposed view, which needs no copy,
+    into one triangle; a rank-2 zherk then takes half of the end rows back
+    out, in place.  Summed over the idler axis (fewer signal rows than
+    idler columns) the Gram needs every row at once, so such an amplitude
+    comes as one block.
 
     scipy's BLAS loads here, on first use, not at import: loading it starts
     its OpenBLAS thread pool, whose ~0.1 s spin a subcommand without a Gram
-    would otherwise pay.  The pool is parked again once the update is done,
-    so its worker does not spin through the fill of the next amplitude."""
+    would otherwise pay.  The pool is parked again between blocks and at the
+    end, so its worker does not spin through the fill of the next block or
+    of the next amplitude."""
     blas = extension("linalg", "_fblas", "scipy.linalg.blas")
-    trans = 0 if a.shape[0] >= a.shape[1] else 2
-    ends = a[[0, -1]] if trans == 0 else a[:, [0, -1]]
-    # a.T is Fortran-ordered: trans=0 gives conj(a^H a), trans=2 conj(a a^H).
-    upper = blas.zherk(1.0, a.T, trans=trans)
+    ns, ni = shape
+    trans = 0 if ns >= ni else 2
+    upper = None
+    ends = np.empty((2, ni), dtype=complex)
+    for rows, block in blocks:
+        if trans == 2:
+            ends = block[:, [0, -1]]
+        else:
+            if rows.start == 0:
+                ends[0] = block[0]
+            if rows.stop == ns:
+                ends[1] = block[-1]
+        # block.T is Fortran-ordered: trans=0 gives conj(b^H b), trans=2 conj(b b^H).
+        if upper is None:
+            upper = blas.zherk(1.0, block.T, trans=trans)
+        else:
+            upper = blas.zherk(1.0, block.T, trans=trans, beta=1.0, c=upper, overwrite_c=1)
+        if rows.stop < ns:
+            park_openblas(SCIPY_DIR)
     upper = blas.zherk(-0.5, ends.T, trans=trans, beta=1.0, c=upper, overwrite_c=1)
     park_openblas(SCIPY_DIR)
     return upper
@@ -97,8 +135,32 @@ def _end_corrected_gram(a: np.ndarray) -> np.ndarray:
 #: entry lies in this range: no entry overflows, and the products that
 #: underflow move none by 2^-240 of that peak on a grid of < 2^30 rows.
 #: Outside it (a largest part below ~2^-400 or above ~2^480) the Gram is
-#: formed again from a copy brought to a unit peak by a power of two.
+#: formed again from the blocks brought to a unit peak by a power of two.
 GRAM_RANGE = (2.0 ** -800, 2.0 ** 1000)
+
+
+def _g2_of_blocks(blocks, refill, shape: tuple[int, int]) -> float:
+    """g2 by the Gram quadrature (see g2_quadrature) of the amplitude that
+    ``blocks`` yields, as _end_corrected_gram takes it.
+
+    ``refill()`` yields the same blocks again, for the rare Gram outside
+    GRAM_RANGE: one pass finds the amplitude's largest part, and one more
+    forms the Gram from the blocks times the power of two that brings that
+    part into [0.5, 1)."""
+    upper = _end_corrected_gram(blocks, shape)
+    if not GRAM_RANGE[0] <= float(upper.diagonal().real.max()) <= GRAM_RANGE[1]:
+        peak = max(_peak_part(block) for _, block in refill())
+        upper = _end_corrected_gram(((rows, _unit_scaled(block, peak))
+                                     for rows, block in refill()), shape)
+    mag = np.abs(upper)
+    mag *= 2.0 ** -math.frexp(float(mag.diagonal().max()))[1]
+    diag = mag.diagonal().copy()
+    diag[[0, -1]] *= 0.5
+    np.square(mag, out=mag)
+    mag[[0, -1]] *= 0.5
+    mag[:, [0, -1]] *= 0.5
+    num = 2.0 * float(mag.sum()) - float(mag.trace())
+    return 1.0 + num / float(diag.sum()) ** 2
 
 
 def g2_quadrature(jsa: JsaGrid) -> float:
@@ -113,19 +175,54 @@ def g2_quadrature(jsa: JsaGrid) -> float:
     scale from its largest diagonal entry, so those factors are exact.
     zherk leaves the strict lower triangle at 0, so the sum of |G|^2 is
     2 sum |U|^2 - sum |diag U|^2 over its upper triangle U.
+
+    This is the evaluator of a stored amplitude, in one block; g2_streamed
+    gives the same g2, to rounding, without storing it.
     """
-    upper = _end_corrected_gram(jsa.amplitude)
-    if not GRAM_RANGE[0] <= float(upper.diagonal().real.max()) <= GRAM_RANGE[1]:
-        upper = _end_corrected_gram(_unit_scaled(jsa.amplitude))
-    mag = np.abs(upper)
-    mag *= 2.0 ** -math.frexp(float(mag.diagonal().max()))[1]
-    diag = mag.diagonal().copy()
-    diag[[0, -1]] *= 0.5
-    np.square(mag, out=mag)
-    mag[[0, -1]] *= 0.5
-    mag[:, [0, -1]] *= 0.5
-    num = 2.0 * float(mag.sum()) - float(mag.trace())
-    return 1.0 + num / float(diag.sum()) ** 2
+    a = jsa.amplitude
+    whole = [(slice(0, len(a)), a)]
+    return _g2_of_blocks(whole, lambda: whole, a.shape)
+
+
+#: Cells per row block of g2_streamed's amplitude: 256 signal rows at 512
+#: idler columns, a whole number of the fill's FILL_BLOCK_CELLS steps.
+GRAM_BLOCK_CELLS = 1 << 17
+
+
+def g2_streamed(assembly: AssemblySpec, pump: PumpSpec, grid: FrequencyGrid,
+                signal_marginal: bool = False) -> tuple[float, Spectrum1D | None]:
+    """g2 of build_jsa(assembly, pump, grid) without storing its amplitude, and
+    with ``signal_marginal`` its marginal(jsa, "signal"); None otherwise.
+
+    The amplitude is filled in row blocks of one reused buffer, and each
+    block adds its zherk into the one Gram, so the largest array alive is
+    the Gram or a block, not the amplitude.  Each block is checked finite,
+    and the marginal takes each block's rows as (|B|^2) @ w_i.  A grid with
+    fewer signal rows than idler columns is filled in one block (see
+    _end_corrected_gram).
+    """
+    ns, ni = grid.signal.size, grid.idler.size
+    rows = ns if ns < ni else (max(1, FILL_BLOCK_CELLS // ni)
+                               * (GRAM_BLOCK_CELLS // FILL_BLOCK_CELLS))
+    values = np.empty(ns) if signal_marginal else None
+    w_i = grid.trapezoid_weights()[1]
+
+    def fill():
+        return _amplitude_blocks(assembly, pump, grid, rows)
+
+    def checked():
+        for cells, block in fill():
+            if not np.isfinite(block).all():
+                raise ValueError("amplitude must be finite everywhere")
+            if values is not None:
+                values[cells] = (np.abs(block) ** 2) @ w_i
+            yield cells, block
+
+    g2 = _g2_of_blocks(checked(), fill, (ns, ni))
+    if values is None:
+        return g2, None
+    park_openblas(NUMPY_DIR)  # a one-block product is threaded from ~5e5 cells
+    return g2, Spectrum1D(grid.signal, values, "angular_frequency", "raw")
 
 
 def schmidt_decompose(jsa: JsaGrid) -> SchmidtResult:
@@ -158,12 +255,11 @@ class G2Row:
     purity: float
 
     @classmethod
-    def from_jsa(cls, configuration: str, jsa: JsaGrid) -> "G2Row":
+    def from_g2(cls, configuration: str, assembly: AssemblySpec, pump: PumpSpec,
+                g2: float) -> "G2Row":
         """One row from a single Gram evaluation: purity P = g2 - 1, K = 1/P."""
-        g2 = g2_quadrature(jsa)
         purity = g2 - 1.0  # exact for g2 in [1, 2] (Sterbenz), so g2 == 1 + purity
-        return cls(configuration, jsa.assembly.total_length_m, jsa.pump.fwhm_nm,
-                   g2, 1.0 / purity, purity)
+        return cls(configuration, assembly.total_length_m, pump.fwhm_nm, g2, 1.0 / purity, purity)
 
 
 def g2_table(configurations, pumps, grid: FrequencyGrid | None = None,
@@ -175,7 +271,8 @@ def g2_table(configurations, pumps, grid: FrequencyGrid | None = None,
     input order.
     """
     return [
-        G2Row.from_jsa(label, build_jsa(assembly, pump, grid=grid, ns=ns, ni=ni, **grid_kwargs))
+        G2Row.from_g2(label, assembly, pump, g2_streamed(
+            assembly, pump, jsa_grid(assembly, pump, grid, ns, ni, **grid_kwargs))[0])
         for label, assembly in configurations
         for pump in pumps
     ]

@@ -14,9 +14,9 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .correlation import g2_quadrature
+from .correlation import g2_streamed
 from .phasematch import PumpSpec
-from .spectra import AssemblySegment, AssemblySpec, Spectrum1D, build_jsa, marginal
+from .spectra import AssemblySegment, AssemblySpec, Spectrum1D, jsa_grid
 
 
 class PlanSpaceError(RuntimeError):
@@ -92,8 +92,8 @@ def evaluate_plan(order, pool: SegmentPool, pump: PumpSpec,
         raise ValueError("plan indices must be distinct")
     order = min(order, order[::-1])
     assembly = AssemblySpec(tuple(pool.candidates[i][1] for i in order), "linearized")
-    jsa = build_jsa(assembly, pump, ns=ns, ni=ni, **grid_kwargs)
-    return g2_quadrature(jsa), marginal(jsa, "signal")
+    return g2_streamed(assembly, pump, jsa_grid(assembly, pump, ns=ns, ni=ni, **grid_kwargs),
+                       signal_marginal=True)
 
 
 def _feasible_subsets(pool: SegmentPool) -> list[tuple[int, ...]]:
@@ -102,12 +102,19 @@ def _feasible_subsets(pool: SegmentPool) -> list[tuple[int, ...]]:
             for combo in itertools.combinations(idx, size) if pool.is_feasible(combo)]
 
 
+def _scored_orders(pool: SegmentPool) -> list[tuple[int, ...]]:
+    """The orders whose JSA plan_exhaustive evaluates, in its order: each
+    mirror pair once, in the orientation evaluate_plan builds."""
+    return [order for subset in _feasible_subsets(pool)
+            for order in itertools.permutations(subset) if order <= order[::-1]]
+
+
 def _plan_from_order(order: tuple[int, ...], pool, pump, memo: dict, **kwargs) -> SplicePlan:
     """Plan for this order, scored through the calling planner's memo.
 
     The memo maps the lexicographically smaller orientation of a splice to
-    its (g2, signal spectrum), so a mirror pair builds one JSA.  It holds no
-    JSA, so one is alive at a time.
+    its (g2, signal spectrum), so a mirror pair fills one JSA.  It holds no
+    JSA, and evaluate_plan streams each one, so no whole amplitude is stored.
     """
     key = min(order, order[::-1])
     if key not in memo:

@@ -408,28 +408,53 @@ def _check_resolution(assembly: AssemblySpec, grid: FrequencyGrid) -> None:
         )
 
 
+def jsa_grid(assembly: AssemblySpec, pump: PumpSpec, grid: FrequencyGrid | None = None,
+             ns: int = 512, ni: int = 512, lobes: float = DEFAULT_LOBES,
+             pad_sigmas: float = DEFAULT_PAD_SIGMAS) -> FrequencyGrid:
+    """The grid build_jsa samples on: ``grid``, or the auto-sized one, checked
+    against the phase-step rule."""
+    if grid is None:
+        grid = default_grid(assembly, pump, ns, ni, lobes, pad_sigmas)
+    _check_resolution(assembly, grid)
+    return grid
+
+
+def _amplitude_blocks(assembly: AssemblySpec, pump: PumpSpec, grid: FrequencyGrid, rows: int):
+    """Yield (signal-row slice, block) pairs that cover the amplitude alpha * phi
+    in row order, ``rows`` rows a block, every block in the same buffer.
+
+    The linearized kernel fills each block in FILL_BLOCK_CELLS steps and the
+    pump envelope multiplies it in place; every cell's value is the same
+    whatever block holds it.  The full model builds each segment's k(omega)
+    series once per call, so it yields the whole grid as one block.
+    """
+    ns, ni = grid.signal.size, grid.idler.size
+    ws = grid.signal[:, None]
+    wi = grid.idler[None, :]
+    if assembly.model_mode == "full":
+        yield slice(0, ns), phi_assembly(assembly, ws, wi) * pump_envelope(pump, ws, wi)
+        return
+    factors = _linearized_factors(assembly.segments, ws, wi)
+    rows = min(ns, rows)
+    step = min(rows, max(1, FILL_BLOCK_CELLS // ni))
+    buffer = np.empty((rows, ni), dtype=complex)
+    scratch = [np.empty((step, ni), dtype=t) for t in (complex, float, float)]
+    for start in range(0, ns, rows):
+        block = buffer[:min(rows, ns - start)]
+        for r in range(0, len(block), step):
+            part = block[r:r + step]
+            cells = slice(start + r, start + r + len(part))
+            _linearized_combine(factors, cells, part, *(s[:len(part)] for s in scratch))
+            part *= pump_envelope(pump, ws[cells], wi)
+        yield slice(start, start + len(block)), block
+
+
 def build_jsa(assembly: AssemblySpec, pump: PumpSpec, grid: FrequencyGrid | None = None,
               ns: int = 512, ni: int = 512, lobes: float = DEFAULT_LOBES,
               pad_sigmas: float = DEFAULT_PAD_SIGMAS) -> JsaGrid:
     """Sample alpha * phi on the grid (auto-sized when not supplied)."""
-    if grid is None:
-        grid = default_grid(assembly, pump, ns, ni, lobes, pad_sigmas)
-    _check_resolution(assembly, grid)
-    ws = grid.signal[:, None]
-    wi = grid.idler[None, :]
-    # The full model builds each segment's k(omega) series once per call, so
-    # it takes the grid in one block; the linearized kernel works cell by cell.
-    if assembly.model_mode == "full":
-        amp = phi_assembly(assembly, ws, wi) * pump_envelope(pump, ws, wi)
-        return JsaGrid(grid, amp, pump, assembly)
-    factors = _linearized_factors(assembly.segments, ws, wi)
-    amp = np.empty((grid.signal.size, grid.idler.size), dtype=complex)
-    step = min(grid.signal.size, max(1, FILL_BLOCK_CELLS // grid.idler.size))
-    scratch = [np.empty((step, grid.idler.size), dtype=t) for t in (complex, float, float)]
-    for r in range(0, grid.signal.size, step):
-        block = amp[r:r + step]
-        _linearized_combine(factors, slice(r, r + step), block, *(s[:len(block)] for s in scratch))
-        block *= pump_envelope(pump, ws[r:r + step], wi)
+    grid = jsa_grid(assembly, pump, grid, ns, ni, lobes, pad_sigmas)
+    (_, amp), = _amplitude_blocks(assembly, pump, grid, grid.signal.size)
     return JsaGrid(grid, amp, pump, assembly)
 
 

@@ -511,6 +511,40 @@ def test_bundled_g2_table_matches_reference(tmp_path):
         assert abs(float(row[3]) - G2_REFERENCE[key]) <= 0.05, row
 
 
+
+def test_g2_table_and_plan_manifests_record_each_jsa(tmp_path):
+    # Neither subcommand stores an amplitude, so the manifest records the
+    # grid of every JSA it streams: one entry each, in evaluation order.
+    from sfwm import build_jsa
+    from sfwm.cli import _build_assembly, _jsa_args
+
+    seg3 = {**_SEG, "label": "S3", "core_radius_nm": 948.0,
+            "phase_match": {"lambda_s0_nm": 1417.3, "tau_s_ps_per_m": 3.3, "theta_rad": 0.001}}
+    seg4 = {**_SEG, "label": "S4", "core_radius_nm": 948.5,
+            "phase_match": {"lambda_s0_nm": 1421.0, "tau_s_ps_per_m": 3.4, "theta_rad": 0.004}}
+    path = small_config(tmp_path, segments=[_SEG, seg3, seg4], pump_fwhms_nm=[2.0, 5.0],
+                        assemblies=[{"name": "S2+S3", "segments": ["S2", "S3"]},
+                                    {"name": "S4", "segments": ["S4"]}],
+                        planner={"target_total_length_m": 0.6, "tolerance_m": 0.0})
+    assert run("g2-table", path, out_dir=tmp_path / "table") == 0
+    assert run("plan", path, out_dir=tmp_path / "plan") == 0
+    table = json.loads((tmp_path / "table" / "manifest.json").read_text())["jsas"]
+    plan = json.loads((tmp_path / "plan" / "manifest.json").read_text())["jsas"]
+    assert [(e["name"], e["pump_fwhm_nm"]) for e in table] == [
+        ("S2+S3", 2.0), ("S2+S3", 5.0), ("S4", 2.0), ("S4", 5.0)]
+    assert [e["name"] for e in plan] == ["S2+S3", "S2+S4", "S3+S4"]
+    assert {e["pump_fwhm_nm"] for e in plan} == {2.0}
+    # Each entry is the grid build_jsa samples for that assembly and pump.
+    cfg = load_config(path)
+    pump = cfg.pump
+    for entry in plan:
+        labels = entry["name"].split("+")
+        assembly = _build_assembly(cfg, [(label, None) for label in labels], pump)
+        grid = build_jsa(assembly, pump, **_jsa_args(cfg)).grid
+        assert (entry["ns"], entry["ni"]) == (grid.signal.size, grid.idler.size)
+    assert len({(e["ns"], e["ni"]) for e in table}) > 1
+
+
 _DROP = object()
 
 # One case per field rule: (path into small_config, new value or _DROP, message).

@@ -9,7 +9,9 @@ from sfwm import (
     PumpSpec,
     build_jsa,
     g2_quadrature,
+    g2_streamed,
     g2_table,
+    marginal,
     schmidt_decompose,
 )
 from sfwm.spectra import ZeroJsaError
@@ -238,3 +240,147 @@ def test_schmidt_result_validation():
         SchmidtResult(np.array([1.0, 2.0]), 1.5, 0.66, 1.66)  # not descending
     with pytest.raises(ValueError):
         SchmidtResult(np.array([2.0, 1.0]), 0.5, 2.0, 3.0)  # K < 1
+
+
+# ---------------------------------------------------------------------------
+# the streamed evaluator: the amplitude in row blocks, never stored
+
+
+def _counted_zherk(monkeypatch):
+    from sfwm._scipy import extension
+
+    blas = extension("linalg", "_fblas", "scipy.linalg.blas")
+    zherk, shapes = blas.zherk, []
+
+    def counted(alpha, a, **kwargs):
+        shapes.append(a.shape)
+        return zherk(alpha, a, **kwargs)
+
+    monkeypatch.setattr(blas, "zherk", counted)
+    return shapes
+
+
+def test_streamed_g2_matches_stored_amplitude_on_the_catalog(reference_rows):
+    # g2_table streams every row; the oracle stores the amplitude and runs
+    # one zherk.  The block sums reorder the rounding only.
+    parts = dict(TEN_CONFIGURATIONS)
+    for row in reference_rows:
+        jsa = build_jsa(catalog_assembly(parts[row.configuration]),
+                        PumpSpec(PUMP_NM, row.pump_fwhm_nm))
+        assert row.g2 == pytest.approx(g2_quadrature(jsa), rel=1e-15, abs=0), row.configuration
+
+
+def test_streamed_g2_adds_256_row_blocks_into_one_gram(tall_and_square, monkeypatch):
+    from sfwm import correlation
+
+    tall, square = tall_and_square
+    expected = [g2_quadrature(jsa) for jsa in (tall, square)]
+    shapes = _counted_zherk(monkeypatch)
+    park = correlation.park_openblas
+    monkeypatch.setattr(correlation, "park_openblas",
+                        lambda package_dir: (shapes.append("park"), park(package_dir)))
+    for jsa, g2, blocks in ((tall, expected[0], [256] * 5 + [98]),
+                            (square, expected[1], [256, 256])):
+        shapes.clear()
+        streamed, spectrum = g2_streamed(jsa.assembly, jsa.pump, jsa.grid)
+        # SciPy's pool is parked before each next block's fill, and at the end.
+        calls = [call for rows in blocks[:-1] for call in ((512, rows), "park")]
+        assert shapes == calls + [(512, blocks[-1]), (512, 2), "park"]
+        assert spectrum is None
+        assert streamed == pytest.approx(g2, rel=1e-15, abs=0)
+
+
+def test_streamed_g2_on_a_wide_grid_sums_the_idler_axis(pump_2nm, monkeypatch):
+    # Fewer signal rows than idler columns: the Gram is on the signal side,
+    # so the amplitude comes as one block.
+    asm = catalog_assembly([("S1", 0.3), ("S2", 0.3)])
+    grid = FrequencyGrid(np.linspace(1.330e15, 1.347e15, 300), np.linspace(2.170e15, 2.205e15, 700))
+    jsa = build_jsa(asm, pump_2nm, grid=grid)
+    shapes = _counted_zherk(monkeypatch)
+    g2, spectrum = g2_streamed(asm, pump_2nm, grid, signal_marginal=True)
+    assert shapes == [(700, 300), (2, 300)]
+    assert 1.0 < g2 < 2.0
+    assert g2 == pytest.approx(g2_quadrature(jsa), rel=1e-15, abs=0)
+    assert np.array_equal(spectrum.values, marginal(jsa, "signal").values)
+
+
+def test_streamed_g2_on_a_tall_grid_with_ragged_blocks(pump_2nm, monkeypatch):
+    # 300 columns: fill steps of 54 rows, Gram blocks of 8 steps (432 rows),
+    # and a last block of 272 rows that ends in a 2-row step.
+    asm = catalog_assembly([("S1", 0.3), ("S2", 0.3)])
+    auto = build_jsa(asm, pump_2nm).grid
+    grid = FrequencyGrid(np.linspace(auto.signal[0], auto.signal[-1], 2000),
+                         np.linspace(auto.idler[0], auto.idler[-1], 300))
+    jsa = build_jsa(asm, pump_2nm, grid=grid)
+    shapes = _counted_zherk(monkeypatch)
+    g2, spectrum = g2_streamed(asm, pump_2nm, grid, signal_marginal=True)
+    assert shapes == [(300, 432)] * 4 + [(300, 272), (300, 2)]
+    assert g2 == pytest.approx(g2_quadrature(jsa), rel=1e-15, abs=0)
+    expected = marginal(jsa, "signal").values
+    assert np.max(np.abs(spectrum.values - expected)) <= 1e-15 * expected.max()
+
+
+def test_streamed_g2_rescales_outside_gram_range(tall_and_square, monkeypatch):
+    # A range that holds no Gram forces the fallback on both paths: a pass
+    # for the largest part, then the Gram of the blocks at a unit peak.
+    from sfwm import correlation
+
+    tall, square = tall_and_square
+    expected = [g2_quadrature(jsa) for jsa in (tall, square)]
+    monkeypatch.setattr(correlation, "GRAM_RANGE", (2.0 ** 1020, 2.0 ** 1021))
+    shapes = _counted_zherk(monkeypatch)
+    for jsa, g2, blocks in ((tall, expected[0], 6), (square, expected[1], 2)):
+        shapes.clear()
+        streamed, _ = g2_streamed(jsa.assembly, jsa.pump, jsa.grid)
+        assert len(shapes) == 2 * (blocks + 1)
+        assert streamed == pytest.approx(g2, rel=1e-15, abs=0)
+        assert g2_quadrature(jsa) == pytest.approx(g2, rel=1e-15, abs=0)
+
+
+def test_streamed_g2_refuses_zero_and_non_finite_amplitudes(pump_2nm, monkeypatch):
+    from sfwm import spectra
+
+    asm = catalog_assembly([("S2", 0.3)])
+    grid = build_jsa(asm, pump_2nm).grid
+    # The pump envelope flushes to 0 this far from energy conservation.
+    far = FrequencyGrid(grid.signal, grid.idler + 5e14)
+    with pytest.raises(ZeroJsaError, match="identically zero"):
+        g2_streamed(asm, pump_2nm, far)
+    real = spectra.pump_envelope
+
+    def poisoned(pump, omega_s, omega_i):
+        env = real(pump, omega_s, omega_i)
+        return np.where(omega_s >= grid.signal[300], np.nan, env)
+
+    monkeypatch.setattr(spectra, "pump_envelope", poisoned)
+    with pytest.raises(ValueError, match="amplitude must be finite everywhere"):
+        g2_streamed(asm, pump_2nm, grid)
+
+
+def test_streamed_marginal_matches_marginal(tall_and_square):
+    tall, square = tall_and_square
+    # Below ~5e5 cells numpy's product of the stored intensity is one
+    # thread, and each row's sum has the same bits in a block.
+    _, spectrum = g2_streamed(square.assembly, square.pump, square.grid, signal_marginal=True)
+    expected = marginal(square, "signal")
+    assert np.array_equal(spectrum.values, expected.values)
+    assert np.array_equal(spectrum.axis, expected.axis)
+    # Above it the stored product may run threaded, with a different
+    # summation order.
+    _, spectrum = g2_streamed(tall.assembly, tall.pump, tall.grid, signal_marginal=True)
+    expected = marginal(tall, "signal").values
+    assert np.max(np.abs(spectrum.values - expected)) <= 1e-15 * expected.max()
+
+
+def test_streamed_g2_never_holds_the_amplitude(tall_and_square):
+    import tracemalloc
+
+    tall, _ = tall_and_square
+    g2_streamed(tall.assembly, tall.pump, tall.grid)  # scipy's BLAS is loaded
+    tracemalloc.start()
+    try:
+        g2_streamed(tall.assembly, tall.pump, tall.grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < tall.amplitude.nbytes  # 10.8 MiB at 1378x512 (7.2 MiB seen)

@@ -189,16 +189,17 @@ def test_exhaustive_is_deterministic():
 
 
 def _count_builds(monkeypatch):
+    # Each g2_streamed call fills one JSA, block by block.
     import sfwm.planner
 
     built = []
-    real = sfwm.planner.build_jsa
+    real = sfwm.planner.g2_streamed
 
     def counting(assembly, *args, **kwargs):
         built.append(assembly)
         return real(assembly, *args, **kwargs)
 
-    monkeypatch.setattr(sfwm.planner, "build_jsa", counting)
+    monkeypatch.setattr(sfwm.planner, "g2_streamed", counting)
     return built
 
 

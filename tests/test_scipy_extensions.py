@@ -5,6 +5,7 @@ SciPy release that moves one of them fails here rather than silently.
 The OpenBLAS pools that numpy and SciPy bring must sit idle between calls.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -12,10 +13,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 import scipy.linalg.blas
 import scipy.special
 
-from sfwm import _scipy, correlation, dispersion
+from sfwm import _scipy, cli, correlation, dispersion
 
 
 def test_bessel_functions_are_scipy_specials():
@@ -31,7 +33,7 @@ def test_gram_zherk_is_scipys_public_zherk(monkeypatch):
         return loaded[-1]
 
     monkeypatch.setattr(correlation, "extension", spy)
-    correlation._end_corrected_gram(np.ones((5, 3), dtype=complex))
+    correlation._end_corrected_gram([(slice(0, 5), np.ones((5, 3), dtype=complex))], (5, 3))
     assert loaded and all(blas.zherk is scipy.linalg.blas.zherk for blas in loaded)
 
 
@@ -105,6 +107,8 @@ jsa = sfwm.build_jsa(assembly, sfwm.PumpSpec(1070.0, 2.0))
 first = spun("g2_quadrature", lambda: sfwm.g2_quadrature(jsa))
 # The pool starts again, with the same bits.
 assert spun("a second g2_quadrature", lambda: sfwm.g2_quadrature(jsa)) == first
+# The streamed Gram parks the pool between its 256-row blocks and at the end.
+spun("g2_streamed", lambda: sfwm.g2_streamed(jsa.assembly, jsa.pump, jsa.grid, True))
 spun("marginal", lambda: sfwm.marginal(jsa, "signal"))
 spun("schmidt_decompose", lambda: sfwm.schmidt_decompose(jsa))
 """
@@ -118,3 +122,29 @@ def test_no_blas_thread_spins_after_import_or_blas_work():
     proc = subprocess.run([sys.executable, "-c", _SPIN_PROBE], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_skips_scipys_init_and_keeps_its_version_string(tmp_path):
+    # SciPy's directory comes from the import system and its version from
+    # version.py, so a fresh `import sfwm.cli` never runs scipy/__init__.py.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    probe = "import sys, sfwm.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+    assert _scipy.SCIPY_DIR == Path(scipy.__file__).parent
+    assert _scipy.scipy_version() == scipy.__version__
+    config = tmp_path / "g2.json"
+    config.write_text(json.dumps({
+        "pump": {"center_wavelength_nm": 1070.0, "fwhm_nm": 2.0},
+        "segments": [{"label": "S2", "core_radius_nm": 947.5, "air_fill": 0.296,
+                      "length_m": 0.3, "phase_match": {"lambda_s0_nm": 1413.6,
+                                                       "tau_s_ps_per_m": 3.2,
+                                                       "theta_rad": 0.002}}],
+        "grid": {"ns": 64, "ni": 64}, "output_dir": str(tmp_path / "out")}))
+    assert cli.run("g2", config) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["versions"]["scipy"].encode() == scipy.__version__.encode()

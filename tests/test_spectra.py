@@ -110,13 +110,13 @@ def test_envelope_clamp_keeps_every_bit(pump_2nm, tmp_path, monkeypatch):
         lowest.append((-(det**2) / (4.0 * pump.sigma_omega**2)).min())
         return env
 
-    def counted(*args, _build=spectra.build_jsa, **kwargs):
+    def counted(*args, _stream=correlation.g2_streamed, **kwargs):
         jsas.append(args)
-        return _build(*args, **kwargs)
+        return _stream(*args, **kwargs)
 
     monkeypatch.setattr(spectra, "pump_envelope", checked)
-    for module in (correlation, planner):
-        monkeypatch.setattr(module, "build_jsa", counted)
+    for module in (correlation, planner):  # each streams its JSAs
+        monkeypatch.setattr(module, "g2_streamed", counted)
     for step, subcommand in (("g2_table", "g2-table"), ("splice_plan", "plan")):
         config = tmp_path / f"{step}.json"
         config.write_text(json.dumps(benchmark_config(step, 1)))

@@ -4,12 +4,16 @@
 
 Times ``build_jsa`` and ``g2_quadrature`` on the catalog assemblies whose
 auto-sized grids are 512x512 (S2, 0.3 m), 660x512 (S1+S2) and 1378x512
-(S1+S2+S3+S4), each at 2 and 5 nm pump FWHM, and times one
-``plan_exhaustive`` call on the six-segment 0.6 m pool of the benchmark's
-seed-1 ``splice_plan`` step (``perfbench/workloads.py``), and prints one
-JSON object: the median over the repeats of the wall time and of the
-process CPU time (``time.process_time``, every thread) per call, in ms, the
-core count and the OpenBLAS builds and thread counts the process loaded.
+(S1+S2+S3+S4), each at 2 and 5 nm pump FWHM, and next to them the streamed
+``g2_streamed`` (with ``jsa_grid``), which never stores the amplitude, where
+the package has it; times one ``plan_exhaustive`` call on the six-segment
+0.6 m pool of the benchmark's seed-1 ``splice_plan`` step
+(``perfbench/workloads.py``), and prints one JSON object: the median over
+the repeats of the wall time and of the process CPU time
+(``time.process_time``, every thread) per call, in ms, the ``tracemalloc``
+peak of one stored (``build_jsa`` + ``g2_quadrature``) and one streamed g2
+in MiB, the core count and the OpenBLAS builds and thread counts the
+process loaded.
 A BLAS worker that spins after its call shows as CPU above wall time, in
 the call or in the one after it.
 ``--src`` times the package under another checkout's ``src/`` the same way.
@@ -23,6 +27,7 @@ import os
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -57,6 +62,27 @@ def _openblas() -> list[dict]:
     return found
 
 
+def _timed(call, repeats: int) -> tuple[float, float]:
+    """Median wall and CPU time of ``call()``, in ms."""
+    wall, cpu = [], []
+    for _ in range(repeats):
+        t0, c0 = time.perf_counter(), time.process_time()
+        call()
+        wall.append((time.perf_counter() - t0) * 1e3)
+        cpu.append((time.process_time() - c0) * 1e3)
+    return round(statistics.median(wall), 2), round(statistics.median(cpu), 2)
+
+
+def _traced_peak_mib(call) -> float:
+    """The ``tracemalloc`` peak of one ``call()``, in MiB."""
+    tracemalloc.start()
+    try:
+        call()
+        return round(tracemalloc.get_traced_memory()[1] / 2**20, 2)
+    finally:
+        tracemalloc.stop()
+
+
 def _time_plan(repeats: int) -> dict:
     """``plan_exhaustive`` on the seed-1 ``splice_plan`` pool, as ``sfwm plan`` builds it."""
     from sfwm import AssemblySegment, PhaseMatchPoint, PumpSpec, SegmentPool, plan_exhaustive
@@ -75,16 +101,12 @@ def _time_plan(repeats: int) -> dict:
         candidates.append((seg["label"], AssemblySegment(seg["length_m"], point)))
     pool = SegmentPool(tuple(candidates), cfg["planner"]["target_total_length_m"],
                        cfg["planner"]["tolerance_m"])
-    times, cpu = [], []
-    for _ in range(repeats):
-        t0, c0 = time.perf_counter(), time.process_time()
-        plan = plan_exhaustive(pool, pump, ns=cfg["grid"]["ns"], ni=cfg["grid"]["ni"])
-        times.append((time.perf_counter() - t0) * 1e3)
-        cpu.append((time.process_time() - c0) * 1e3)
+    plans = []
+    ms, cpu_ms = _timed(lambda: plans.append(
+        plan_exhaustive(pool, pump, ns=cfg["grid"]["ns"], ni=cfg["grid"]["ni"])), repeats)
     return {"pool": "splice_plan seed 1: six 0.3 m segments, 0.6 m target, 30 ordered pairs",
-            "ms": round(statistics.median(times), 1),
-            "cpu_ms": round(statistics.median(cpu), 1), "order": list(plan.order),
-            "predicted_g2": plan.predicted_g2}
+            "ms": round(ms, 1), "cpu_ms": round(cpu_ms, 1), "order": list(plans[-1].order),
+            "predicted_g2": plans[-1].predicted_g2}
 
 
 def main() -> int:
@@ -93,9 +115,11 @@ def main() -> int:
     parser.add_argument("--repeats", type=int, default=7)
     args = parser.parse_args()
     sys.path.insert(0, args.src)
+    import sfwm
     from sfwm import (AssemblySegment, AssemblySpec, PhaseMatchPoint, PumpSpec, build_jsa,
                       g2_quadrature)
 
+    streamed = getattr(sfwm, "g2_streamed", None)
     cases = {}
     for name, labels in CASES.items():
         assembly = AssemblySpec(tuple(
@@ -117,11 +141,19 @@ def main() -> int:
             shape = "x".join(map(str, jsa.amplitude.shape))
             if shape != name:
                 raise RuntimeError(f"{'+'.join(labels)} gave a {shape} grid, expected {name}")
-            cases[f"{name}@{fwhm:g}nm"] = {
+            del jsa
+            case = cases[f"{name}@{fwhm:g}nm"] = {
                 "fill_ms": round(statistics.median(fill), 2),
                 "fill_cpu_ms": round(statistics.median(fill_cpu), 2),
                 "g2_quadrature_ms": round(statistics.median(gram), 2),
-                "g2_quadrature_cpu_ms": round(statistics.median(gram_cpu), 2)}
+                "g2_quadrature_cpu_ms": round(statistics.median(gram_cpu), 2),
+                "stored_peak_mib": _traced_peak_mib(
+                    lambda: g2_quadrature(build_jsa(assembly, pump)))}
+            if streamed is not None:
+                def call():
+                    return streamed(assembly, pump, sfwm.jsa_grid(assembly, pump))
+                case["g2_streamed_ms"], case["g2_streamed_cpu_ms"] = _timed(call, args.repeats)
+                case["streamed_peak_mib"] = _traced_peak_mib(call)
     print(json.dumps({"repeats": args.repeats, "nproc": os.cpu_count(),
                       "openblas": _openblas(), "cases": cases,
                       "plan_exhaustive": _time_plan(args.repeats)}, indent=1))

@@ -36,18 +36,20 @@ import json, resource
 loaded = {name: name in sys.modules for name in json.loads(sys.argv[2])}
 with open("/proc/self/maps") as fh:
     openblas = len({line.split()[-1] for line in fh if "openblas" in line.lower()})
+maxrss_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+import numpy, scipy  # for their versions, after every measurement
 print(json.dumps({
-    "import_s": import_s, "modules": modules,
-    "maxrss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    "import_s": import_s, "modules": modules, "maxrss_mib": maxrss_mib,
     "loaded": loaded, "openblas_libs": openblas,
-    "numpy": sys.modules["numpy"].__version__, "scipy": sys.modules["scipy"].__version__,
+    "numpy": numpy.__version__, "scipy": scipy.__version__,
 }))
 """
 
-#: Packages whose import the CLI avoids: scipy.optimize (only fit needs it),
-#: and scipy.linalg and scipy.special, whose __init__ loads scipy._lib._util
-#: and with it numpy.f2py and numpy.testing.
-HEAVY = ("scipy.optimize", "scipy.linalg", "scipy.special", "scipy._lib._util")
+#: Packages whose import the CLI avoids: scipy itself (its __init__),
+#: scipy.optimize (only fit needs it), and scipy.linalg and scipy.special,
+#: whose __init__ loads scipy._lib._util and with it numpy.f2py and
+#: numpy.testing.
+HEAVY = ("scipy", "scipy.optimize", "scipy.linalg", "scipy.special", "scipy._lib._util")
 
 
 def _probe(src: Path) -> dict:
