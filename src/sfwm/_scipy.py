@@ -15,8 +15,9 @@ An OpenBLAS pool thread spins ~0.1 s of CPU each time it runs out of work,
 before it sleeps: after the pool starts, and after every threaded call.
 ``park_openblas`` stops a pool once its work is done: numpy's here, since
 numpy's OpenBLAS starts its pool when it loads, and again after the numpy
-calls that run threaded on large grids (``marginal``'s projection,
-``schmidt_decompose``'s SVD); SciPy's after every Gram.
+calls that can run threaded on large grids (the marginal products, once
+their last block is summed, and ``schmidt_decompose``'s SVD); SciPy's
+after every Gram.
 """
 
 from __future__ import annotations

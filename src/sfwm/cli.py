@@ -41,10 +41,10 @@ from .spectra import (
     AssemblySpec,
     FilterSpec,
     FrequencyGrid,
+    _streamed_marginals,
     build_jsa,
     filter_scan,
     jsa_grid,
-    marginal,
 )
 
 SUBCOMMANDS = (
@@ -642,45 +642,43 @@ def _cmd_gvm_curve(cfg: RunConfig, out: _OutputSet) -> dict:
     return {}
 
 
-def _cmd_jsa(cfg: RunConfig, out: _OutputSet) -> dict:
+def _each_jsa(cfg: RunConfig, write: Callable) -> dict:
+    """Call ``write(suffix, name, assembly, pump, grid)`` for each named
+    assembly on the grid its JSA is sampled on; returns the manifest's grid
+    record(s)."""
     pump = _require_pump(cfg)
     named = _named_assemblies(cfg, pump)
     multi = len(named) > 1
     jsa_args = _jsa_args(cfg)
     grids: dict[str, dict] = {}
     for name, assembly in named:
-        jsa = build_jsa(assembly, pump, **jsa_args)
-        grids[name] = _grid_record(jsa.grid)
-        sfx = _suffix(name, multi)
-        lam_s = jsa.grid.signal_wavelength_nm()[::-1]
-        lam_i = jsa.grid.idler_wavelength_nm()[::-1]
-        jsi = jsa.intensity()[::-1, ::-1]
+        grid = jsa_grid(assembly, pump, **jsa_args)
+        grids[name] = _grid_record(grid)
+        write(_suffix(name, multi), name, assembly, pump, grid)
+    return {"grid": grids[named[0][0]] if not multi else grids}
+
+
+def _cmd_jsa(cfg: RunConfig, out: _OutputSet) -> dict:
+    def write(sfx, name, assembly, pump, grid):
+        jsi = build_jsa(assembly, pump, grid).intensity()[::-1, ::-1]
+        lam_i = grid.idler_wavelength_nm()[::-1]
         out.add_csv(f"jsi{sfx}.csv", [""] + [_fmt(v) for v in lam_i],
-                    np.column_stack((lam_s, jsi)))
+                    np.column_stack((grid.signal_wavelength_nm()[::-1], jsi)))
         out.add_json(f"jsi_meta{sfx}.json", {
             "pump": _pump_record(pump),
             "assembly": _assembly_record(name, assembly),
-            "grid": grids[name],
+            "grid": _grid_record(grid),
             "normalization": "raw",
         })
-    return {"grid": grids[named[0][0]] if not multi else grids}
+    return _each_jsa(cfg, write)
 
 
 def _cmd_marginal(cfg: RunConfig, out: _OutputSet) -> dict:
-    pump = _require_pump(cfg)
-    named = _named_assemblies(cfg, pump)
-    multi = len(named) > 1
-    jsa_args = _jsa_args(cfg)
-    grids: dict[str, dict] = {}
-    for name, assembly in named:
-        jsa = build_jsa(assembly, pump, **jsa_args)
-        grids[name] = _grid_record(jsa.grid)
-        sfx = _suffix(name, multi)
-        out.add_csv(f"marginal_signal{sfx}.csv", ["x_nm", "intensity"],
-                    _spectrum_rows(marginal(jsa, "signal")))
-        out.add_csv(f"marginal_idler{sfx}.csv", ["x_nm", "intensity"],
-                    _spectrum_rows(marginal(jsa, "idler")))
-    return {"grid": grids[named[0][0]] if not multi else grids}
+    def write(sfx, name, assembly, pump, grid):
+        for axis, spectrum in _streamed_marginals(assembly, pump, grid).items():
+            out.add_csv(f"marginal_{axis}{sfx}.csv", ["x_nm", "intensity"],
+                        _spectrum_rows(spectrum))
+    return _each_jsa(cfg, write)
 
 
 def _filter_centers(cfg: RunConfig, assembly: AssemblySpec) -> list[float]:

@@ -26,13 +26,13 @@ import numpy as np
 from ._scipy import NUMPY_DIR, SCIPY_DIR, extension, park_openblas
 from .phasematch import PumpSpec
 from .spectra import (
-    FILL_BLOCK_CELLS,
     AssemblySpec,
     FrequencyGrid,
     JsaGrid,
     Spectrum1D,
     ZeroJsaError,
     _amplitude_blocks,
+    _marginal_sums,
     jsa_grid,
 )
 
@@ -184,45 +184,29 @@ def g2_quadrature(jsa: JsaGrid) -> float:
     return _g2_of_blocks(whole, lambda: whole, a.shape)
 
 
-#: Cells per row block of g2_streamed's amplitude: 256 signal rows at 512
-#: idler columns, a whole number of the fill's FILL_BLOCK_CELLS steps.
-GRAM_BLOCK_CELLS = 1 << 17
-
-
 def g2_streamed(assembly: AssemblySpec, pump: PumpSpec, grid: FrequencyGrid,
                 signal_marginal: bool = False) -> tuple[float, Spectrum1D | None]:
     """g2 of build_jsa(assembly, pump, grid) without storing its amplitude, and
     with ``signal_marginal`` its marginal(jsa, "signal"); None otherwise.
 
-    The amplitude is filled in row blocks of one reused buffer, and each
-    block adds its zherk into the one Gram, so the largest array alive is
-    the Gram or a block, not the amplitude.  Each block is checked finite,
-    and the marginal takes each block's rows as (|B|^2) @ w_i.  A grid with
-    fewer signal rows than idler columns is filled in one block (see
-    _end_corrected_gram).
+    The amplitude is filled in the streamed row blocks of one reused buffer
+    (spectra._amplitude_blocks, which checks each finite), and each block
+    adds its zherk into the one Gram, so the largest array alive is the
+    Gram or a block, not the amplitude.  The marginal is summed from the
+    same blocks (spectra._marginal_sums).  A grid with fewer signal rows
+    than idler columns is filled in one block (see _end_corrected_gram).
     """
     ns, ni = grid.signal.size, grid.idler.size
-    rows = ns if ns < ni else (max(1, FILL_BLOCK_CELLS // ni)
-                               * (GRAM_BLOCK_CELLS // FILL_BLOCK_CELLS))
-    values = np.empty(ns) if signal_marginal else None
-    w_i = grid.trapezoid_weights()[1]
+    rows = ns if ns < ni else None
 
     def fill():
         return _amplitude_blocks(assembly, pump, grid, rows)
 
-    def checked():
-        for cells, block in fill():
-            if not np.isfinite(block).all():
-                raise ValueError("amplitude must be finite everywhere")
-            if values is not None:
-                values[cells] = (np.abs(block) ** 2) @ w_i
-            yield cells, block
-
-    g2 = _g2_of_blocks(checked(), fill, (ns, ni))
-    if values is None:
-        return g2, None
-    park_openblas(NUMPY_DIR)  # a one-block product is threaded from ~5e5 cells
-    return g2, Spectrum1D(grid.signal, values, "angular_frequency", "raw")
+    if not signal_marginal:
+        return _g2_of_blocks(fill(), fill, (ns, ni)), None
+    sums = {}
+    g2 = _g2_of_blocks(_marginal_sums(grid, fill(), sums), fill, (ns, ni))
+    return g2, Spectrum1D(grid.signal, sums["signal"], "angular_frequency", "raw")
 
 
 def schmidt_decompose(jsa: JsaGrid) -> SchmidtResult:

@@ -17,7 +17,6 @@ re-evaluated from the dispersion curves at every grid point).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +34,9 @@ MAX_EDGE_PHASE_STEP = math.pi / 8
 #: Cells per JSA fill block, so that a block's temporaries stay in a core's
 #: cache; every cell's value is the same whatever block holds it.
 FILL_BLOCK_CELLS = 1 << 14
+#: Cells per row block of a streamed amplitude: 256 signal rows at 512 idler
+#: columns, a whole number of the fill's FILL_BLOCK_CELLS steps.
+STREAM_BLOCK_CELLS = 1 << 17
 
 
 class GridResolutionError(ValueError):
@@ -383,9 +385,7 @@ class JsaGrid:
         amp = np.asarray(self.amplitude)
         if amp.shape != (self.grid.signal.size, self.grid.idler.size):
             raise ValueError("amplitude shape does not match the grid")
-        if not np.isfinite(amp).all():
-            raise ValueError("amplitude must be finite everywhere")
-        object.__setattr__(self, "amplitude", amp.astype(complex, copy=False))
+        object.__setattr__(self, "amplitude", _finite(amp).astype(complex, copy=False))
 
     def intensity(self) -> np.ndarray:
         return np.abs(self.amplitude) ** 2
@@ -419,9 +419,17 @@ def jsa_grid(assembly: AssemblySpec, pump: PumpSpec, grid: FrequencyGrid | None 
     return grid
 
 
-def _amplitude_blocks(assembly: AssemblySpec, pump: PumpSpec, grid: FrequencyGrid, rows: int):
+def _finite(amplitude: np.ndarray) -> np.ndarray:
+    if not np.isfinite(amplitude).all():
+        raise ValueError("amplitude must be finite everywhere")
+    return amplitude
+
+
+def _amplitude_blocks(assembly: AssemblySpec, pump: PumpSpec, grid: FrequencyGrid,
+                      rows: int | None = None):
     """Yield (signal-row slice, block) pairs that cover the amplitude alpha * phi
-    in row order, ``rows`` rows a block, every block in the same buffer.
+    in row order, every block in the same buffer and checked finite: ``rows``
+    rows a block, by default the streamed STREAM_BLOCK_CELLS.
 
     The linearized kernel fills each block in FILL_BLOCK_CELLS steps and the
     pump envelope multiplies it in place; every cell's value is the same
@@ -432,9 +440,11 @@ def _amplitude_blocks(assembly: AssemblySpec, pump: PumpSpec, grid: FrequencyGri
     ws = grid.signal[:, None]
     wi = grid.idler[None, :]
     if assembly.model_mode == "full":
-        yield slice(0, ns), phi_assembly(assembly, ws, wi) * pump_envelope(pump, ws, wi)
+        yield slice(0, ns), _finite(phi_assembly(assembly, ws, wi) * pump_envelope(pump, ws, wi))
         return
     factors = _linearized_factors(assembly.segments, ws, wi)
+    if rows is None:
+        rows = max(1, FILL_BLOCK_CELLS // ni) * (STREAM_BLOCK_CELLS // FILL_BLOCK_CELLS)
     rows = min(ns, rows)
     step = min(rows, max(1, FILL_BLOCK_CELLS // ni))
     buffer = np.empty((rows, ni), dtype=complex)
@@ -446,7 +456,7 @@ def _amplitude_blocks(assembly: AssemblySpec, pump: PumpSpec, grid: FrequencyGri
             cells = slice(start + r, start + r + len(part))
             _linearized_combine(factors, cells, part, *(s[:len(part)] for s in scratch))
             part *= pump_envelope(pump, ws[cells], wi)
-        yield slice(start, start + len(block)), block
+        yield slice(start, start + len(block)), _finite(block)
 
 
 def build_jsa(assembly: AssemblySpec, pump: PumpSpec, grid: FrequencyGrid | None = None,
@@ -458,20 +468,45 @@ def build_jsa(assembly: AssemblySpec, pump: PumpSpec, grid: FrequencyGrid | None
     return JsaGrid(grid, amp, pump, assembly)
 
 
+def _marginal_sums(grid: FrequencyGrid, blocks, sums: dict):
+    """Yield the (signal-row slice, block) pairs of ``blocks`` on, each first
+    added into ``sums``, the trapezoid marginals of |f|^2 on ``grid``:
+    sums["signal"][rows] = |B|^2 @ w_i and sums["idler"] += w_s[rows] @ |B|^2.
+
+    The idler sum starts at 0, so an amplitude passed as one block gives the
+    two products' own bits.  |B|^2 is freed before its block goes on."""
+    w_s, w_i = grid.trapezoid_weights()
+    sums["signal"], sums["idler"] = np.empty(w_s.size), np.zeros(w_i.size)
+    for rows, block in blocks:
+        intensity = np.abs(block) ** 2
+        sums["signal"][rows] = intensity @ w_i
+        sums["idler"] += w_s[rows] @ intensity
+        del intensity
+        yield rows, block
+    park_openblas(NUMPY_DIR)  # a one-block product is threaded from ~5e5 cells
+
+
+def _marginals(grid: FrequencyGrid, blocks) -> dict[str, Spectrum1D]:
+    """The signal and idler marginal of the amplitude that ``blocks`` covers."""
+    sums = {}
+    for _ in _marginal_sums(grid, blocks, sums):
+        pass
+    return {axis: Spectrum1D(getattr(grid, axis), values, "angular_frequency", "raw")
+            for axis, values in sums.items()}
+
+
+def _streamed_marginals(assembly: AssemblySpec, pump: PumpSpec,
+                        grid: FrequencyGrid) -> dict[str, Spectrum1D]:
+    """marginal(build_jsa(assembly, pump, grid), axis) for both axes, from the
+    amplitude filled in row blocks, never stored."""
+    return _marginals(grid, _amplitude_blocks(assembly, pump, grid))
+
+
 def marginal(jsa: JsaGrid, axis: str = "signal") -> Spectrum1D:
     """Trapezoid projection of the intensity onto one frequency axis."""
     if axis not in ("signal", "idler"):
         raise ValueError(f"axis must be 'signal' or 'idler', got {axis!r}")
-    w_s, w_i = jsa.grid.trapezoid_weights()
-    intensity = jsa.intensity()
-    if axis == "signal":
-        vals = intensity @ w_i
-        ax = jsa.grid.signal
-    else:
-        vals = w_s @ intensity
-        ax = jsa.grid.idler
-    park_openblas(NUMPY_DIR)  # the product is threaded from ~5e5 cells
-    return Spectrum1D(ax, vals, "angular_frequency", "raw")
+    return _marginals(jsa.grid, [(slice(0, jsa.grid.signal.size), jsa.amplitude)])[axis]
 
 
 def _scan_quadrature(axis: np.ndarray, intensity: np.ndarray, sigma: float,
@@ -490,56 +525,35 @@ def _scan_quadrature(axis: np.ndarray, intensity: np.ndarray, sigma: float,
     return scale * out
 
 
-def filter_scan(target, filt: FilterSpec, centers_nm, pump: PumpSpec | None = None,
-                lobes: float = DEFAULT_LOBES) -> Spectrum1D:
+def filter_scan(assembly: AssemblySpec, filt: FilterSpec, centers_nm,
+                pump: PumpSpec | None = None, lobes: float = DEFAULT_LOBES) -> Spectrum1D:
     """Counting rate of a Gaussian-filtered signal arm versus filter center.
 
-    ``target`` is either a JsaGrid (the filtered quantity is the signal
-    marginal divided by the pump's sqrt(2 pi) sigma_p, exact in the
-    group-matched regime) or an AssemblySpec (the one-dimensional
-    phase-matching spectrum is evaluated directly on an internally refined
-    axis).  The overall scale is gamma^2 P^2 / sigma_p when pump gain data is
-    available, 1 otherwise.
+    The one-dimensional phase-matching spectrum of ``assembly`` is evaluated
+    directly on an internally refined axis.  The overall scale is
+    gamma^2 P^2 / sigma_p when pump gain data is available, 1 otherwise.
     """
     centers = np.asarray(centers_nm, dtype=float)
     if centers.ndim != 1 or np.any(np.diff(centers) <= 0):
         raise ValueError("filter centers must be a strictly ascending 1-D list, nm")
     centers_omega = TWO_PI_C / (centers * 1e-9)
     sigma = filt.sigma_omega
-
-    if isinstance(target, JsaGrid):
-        pump = target.pump
-        spec = marginal(target, "signal")
-        axis = spec.axis
-        intensity = spec.values / (math.sqrt(2.0 * math.pi) * pump.sigma_omega)
-        lo, hi = axis[0], axis[-1]
-        outside = (centers_omega < lo) | (centers_omega > hi)
-        if np.any(outside):
-            warnings.warn(
-                f"{int(outside.sum())} filter centers outside the grid support; "
-                "their scan values are zero", stacklevel=2,
-            )
-    elif isinstance(target, AssemblySpec):
-        s_lo, s_hi = _signal_window(target, lobes)
-        lo = min(s_lo, centers_omega.min() - 6 * sigma)
-        hi = max(s_hi, centers_omega.max() + 6 * sigma)
-        slope = sum(abs(s.point.tau_s_si) * s.length_m for s in target.segments)
-        need = _required_points(hi - lo, slope)
-        if need > 1 << 18:
-            raise GridResolutionError(
-                f"filter-scan axis needs {need} points for a phase step <= "
-                f"{MAX_EDGE_PHASE_STEP:.3f} rad, above its {1 << 18}-point cap", need, 0)
-        n = min(max(need, int(math.ceil((hi - lo) / (sigma / 3))) + 1, 2048), 1 << 18)
-        axis = np.linspace(lo, hi, n)
-        intensity = np.abs(phi_signal(target, axis)) ** 2
-        outside = np.zeros(centers.shape, dtype=bool)
-    else:
-        raise TypeError(f"target must be JsaGrid or AssemblySpec, got {type(target)!r}")
+    s_lo, s_hi = _signal_window(assembly, lobes)
+    lo = min(s_lo, centers_omega.min() - 6 * sigma)
+    hi = max(s_hi, centers_omega.max() + 6 * sigma)
+    slope = sum(abs(s.point.tau_s_si) * s.length_m for s in assembly.segments)
+    need = _required_points(hi - lo, slope)
+    if need > 1 << 18:
+        raise GridResolutionError(
+            f"filter-scan axis needs {need} points for a phase step <= "
+            f"{MAX_EDGE_PHASE_STEP:.3f} rad, above its {1 << 18}-point cap", need, 0)
+    n = min(max(need, int(math.ceil((hi - lo) / (sigma / 3))) + 1, 2048), 1 << 18)
+    axis = np.linspace(lo, hi, n)
+    intensity = np.abs(phi_signal(assembly, axis)) ** 2
 
     scale = 1.0
     if pump is not None and pump.gain is not None:
         scale = pump.gain**2 / pump.sigma_omega
     vals = _scan_quadrature(axis, intensity, sigma, centers_omega, scale)
-    vals[outside] = 0.0
     # Order follows ascending wavelength; the omega centers descend.
     return Spectrum1D(centers, vals, "wavelength_nm", "raw")

@@ -746,3 +746,24 @@ def test_malformed_config_raises_config_error_naming_the_field(fuzz_path, path, 
         assert re.sub(r"\[\d+\]$", "", _path_text(path)) in str(exc)
     else:
         assert not any(value is bad for bad in _NEVER_VALID), _path_text(path)
+
+
+# Ratios that perfbench computes itself rather than from a traced function.
+_UNTRACED_METRICS = {"trace.overhead_frac", "failed_frac", "phasematch.no_root_frac"}
+
+
+def test_benchmark_traces_only_public_functions_that_exist():
+    # A traced benchmark run stops with "metrics not produced" when a
+    # per-layer metric names a function its layer no longer defines.
+    import importlib
+    import inspect
+
+    metrics = json.loads((REPO / "BENCHMARK.json").read_text())["per_layer"]
+    names = {tuple(m["name"].split(".")[:2]) for m in metrics
+             if m["name"] not in _UNTRACED_METRICS}
+    assert names
+    for layer, function in sorted(names):
+        module = importlib.import_module(f"sfwm.{layer}")
+        obj = getattr(module, function, None)
+        assert not function.startswith("_") and inspect.isfunction(obj), f"{layer}.{function}"
+        assert obj.__module__ == module.__name__, f"{layer}.{function}"

@@ -358,18 +358,94 @@ def test_streamed_g2_refuses_zero_and_non_finite_amplitudes(pump_2nm, monkeypatc
 
 
 def test_streamed_marginal_matches_marginal(tall_and_square):
+    from sfwm.spectra import _streamed_marginals
+
     tall, square = tall_and_square
-    # Below ~5e5 cells numpy's product of the stored intensity is one
-    # thread, and each row's sum has the same bits in a block.
-    _, spectrum = g2_streamed(square.assembly, square.pump, square.grid, signal_marginal=True)
-    expected = marginal(square, "signal")
-    assert np.array_equal(spectrum.values, expected.values)
-    assert np.array_equal(spectrum.axis, expected.axis)
-    # Above it the stored product may run threaded, with a different
-    # summation order.
-    _, spectrum = g2_streamed(tall.assembly, tall.pump, tall.grid, signal_marginal=True)
-    expected = marginal(tall, "signal").values
-    assert np.max(np.abs(spectrum.values - expected)) <= 1e-15 * expected.max()
+    for jsa in (tall, square):
+        streamed = _streamed_marginals(jsa.assembly, jsa.pump, jsa.grid)
+        _, plan_spectrum = g2_streamed(jsa.assembly, jsa.pump, jsa.grid, signal_marginal=True)
+        for axis in ("signal", "idler"):
+            expected = marginal(jsa, axis)
+            assert np.array_equal(streamed[axis].axis, expected.axis)
+            got = [streamed[axis].values]
+            if axis == "signal":
+                got.append(plan_spectrum.values)
+            if axis == "signal" and jsa.amplitude.size <= 5e5:
+                # Below ~5e5 cells numpy's product of the stored intensity is
+                # one thread, and each row's sum has the same bits in a block.
+                assert all(np.array_equal(v, expected.values) for v in got)
+            else:
+                # Above it the stored product may run threaded; the idler sum
+                # adds the blocks in a different order.
+                for values in got:
+                    diff = np.max(np.abs(values - expected.values))
+                    assert diff <= 1e-15 * expected.values.max(), (axis, jsa.amplitude.shape)
+
+
+_MARGINAL_BITS = """
+import hashlib, sfwm
+from sfwm.spectra import _streamed_marginals
+assembly = sfwm.AssemblySpec(tuple(
+    sfwm.AssemblySegment(0.3, sfwm.PhaseMatchPoint.from_signal_and_angle(1070.0, *seg))
+    for seg in ((1409.9, 3.2, 0.004), (1413.6, 3.2, 0.002),
+                (1417.3, 3.3, 0.001), (1421.0, 3.4, 0.004))))
+pump = sfwm.PumpSpec(1070.0, 2.0)
+sums = _streamed_marginals(assembly, pump, sfwm.jsa_grid(assembly, pump))
+print(hashlib.sha256(sums["signal"].values.tobytes() + sums["idler"].values.tobytes()).hexdigest())
+"""
+
+
+def test_streamed_marginals_keep_their_bits_at_any_blas_thread_count():
+    # A 1378x512 amplitude, where numpy runs the stored product threaded;
+    # each 256-row block stays below that size.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run([sys.executable, "-c", _MARGINAL_BITS], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
+
+
+def test_marginal_subcommand_never_holds_an_amplitude(tall_and_square, tmp_path):
+    import tracemalloc
+    from pathlib import Path
+
+    from sfwm import cli
+
+    config = Path(__file__).resolve().parents[1] / "configs" / "reordered_segments.json"
+    assert cli.run("marginal", config, tmp_path / "warm") == 0
+    tracemalloc.start()
+    try:
+        assert cli.run("marginal", config, tmp_path / "out") == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Two 1378x512 JSAs: 3.9 MiB seen, against 22.8 MiB when each was stored.
+    assert peak < tall_and_square[0].amplitude.nbytes
+
+
+def test_streamed_marginals_refuse_a_non_finite_amplitude(pump_2nm, monkeypatch):
+    from sfwm import spectra
+
+    asm = catalog_assembly([("S2", 0.3)])
+    grid = build_jsa(asm, pump_2nm).grid
+    real = spectra.pump_envelope
+
+    def poisoned(pump, omega_s, omega_i):
+        return np.where(omega_s >= grid.signal[300], np.nan, real(pump, omega_s, omega_i))
+
+    monkeypatch.setattr(spectra, "pump_envelope", poisoned)
+    with pytest.raises(ValueError, match="amplitude must be finite everywhere"):
+        spectra._streamed_marginals(asm, pump_2nm, grid)
 
 
 def test_streamed_g2_never_holds_the_amplitude(tall_and_square):
@@ -384,3 +460,51 @@ def test_streamed_g2_never_holds_the_amplitude(tall_and_square):
     finally:
         tracemalloc.stop()
     assert peak < tall.amplitude.nbytes  # 10.8 MiB at 1378x512 (7.2 MiB seen)
+
+
+# ---------------------------------------------------------------------------
+# an independent oracle: the asymmetric group-velocity-matched (AGVM) limit
+
+
+def _agvm_assembly(parts):
+    """Catalog segments at contour angle 0, so tau_i = 0 on every one."""
+    from sfwm import AssemblySegment, AssemblySpec, PhaseMatchPoint
+    from conftest import CATALOG
+
+    return AssemblySpec(tuple(
+        AssemblySegment(length, PhaseMatchPoint.from_signal_and_angle(
+            PUMP_NM, CATALOG[label][1], CATALOG[label][2], 0.0))
+        for label, length in parts))
+
+
+def _agvm_purity(assembly, pump, grid):
+    """Purity of exp(-(ds + di)^2 / 4 sigma_p^2) g(w_s), g = phi_signal, with the
+    idler integral done in closed form: a 1-D quadrature on the signal nodes,
+    sum q_s q_s' exp(-(s - s')^2 / 4 sigma_p^2) / (sum q)^2, q = |g|^2 w_s."""
+    from sfwm import phi_signal
+
+    q = np.abs(phi_signal(assembly, grid.signal)) ** 2 * grid.trapezoid_weights()[0]
+    d = grid.signal[:, None] - grid.signal[None, :]
+    return float(q @ np.exp(-d**2 / (4.0 * pump.sigma_omega**2)) @ q) / float(q.sum()) ** 2
+
+
+@pytest.mark.parametrize("parts", [
+    [("S1", 0.3)],
+    [("S1", 0.3), ("S2", 0.3)],
+    [("S1", 0.3), ("S2", 0.3), ("S3", 0.3)],
+    [("S1", 0.5), ("S2", 1.0)],
+], ids=["S1", "S1+S2", "S1+S2+S3", "S1_0.5+S2_1.0"])
+def test_g2_matches_the_agvm_closed_form(parts):
+    # The idler pad truncates the pump envelope: up to 5.8e-9 at the default
+    # 4 sigma_p, and down to rounding at 8 sigma_p (1.0e-14 seen).
+    from sfwm import jsa_grid
+
+    assembly = _agvm_assembly(parts)
+    for fwhm in (0.5, 2.0, 5.0):
+        pump = PumpSpec(PUMP_NM, fwhm)
+        for pad, tol in ((4.0, 1e-8), (8.0, 1e-13)):
+            grid = jsa_grid(assembly, pump, pad_sigmas=pad)
+            expected = 1.0 + _agvm_purity(assembly, pump, grid)
+            assert g2_streamed(assembly, pump, grid)[0] == pytest.approx(expected, rel=0, abs=tol)
+            assert g2_quadrature(build_jsa(assembly, pump, grid)) == pytest.approx(
+                expected, rel=0, abs=tol)

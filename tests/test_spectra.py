@@ -588,17 +588,6 @@ def test_filter_scan_gain_scale(pump_2nm):
     assert scaled.values == pytest.approx(plain.values * expected, rel=1e-12)
 
 
-def test_filter_scan_warns_outside_grid_support(pump_2nm):
-    asm = catalog_assembly([("S2", 0.3)])
-    jsa = build_jsa(asm, pump_2nm, ns=128, ni=128, lobes=2.0)
-    lam = jsa.grid.signal_wavelength_nm()
-    centers = [lam.min() - 40.0, 0.5 * (lam.min() + lam.max()), lam.max() + 40.0]
-    with pytest.warns(UserWarning, match="outside the grid support"):
-        scan = filter_scan(jsa, FilterSpec(1414.0, 0.8), centers)
-    assert scan.values[-1] == 0.0 and scan.values[0] == 0.0
-    assert scan.values[1] > 0.0
-
-
 def test_filter_scan_refuses_an_axis_past_its_cap():
     # 100 m at 3.2 ps/m over 1000-2000 nm needs ~772,000 samples for the pi/8
     # phase step; capped at 2^18, its step would be ~1.16 rad.

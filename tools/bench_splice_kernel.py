@@ -1,4 +1,4 @@
-"""Per-call cost of the splice-design kernel: JSA fill and Gram g2.
+"""Per-call cost of the splice-design kernel: JSA fill, Gram g2 and marginals.
 
     python3 tools/bench_splice_kernel.py [--src DIR] [--repeats N]
 
@@ -6,14 +6,17 @@ Times ``build_jsa`` and ``g2_quadrature`` on the catalog assemblies whose
 auto-sized grids are 512x512 (S2, 0.3 m), 660x512 (S1+S2) and 1378x512
 (S1+S2+S3+S4), each at 2 and 5 nm pump FWHM, and next to them the streamed
 ``g2_streamed`` (with ``jsa_grid``), which never stores the amplitude, where
-the package has it; times one ``plan_exhaustive`` call on the six-segment
-0.6 m pool of the benchmark's seed-1 ``splice_plan`` step
-(``perfbench/workloads.py``), and prints one JSON object: the median over
-the repeats of the wall time and of the process CPU time
-(``time.process_time``, every thread) per call, in ms, the ``tracemalloc``
-peak of one stored (``build_jsa`` + ``g2_quadrature``) and one streamed g2
-in MiB, the core count and the OpenBLAS builds and thread counts the
-process loaded.
+the package has it; times both marginals of the same JSAs, stored
+(``build_jsa`` and two ``marginal`` calls) and, where the package has it,
+streamed (``spectra._streamed_marginals`` with ``jsa_grid``); times one
+``plan_exhaustive`` call on the six-segment 0.6 m pool of the benchmark's
+seed-1 ``splice_plan`` step (``perfbench/workloads.py``), and prints one
+JSON object: the median over the repeats of the wall time and of the
+process CPU time (``time.process_time``, every thread) per call, in ms, the
+``tracemalloc`` peak of one stored (``build_jsa`` + ``g2_quadrature``) and
+one streamed g2 and of one stored and one streamed pair of marginals, in
+MiB, the core count and the OpenBLAS builds and thread counts the process
+loaded.
 A BLAS worker that spins after its call shows as CPU above wall time, in
 the call or in the one after it.
 ``--src`` times the package under another checkout's ``src/`` the same way.
@@ -117,9 +120,10 @@ def main() -> int:
     sys.path.insert(0, args.src)
     import sfwm
     from sfwm import (AssemblySegment, AssemblySpec, PhaseMatchPoint, PumpSpec, build_jsa,
-                      g2_quadrature)
+                      g2_quadrature, marginal)
 
     streamed = getattr(sfwm, "g2_streamed", None)
+    streamed_marginals = getattr(sfwm.spectra, "_streamed_marginals", None)
     cases = {}
     for name, labels in CASES.items():
         assembly = AssemblySpec(tuple(
@@ -154,6 +158,19 @@ def main() -> int:
                     return streamed(assembly, pump, sfwm.jsa_grid(assembly, pump))
                 case["g2_streamed_ms"], case["g2_streamed_cpu_ms"] = _timed(call, args.repeats)
                 case["streamed_peak_mib"] = _traced_peak_mib(call)
+
+            def stored_marginals():
+                jsa = build_jsa(assembly, pump)
+                return marginal(jsa, "signal"), marginal(jsa, "idler")
+            case["stored_marginals_ms"], case["stored_marginals_cpu_ms"] = _timed(
+                stored_marginals, args.repeats)
+            case["stored_marginals_peak_mib"] = _traced_peak_mib(stored_marginals)
+            if streamed_marginals is not None:
+                def marginals():
+                    return streamed_marginals(assembly, pump, sfwm.jsa_grid(assembly, pump))
+                case["streamed_marginals_ms"], case["streamed_marginals_cpu_ms"] = _timed(
+                    marginals, args.repeats)
+                case["streamed_marginals_peak_mib"] = _traced_peak_mib(marginals)
     print(json.dumps({"repeats": args.repeats, "nproc": os.cpu_count(),
                       "openblas": _openblas(), "cases": cases,
                       "plan_exhaustive": _time_plan(args.repeats)}, indent=1))
