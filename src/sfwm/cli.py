@@ -27,12 +27,11 @@ from .dispersion import (
     TWO_PI_C,
     FiberSegment,
     _dispersion_tables,
-    _find_zdw,
-    _KSeries,
+    find_zdw,
     fit_structure,
     read_gvd_csv,
 )
-from .phasematch import PhaseMatchPoint, PumpSpec, _agvm_roots, _gvm_curve, solve_phase_match
+from .phasematch import PhaseMatchPoint, PumpSpec, agvm_roots, gvm_curve, solve_phase_match
 from .planner import SegmentPool, _scored_orders, plan_exhaustive
 from .spectra import (
     DEFAULT_LOBES,
@@ -383,7 +382,8 @@ def load_config(path) -> RunConfig:
 # assembly construction
 
 
-def _point_for(entry: SegmentEntry, pump: PumpSpec) -> PhaseMatchPoint:
+def _point_for(entry: SegmentEntry, pump: PumpSpec,
+               fiber: FiberSegment | None) -> PhaseMatchPoint:
     if entry.phase_match is not None:
         ov = entry.phase_match
         pt = PhaseMatchPoint.from_signal_and_angle(
@@ -398,7 +398,7 @@ def _point_for(entry: SegmentEntry, pump: PumpSpec) -> PhaseMatchPoint:
                     f"got {ov['lambda_i0_nm']!r}; omit it to derive it"
                 )
         return pt
-    return solve_phase_match(entry.fiber(), pump)
+    return solve_phase_match(fiber or entry.fiber(), pump)  # entry.fiber() names what is missing
 
 
 def _build_assembly(cfg: RunConfig, elems, pump: PumpSpec) -> AssemblySpec:
@@ -408,10 +408,10 @@ def _build_assembly(cfg: RunConfig, elems, pump: PumpSpec) -> AssemblySpec:
             raise ConfigError(f"assembly references unknown segment label {label!r}")
         entry = cfg.segments[label]
         seg_len = length if length is not None else entry.length_m
-        point = _point_for(entry, pump)
         fiber = None
         if entry.core_radius_nm is not None and entry.air_fill is not None:
             fiber = entry.fiber(seg_len)
+        point = _point_for(entry, pump, fiber)
         if cfg.model == "full" and fiber is None:
             raise ConfigError(
                 f"model 'full' needs core_radius_nm/air_fill on segment {label!r}")
@@ -565,15 +565,15 @@ def _cmd_dispersion(cfg: RunConfig, out: _OutputSet) -> dict:
     lo, hi = cfg.dispersion["wavelength_range_nm"]
     wl = np.linspace(lo, hi, cfg.dispersion["n_points"])
     zdw_rows = []
-    tables = _dispersion_tables([entry.fiber() for entry in cfg.segments.values()], wl)
-    for label, (series, table) in zip(cfg.segments, tables):
+    fibers = [entry.fiber() for entry in cfg.segments.values()]
+    for label, fiber, table in zip(cfg.segments, fibers, _dispersion_tables(fibers, wl)):
         out.add_csv(
             f"dispersion_{label}.csv",
             ["wavelength_nm", "n_eff", "k_rad_per_m", "k1_ps_per_m", "beta2_ps2_per_m"],
             zip(table["wavelength_nm"], table["n_eff"], table["k_rad_per_m"],
                 table["k1_ps_per_m"], table["beta2_ps2_per_m"]),
         )
-        for z in _find_zdw(series, cfg.dispersion["zdw_search_nm"]):
+        for z in find_zdw(fiber, cfg.dispersion["zdw_search_nm"]):
             zdw_rows.append((label, z))
     out.add_csv("zdw.csv", ["label", "zdw_nm"], zdw_rows)
     return {}
@@ -619,8 +619,7 @@ def _cmd_gvm_curve(cfg: RunConfig, out: _OutputSet) -> dict:
     if label is None or label not in cfg.segments:
         raise ConfigError("sweep.segment_label missing or unknown")
     fiber = cfg.segments[label].fiber()
-    series = _KSeries(fiber)  # shared by the sweep and the root polish
-    curve = _gvm_curve(series, fiber, cfg.sweep["pump_range_nm"], cfg.sweep["n_points"])
+    curve = gvm_curve(fiber, cfg.sweep["pump_range_nm"], cfg.sweep["n_points"])
     rows = []
     for sample in curve:
         if sample.point is None:
@@ -635,7 +634,7 @@ def _cmd_gvm_curve(cfg: RunConfig, out: _OutputSet) -> dict:
          "tau_i_ps_per_m", "theta_rad"],
         rows,
     )
-    roots = _agvm_roots(series, fiber, curve)
+    roots = agvm_roots(fiber, curve)
     out.add_csv("agvm_roots.csv", ["condition", "pump_nm"],
                 [("tau_i_zero", roots.pump_for_tau_i_zero),
                  ("tau_s_zero", roots.pump_for_tau_s_zero)])

@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import Chebyshev
@@ -107,6 +108,13 @@ class FiberSegment:
             raise ValueError(f"air_fill must be in (0, 1), got {self.air_fill}")
         if self.length_m <= 0:
             raise ValueError(f"length_m must be > 0, got {self.length_m}")
+
+    @cached_property
+    def series(self) -> _KSeries:
+        """The fiber's k(omega) series, built at first use and kept with the
+        fiber; it stays out of ==, hash and repr, and a copy made by
+        dataclasses.replace builds its own."""
+        return _KSeries(self)
 
 
 @dataclass(frozen=True)
@@ -433,24 +441,20 @@ class _KSeries:
 
 def group_slowness(segment: FiberSegment, wavelength_nm):
     """Reciprocal group velocity dk/domega in s/m, elementwise."""
-    return _KSeries(segment)(_omega(wavelength_nm), 1)
+    return segment.series(_omega(wavelength_nm), 1)
 
 
 def gvd(segment: FiberSegment, wavelength_nm):
     """Group-velocity dispersion beta2 = d^2k/domega^2 in ps^2/m, elementwise."""
-    return _KSeries(segment)(_omega(wavelength_nm), 2) * 1e24
+    return segment.series(_omega(wavelength_nm), 2) * 1e24
 
 
 def find_zdw(segment: FiberSegment,
              search_range_nm: tuple[float, float] = (900.0, 1250.0)) -> list[float]:
     """All zero-dispersion wavelengths in the range, ascending: the real roots
     of the beta2 series, from its colleague matrix."""
-    return _find_zdw(_KSeries(segment), search_range_nm)
-
-
-def _find_zdw(series: _KSeries, search_range_nm: tuple[float, float]) -> list[float]:
-    """find_zdw on the segment's k(omega) series."""
     lo, hi = min(search_range_nm), max(search_range_nm)
+    series = segment.series
     series(_omega((lo, hi)))  # the range must be guided
     roots = Chebyshev(series._terms[2][2], series._domain).roots()  # the beta2 series'
     omega = roots.real[(roots.imag == 0) & (roots.real > 0)]
@@ -491,7 +495,7 @@ def fit_structure(samples: list[GvdSample], initial_guess: tuple[float, float]) 
 
     def residuals(x):
         r, f = x
-        return _KSeries(FiberSegment("fit", r, f, 1.0))(omegas, 2) * 1e24 - b2
+        return FiberSegment("fit", r, f, 1.0).series(omegas, 2) * 1e24 - b2
 
     # Relative step of the forward-difference Jacobian.  The beta2 series is
     # smooth to ~1e-11 ps^2/m, so steps from 1e-3 down to 1e-7 reach the same
@@ -514,26 +518,28 @@ def fit_structure(samples: list[GvdSample], initial_guess: tuple[float, float]) 
 
 def dispersion_table(segment: FiberSegment, wavelengths_nm) -> dict:
     """Column dict for the dispersion CSV export."""
-    ((_, table),) = _dispersion_tables([segment], wavelengths_nm)
+    (table,) = _dispersion_tables([segment], wavelengths_nm)
     return table
 
 
 def _dispersion_tables(fibers, wavelengths_nm):
-    """Per fiber, in turn, its k(omega) series and its dispersion_table, from
-    one solver call over every fiber's series nodes and the wavelengths."""
+    """Per fiber, in turn, its dispersion_table, from one solver call over
+    every fiber's series nodes and the wavelengths; a fiber without a series
+    yet keeps the one built from its nodes."""
     wl = np.asarray(wavelengths_nm, dtype=float)
     nodes, omega = _lobatto_nm(WAVELENGTH_WINDOW_NM[1]), _omega(wl)
     r, f = np.array([(x.core_radius_nm, x.air_fill) for x in fibers]).T[..., None]  # a column each
     n_eff = _solve_neff(r, f, np.concatenate((nodes, wl.ravel())))
     for fiber, row in zip(fibers, n_eff):
-        series = _KSeries(fiber, row[:nodes.size])
+        if "series" not in vars(fiber):
+            vars(fiber)["series"] = _KSeries(fiber, row[:nodes.size])
         n = _guided(row[nodes.size:].reshape(wl.shape), fiber.core_radius_nm, fiber.air_fill, wl)
-        yield series, {
+        yield {
             "wavelength_nm": wl,
             "n_eff": n,
             "k_rad_per_m": n * 2.0 * math.pi / (wl * 1e-9),
-            "k1_ps_per_m": series(omega, 1) * 1e12,
-            "beta2_ps2_per_m": series(omega, 2) * 1e24,
+            "k1_ps_per_m": fiber.series(omega, 1) * 1e12,
+            "beta2_ps2_per_m": fiber.series(omega, 2) * 1e24,
         }
 
 

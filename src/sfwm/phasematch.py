@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import C_LIGHT, TWO_PI_C, WAVELENGTH_WINDOW_NM, FiberSegment, _brentq, _KSeries
+from .dispersion import C_LIGHT, TWO_PI_C, WAVELENGTH_WINDOW_NM, FiberSegment, _brentq
 
 SQRT_LN2 = math.sqrt(math.log(2.0))
 
@@ -154,19 +154,19 @@ def solve_phase_match(segment: FiberSegment, pump: PumpSpec,
     polishes the root to machine precision so the momentum residual at the
     returned point is far below 1e-6 rad/m.
     """
-    (pt,) = _phase_match(_KSeries(segment), segment, [pump], search_window_nm)
+    (pt,) = _phase_match(segment, [pump], search_window_nm)
     if isinstance(pt, PhaseMatchError):
         raise pt
     return pt
 
 
-def _phase_match(series: _KSeries, segment: FiberSegment, pumps: list[PumpSpec],
+def _phase_match(segment: FiberSegment, pumps: list[PumpSpec],
                  search_window_nm: tuple[float, float] | None) -> list:
-    """solve_phase_match on the segment's series for all the pumps at once,
-    bit for bit: per pump, its PhaseMatchPoint or its PhaseMatchError.  One
-    series call scans, one per Brent iteration polishes, one gives slownesses.
+    """solve_phase_match for all the pumps at once, bit for bit: per pump, its
+    PhaseMatchPoint or its PhaseMatchError.  One call of the segment's series
+    scans, one per Brent iteration polishes, one gives slownesses.
     """
-    windows, scans = [], []
+    series, windows, scans = segment.series, [], []
     for pump in pumps:
         lam_p, w_p = pump.center_wavelength_nm, pump.omega_pc
         lo, hi = search_window_nm or (lam_p + 10.0, min(lam_p + 500.0, _LAM_MAX_NM - 5.0))
@@ -226,18 +226,12 @@ class GvmSample:
 
 def gvm_curve(segment: FiberSegment, pump_range_nm: tuple[float, float],
               n_points: int) -> list[GvmSample]:
-    """Phase-matching linearization swept over the pump wavelength."""
-    return _gvm_curve(_KSeries(segment), segment, pump_range_nm, n_points)
-
-
-def _gvm_curve(series: _KSeries, segment: FiberSegment, pump_range_nm: tuple[float, float],
-               n_points: int) -> list[GvmSample]:
-    """gvm_curve on the segment's k(omega) series: one phase-match solve of
-    all the pumps."""
+    """Phase-matching linearization swept over the pump wavelength: one
+    phase-match solve of all the pumps."""
     lo, hi = min(pump_range_nm), max(pump_range_nm)
     pumps = [PumpSpec(float(lam_p), _SWEEP_FWHM_NM) for lam_p in np.linspace(lo, hi, n_points)]
     return [GvmSample(pump.center_wavelength_nm, None if isinstance(pt, PhaseMatchError) else pt)
-            for pump, pt in zip(pumps, _phase_match(series, segment, pumps, None))]
+            for pump, pt in zip(pumps, _phase_match(segment, pumps, None))]
 
 
 @dataclass(frozen=True)
@@ -256,12 +250,6 @@ def agvm_roots(segment: FiberSegment, sweep: list[GvmSample]) -> AgvmRoots:
     then polished with _brentq; a root between two samples whose tau has the
     same sign is missed.
     """
-    return _agvm_roots(_KSeries(segment), segment, sweep)
-
-
-def _agvm_roots(series: _KSeries, segment: FiberSegment,
-                sweep: list[GvmSample]) -> AgvmRoots:
-    """agvm_roots on the segment's k(omega) series."""
     pumps = [s.lambda_p_nm for s in sweep]
     if len(pumps) < 2:
         raise ValueError(f"agvm_roots needs at least 2 sweep samples, got {len(pumps)}")
@@ -283,8 +271,7 @@ def _agvm_roots(series: _KSeries, segment: FiberSegment,
                 break
 
     def tau(lam_p, component):
-        points = _phase_match(series, segment,
-                              [PumpSpec(float(x), _SWEEP_FWHM_NM) for x in lam_p], None)
+        points = _phase_match(segment, [PumpSpec(float(x), _SWEEP_FWHM_NM) for x in lam_p], None)
         for pt in points:
             if isinstance(pt, PhaseMatchError):
                 raise pt

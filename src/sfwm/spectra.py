@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._scipy import NUMPY_DIR, park_openblas
-from .dispersion import TWO_PI_C, FiberSegment, _KSeries
+from .dispersion import TWO_PI_C, FiberSegment
 from .phasematch import PhaseMatchPoint, PumpSpec, gaussian_sigma_omega, solve_phase_match
 
 #: Default half-width of the signal window, in sinc lobes per segment.
@@ -231,13 +231,14 @@ def delta_k(point: PhaseMatchPoint, omega_s, omega_i):
 def delta_k_full(fiber: FiberSegment, omega_s, omega_i):
     """Mismatch 2k(w_p) - k(w_s) - k(w_i) with w_p = (w_s + w_i)/2, rad/m.
 
-    k is evaluated from the fiber's Chebyshev series, whose domain depends on
-    the fiber only; frequencies outside the material window raise its domain
-    error, and those beyond the guided-mode limit a ModeCutoffError.
+    k is evaluated from the fiber's own Chebyshev series (fiber.series, built
+    once per fiber object), whose domain depends on the fiber only;
+    frequencies outside the material window raise its domain error, and those
+    beyond the guided-mode limit a ModeCutoffError.
     """
     ws = np.asarray(omega_s, dtype=float)
     wi = np.asarray(omega_i, dtype=float)
-    k = _KSeries(fiber)
+    k = fiber.series
     return 2.0 * k(0.5 * (ws + wi)) - k(ws) - k(wi)
 
 
@@ -347,6 +348,13 @@ def _signal_window(assembly: AssemblySpec, lobes: float) -> tuple[float, float]:
     return min(los), max(his)
 
 
+def _phase_slopes(assembly: AssemblySpec) -> tuple[float, float]:
+    """Sum of |tau_s| L and of |tau_i| L over the segments: how fast the
+    accumulated phase turns with the signal and the idler frequency."""
+    return (sum(abs(s.point.tau_s_si) * s.length_m for s in assembly.segments),
+            sum(abs(s.point.tau_i_si) * s.length_m for s in assembly.segments))
+
+
 def _required_points(span: float, phase_slope: float) -> int:
     # Sample so the accumulated phase changes by < pi/8 between neighbours.
     if phase_slope <= 0.0:
@@ -365,8 +373,7 @@ def default_grid(assembly: AssemblySpec, pump: PumpSpec, ns: int = 512, ni: int 
     two_wp = 2.0 * pump.omega_pc
     i_lo = two_wp - s_hi - pad_sigmas * pump.sigma_omega
     i_hi = two_wp - s_lo + pad_sigmas * pump.sigma_omega
-    slope_s = sum(abs(s.point.tau_s_si) * s.length_m for s in assembly.segments)
-    slope_i = sum(abs(s.point.tau_i_si) * s.length_m for s in assembly.segments)
+    slope_s, slope_i = _phase_slopes(assembly)
     ns = max(ns, _required_points(s_hi - s_lo, slope_s))
     ni = max(ni, _required_points(i_hi - i_lo, slope_i))
     return FrequencyGrid(np.linspace(s_lo, s_hi, ns), np.linspace(i_lo, i_hi, ni))
@@ -392,8 +399,7 @@ class JsaGrid:
 
 
 def _check_resolution(assembly: AssemblySpec, grid: FrequencyGrid) -> None:
-    slope_s = sum(abs(s.point.tau_s_si) * s.length_m for s in assembly.segments)
-    slope_i = sum(abs(s.point.tau_i_si) * s.length_m for s in assembly.segments)
+    slope_s, slope_i = _phase_slopes(assembly)
     step_s = slope_s * grid.signal_step
     step_i = slope_i * grid.idler_step
     if step_s > MAX_EDGE_PHASE_STEP or step_i > MAX_EDGE_PHASE_STEP:
@@ -433,8 +439,9 @@ def _amplitude_blocks(assembly: AssemblySpec, pump: PumpSpec, grid: FrequencyGri
 
     The linearized kernel fills each block in FILL_BLOCK_CELLS steps and the
     pump envelope multiplies it in place; every cell's value is the same
-    whatever block holds it.  The full model builds each segment's k(omega)
-    series once per call, so it yields the whole grid as one block.
+    whatever block holds it.  The full model yields the whole grid as one
+    block; it reads each segment's k(omega) series from the segment's fiber,
+    which builds it once.
     """
     ns, ni = grid.signal.size, grid.idler.size
     ws = grid.signal[:, None]
@@ -541,8 +548,7 @@ def filter_scan(assembly: AssemblySpec, filt: FilterSpec, centers_nm,
     s_lo, s_hi = _signal_window(assembly, lobes)
     lo = min(s_lo, centers_omega.min() - 6 * sigma)
     hi = max(s_hi, centers_omega.max() + 6 * sigma)
-    slope = sum(abs(s.point.tau_s_si) * s.length_m for s in assembly.segments)
-    need = _required_points(hi - lo, slope)
+    need = _required_points(hi - lo, _phase_slopes(assembly)[0])
     if need > 1 << 18:
         raise GridResolutionError(
             f"filter-scan axis needs {need} points for a phase step <= "

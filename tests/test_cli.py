@@ -270,14 +270,14 @@ def test_fit_subcommand_uses_bundled_samples(tmp_path):
 def test_gvm_curve_runs_one_sweep_and_its_files_agree(tmp_path, monkeypatch):
     from sfwm import cli, phasematch
 
-    sweep, calls = phasematch._gvm_curve, []
+    sweep, calls = phasematch.gvm_curve, []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return sweep(*args, **kwargs)
 
-    monkeypatch.setattr(phasematch, "_gvm_curve", counted)
-    monkeypatch.setattr(cli, "_gvm_curve", counted)
+    monkeypatch.setattr(phasematch, "gvm_curve", counted)
+    monkeypatch.setattr(cli, "gvm_curve", counted)
     assert run("gvm-curve", CONFIGS / "gvm_sweep.json", tmp_path) == 0
     assert len(calls) == 1
     header, rows = read_csv(tmp_path / "gvm_curve.csv")
@@ -292,13 +292,9 @@ def test_gvm_curve_runs_one_sweep_and_its_files_agree(tmp_path, monkeypatch):
             for a, b in zip(rows, rows[1:]) if a[column] and b[column])
 
 
-def test_cli_builds_one_series_per_fiber_and_matches_the_public_calls(tmp_path, monkeypatch):
-    # One k(omega) series per fiber per call: the dispersion table and the
-    # ZDW search share it, and so do the pump sweep and its AGVM-root polish.
-    # What the CLI writes is, bit for bit, what the public functions return.
-    from sfwm import cli, dispersion
-    from sfwm.dispersion import dispersion_table, find_zdw
-    from sfwm.phasematch import agvm_roots, gvm_curve
+def _count_series_builds(monkeypatch) -> list:
+    """Patch the k(omega) series build to log its arguments; returns the log."""
+    from sfwm import dispersion
 
     build, builds = dispersion._KSeries.__init__, []
 
@@ -307,40 +303,80 @@ def test_cli_builds_one_series_per_fiber_and_matches_the_public_calls(tmp_path, 
         builds.append(args)
 
     monkeypatch.setattr(dispersion._KSeries, "__init__", counted)
+    return builds
+
+
+def test_cli_builds_one_series_per_fiber_and_matches_the_public_calls(tmp_path, monkeypatch):
+    # On the seed-1 benchmark configs, `dispersion` and `gvm-curve` go through
+    # the public find_zdw, gvm_curve and agvm_roots, and each fiber builds one
+    # k(omega) series per call: the dispersion table and the ZDW search share
+    # it, and so do the pump sweep and its AGVM-root polish.  What the CLI
+    # gets and writes is, bit for bit, what the public functions give on
+    # fresh fibers.
+    from sfwm import cli
+    from sfwm.dispersion import dispersion_table, find_zdw
+    from sfwm.phasematch import agvm_roots, gvm_curve
+
     returned = {}
-    for name in ("_dispersion_tables", "_find_zdw", "_gvm_curve", "_agvm_roots"):
+    for name in ("find_zdw", "gvm_curve", "agvm_roots"):
         def recorded(*args, _fn=getattr(cli, name), _name=name, **kwargs):
             result = _fn(*args, **kwargs)
-            if _name == "_dispersion_tables":  # a generator of (series, table)
-                result = list(result)
-                returned[_name] = [table for _, table in result]
-            else:
-                returned.setdefault(_name, []).append(result)
+            returned.setdefault(_name, []).append(result)
             return result
         monkeypatch.setattr(cli, name, recorded)
+    builds = _count_series_builds(monkeypatch)
 
-    def bits(table):
-        return {key: np.asarray(col, dtype=float).tobytes() for key, col in table.items()}
+    def step(name, subcommand):
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps(benchmark_config(name, 1)))
+        assert run(subcommand, config, tmp_path / name) == 0
+        cfg = load_config(config)
+        return cfg, [entry.fiber() for entry in cfg.segments.values()]
 
-    cfg = load_config(CONFIGS / "dispersion_curves.json")
-    assert run("dispersion", CONFIGS / "dispersion_curves.json", tmp_path / "d") == 0
-    assert len(builds) == len(cfg.segments) == 4
+    cfg, fibers = step("dispersion_curves", "dispersion")
+    assert len(builds) == len(fibers) == 4
+    search = cfg.dispersion["zdw_search_nm"]
+    assert repr(returned["find_zdw"]) == repr([find_zdw(fiber, search) for fiber in fibers])
     lo, hi = cfg.dispersion["wavelength_range_nm"]
     wl = np.linspace(lo, hi, cfg.dispersion["n_points"])
-    fibers = [entry.fiber() for entry in cfg.segments.values()]
-    assert [bits(t) for t in returned["_dispersion_tables"]] == [
-        bits(dispersion_table(fiber, wl)) for fiber in fibers]
-    assert repr(returned["_find_zdw"]) == repr(
-        [find_zdw(fiber, cfg.dispersion["zdw_search_nm"]) for fiber in fibers])
+    columns = ["wavelength_nm", "n_eff", "k_rad_per_m", "k1_ps_per_m", "beta2_ps2_per_m"]
+    for fiber in fibers:
+        table = dispersion_table(fiber, wl)
+        expected = [",".join(columns)] + [",".join("%.12g" % v for v in row)
+                                          for row in zip(*(table[c] for c in columns))]
+        written = tmp_path / "dispersion_curves" / f"dispersion_{fiber.label}.csv"
+        assert written.read_text() == "\n".join(expected) + "\n"
 
     builds.clear()
-    cfg = load_config(CONFIGS / "gvm_sweep.json")
-    assert run("gvm-curve", CONFIGS / "gvm_sweep.json", tmp_path / "g") == 0
+    cfg, fibers = step("gvm_sweep", "gvm-curve")
     assert len(builds) == 1
-    fiber = cfg.segments[cfg.sweep["segment_label"]].fiber()
+    (fiber,) = [f for f in fibers if f.label == cfg.sweep["segment_label"]]
     curve = gvm_curve(fiber, cfg.sweep["pump_range_nm"], cfg.sweep["n_points"])
-    assert repr(returned["_gvm_curve"]) == repr([curve])
-    assert repr(returned["_agvm_roots"]) == repr([agvm_roots(fiber, curve)])
+    assert repr(returned["gvm_curve"]) == repr([curve])
+    assert repr(returned["agvm_roots"]) == repr([agvm_roots(fiber, curve)])
+
+
+def test_full_model_g2_table_builds_one_series_per_segment(tmp_path, monkeypatch):
+    # Each assembly segment's fiber serves both its phase-match solve and
+    # the full-model mismatch of every pump: 3 segments, 3 series.
+    cfg = {
+        "pump": {"center_wavelength_nm": 1070.0, "fwhm_nm": 2.0},
+        "pump_fwhms_nm": [2.0, 5.0],
+        "model": "full",
+        "segments": [{"label": label, "core_radius_nm": r, "air_fill": 0.296, "length_m": 0.3}
+                     for label, r in (("S1", 947.0), ("S2", 947.5), ("S3", 948.0))],
+        "assemblies": [{"name": "S1+S2", "segments": ["S1", "S2"]},
+                       {"name": "S3", "segments": ["S3"]}],
+        "grid": {"ns": 96, "ni": 96, "lobes": 4.0},
+        "output_dir": str(tmp_path / "out"),
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    builds = _count_series_builds(monkeypatch)
+    assert run("g2-table", path) == 0
+    assert len(builds) == 3
+    _, rows = read_csv(tmp_path / "out" / "g2_table.csv")
+    assert len(rows) == 4
 
 
 def test_fiber_design_steps_batch_their_solves(tmp_path, monkeypatch):

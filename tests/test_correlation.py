@@ -24,11 +24,12 @@ from conftest import (
 )
 
 
-def gaussian_jsa(ns=96, ni=80, sigma_plus=1.0, sigma_minus=1.0, pump=None):
-    """Synthetic double-Gaussian amplitude on a unit-scale grid."""
+def gaussian_jsa(ns=96, ni=80, sigma_plus=1.0, sigma_minus=1.0, pump=None, half_width=4.0):
+    """Synthetic double-Gaussian amplitude on a unit-scale grid over
+    [-half_width, half_width] on both axes."""
     pump = pump or PumpSpec(PUMP_NM, 2.0)
-    s = np.linspace(-4.0, 4.0, ns)
-    i = np.linspace(-4.0, 4.0, ni)
+    s = np.linspace(-half_width, half_width, ns)
+    i = np.linspace(-half_width, half_width, ni)
     grid = FrequencyGrid(s * 1e12 + 2e15, i * 1e12 + 2e15)
     S, I = np.meshgrid(s, i, indexing="ij")
     amp = np.exp(-((S + I) ** 2) / (4 * sigma_plus**2)
@@ -64,12 +65,16 @@ def test_strongly_correlated_amplitude_approaches_one():
     assert 1.0 < g2 < 1.1
 
 
-def test_double_gaussian_matches_closed_form():
+@pytest.mark.parametrize("a, b", [(1.0, 1.0), (1.0, 3.0), (2.0, 0.5), (1.0, 10.0)])
+def test_double_gaussian_matches_closed_form(a, b):
     # For exp(-(s+i)^2/(4 a^2) - (s-i)^2/(4 b^2)) the purity is 2ab/(a^2+b^2).
-    a, b = 0.5, 1.7
-    jsa = gaussian_jsa(ns=220, ni=200, sigma_plus=a, sigma_minus=b)
-    expected = 1.0 + 2 * a * b / (a**2 + b**2)
-    assert g2_quadrature(jsa) == pytest.approx(expected, abs=2e-3)
+    # On this 257 x 401 grid over +-8 max(a, b) the Gram quadrature met it to
+    # <= 4.5e-16 and the SVD to <= 1.2e-16 (square grids of 257-801 points:
+    # <= 2.3e-16); 1e-14 leaves room for BLAS builds that sum in another order.
+    jsa = gaussian_jsa(ns=257, ni=401, sigma_plus=a, sigma_minus=b, half_width=8 * max(a, b))
+    purity = 2 * a * b / (a**2 + b**2)
+    assert g2_quadrature(jsa) - 1.0 == pytest.approx(purity, abs=1e-14)
+    assert schmidt_decompose(jsa).purity == pytest.approx(purity, abs=1e-14)
 
 
 def test_paths_agree_and_bounds_hold_on_random_amplitudes(rng):

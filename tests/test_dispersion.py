@@ -1,5 +1,7 @@
 """Material model, mode solver, derivatives, ZDW search, and structure fit."""
 
+import dataclasses
+
 import mpmath
 import numpy as np
 import pytest
@@ -427,15 +429,18 @@ def test_dispersion_tables_of_a_fiber_batch_match_the_public_calls():
     # One solver call for every fiber's series nodes and table wavelengths;
     # the r = 200 nm fiber bisects its guided limit and the r = 50 nm one
     # raises the ModeCutoffError of its first unguided table wavelength.
+    # Each fiber keeps the series built from the batch's nodes, and it is
+    # the series a fresh fiber builds alone.
     wl = np.linspace(850.0, 1450.0, 7)
-    fibers = [R948, FiberSegment("small", 200.0, 0.296, 1.0),
+    fibers = [FiberSegment("R948", 948.0, 0.296, 1.9), FiberSegment("small", 200.0, 0.296, 1.0),
               FiberSegment("thin", 50.0, 0.296, 1.0)]
     tables = disp._dispersion_tables(fibers, wl)
-    for fiber, (series, table) in zip(fibers[:2], tables):
+    for fiber, table in zip(fibers[:2], tables):
+        fresh = FiberSegment(fiber.label, fiber.core_radius_nm, fiber.air_fill, fiber.length_m)
         assert [_bits(c) for c in table.values()] == [
-            _bits(c) for c in disp.dispersion_table(fiber, wl).values()]
-        assert _bits(table["n_eff"]) == _bits(effective_index(fiber, wl))
-        alone = disp._KSeries(fiber)
+            _bits(c) for c in disp.dispersion_table(fresh, wl).values()]
+        assert _bits(table["n_eff"]) == _bits(effective_index(fresh, wl))
+        series, alone = vars(fiber)["series"], disp._KSeries(fresh)
         assert (series.lam_max_nm, repr(series._terms)) == (alone.lam_max_nm, repr(alone._terms))
     with pytest.raises(ModeCutoffError) as batch:
         next(tables)
@@ -473,10 +478,35 @@ def test_series_evaluator_matches_numpy_chebyshev_bit_for_bit(fiber, monkeypatch
         assert _bits(series(long, order)) == _bits(np.tile(batch, 3))
 
 
+def test_each_fiber_object_owns_its_series(monkeypatch):
+    # The series is built at first use and kept by that fiber object only:
+    # equal but distinct fibers compare and hash equal, keep one repr and
+    # build one series each; dataclasses.replace starts without one.
+    build, builds = disp._KSeries.__init__, []
+    monkeypatch.setattr(disp._KSeries, "__init__",
+                        lambda self, *args: builds.append(args) or build(self, *args))
+    a, b = (FiberSegment("S1", 947.0, 0.296, 0.3) for _ in range(2))
+    series = a.series
+    assert a.series is series and len(builds) == 1 and "series" not in vars(b)
+    assert b.series is not series and len(builds) == 2
+    assert repr(b.series._terms) == repr(series._terms)
+    assert (a, hash(a), repr(a)) == (b, hash(b), repr(b))
+    assert repr(a) == "FiberSegment(label='S1', core_radius_nm=947.0, air_fill=0.296, length_m=0.3)"
+    for copy in (dataclasses.replace(a), dataclasses.replace(a, length_m=0.6)):
+        assert "series" not in vars(copy)
+        assert copy.series is not series
+    assert len(builds) == 4
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.series = b.series
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del a.series
+
+
 def test_unresolved_series_is_explicit(monkeypatch):
+    # A fresh fiber: R948 may keep the series an earlier test built.
     monkeypatch.setattr(disp, "SERIES_DEGREE", 16)
     with pytest.raises(ModeSolverError, match="unresolved") as info:
-        gvd(R948, 1070.0)
+        gvd(FiberSegment("R948", 948.0, 0.296, 1.9), 1070.0)
     assert info.value.residual > disp.SERIES_TAIL_TOL
 
 

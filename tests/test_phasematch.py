@@ -16,7 +16,6 @@ from sfwm import (
     propagation_constant,
     solve_phase_match,
 )
-from sfwm.dispersion import _KSeries
 from sfwm.phasematch import GvmSample, PhaseMatchError, _phase_match
 
 from conftest import CATALOG, PUMP_NM, benchmark_config, catalog_fiber
@@ -160,7 +159,7 @@ def test_agvm_roots_refuses_a_sweep_that_cannot_bracket(pumps, message):
     assert str(info.value) == message
 
 
-def _phase_match_outcomes(series, fiber, pumps, window):
+def _phase_match_outcomes(fiber, pumps, window):
     """repr of each pump's point (types included) or its error, and the
     warnings issued, from one batched call and from one call per pump."""
     def outcomes(points):
@@ -169,10 +168,10 @@ def _phase_match_outcomes(series, fiber, pumps, window):
 
     with warnings.catch_warnings(record=True) as batch_warnings:
         warnings.simplefilter("always")
-        batch = outcomes(_phase_match(series, fiber, pumps, window))
+        batch = outcomes(_phase_match(fiber, pumps, window))
     with warnings.catch_warnings(record=True) as alone_warnings:
         warnings.simplefilter("always")
-        alone = outcomes([_phase_match(series, fiber, [p], window)[0] for p in pumps])
+        alone = outcomes([_phase_match(fiber, [p], window)[0] for p in pumps])
     return ((batch, [str(w.message) for w in batch_warnings]),
             (alone, [str(w.message) for w in alone_warnings]))
 
@@ -189,8 +188,7 @@ def test_batched_phase_match_matches_one_pump_calls_on_benchmark_sweeps(seed):
     lams = np.concatenate((np.linspace(*cfg["sweep"]["pump_range_nm"], cfg["sweep"]["n_points"]),
                            _OFF_SWEEP_NM))
     pumps = [PumpSpec(float(lam), 1.0) for lam in lams]
-    (batch, batch_warnings), (alone, alone_warnings) = _phase_match_outcomes(
-        _KSeries(fiber), fiber, pumps, None)
+    (batch, batch_warnings), (alone, alone_warnings) = _phase_match_outcomes(fiber, pumps, None)
     assert batch == alone and batch_warnings == alone_warnings
     assert sum(o.startswith("PhaseMatchError") for o in batch) >= 2
 
@@ -200,9 +198,8 @@ def test_batched_phase_match_matches_one_pump_calls_on_the_catalog(window):
     pumps = [PumpSpec(lam, fwhm) for lam in (1060.0, PUMP_NM, 1080.0) for fwhm in (2.0, 5.0)]
     for label in CATALOG:
         fiber = catalog_fiber(label)
-        series = _KSeries(fiber)
         (batch, batch_warnings), (alone, alone_warnings) = _phase_match_outcomes(
-            series, fiber, pumps, window)
+            fiber, pumps, window)
         assert batch == alone and batch_warnings == alone_warnings
         if window is None:
             assert batch[2] == repr(solve_phase_match(fiber, pumps[2]))

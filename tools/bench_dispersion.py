@@ -7,11 +7,13 @@ Chebyshev series of n_eff(omega) (where the package has one), 100 scalar
 evaluations of that series at each derivative order 0-2, ``gvd`` on
 61 wavelengths over 850-1450 nm, ``find_zdw`` on 900-1250 nm,
 ``solve_phase_match`` at a 1070 nm pump, ``gvm_curve`` over 29 pumps on
-955-1095 nm, ``agvm_roots`` on that sweep, the same sweep and AGVM-root
-polish on S1's prebuilt series (``gvm_sweep_29``, ``agvm_polish``), the
-series build of a 200 nm core, which bisects its guided-mode limit
-(``series_build_r200``), and the full-model ``build_jsa`` of S2 (0.3 m) on
-its 512x512 grid; then the in-process ``dispersion`` and ``gvm-curve`` CLI
+955-1095 nm and ``agvm_roots`` on that sweep, each on a new
+``FiberSegment``, so that each includes the fiber's series build; the same
+sweep on one S1 object whose series is already built, where fibers keep
+one (``gvm_curve_29_built``); the series build of a 200 nm core, which
+bisects its guided-mode limit (``series_build_r200``), and the full-model
+``build_jsa`` of S2 (0.3 m) on its 512x512 grid, whose fiber has solved its
+phase matching before; then the in-process ``dispersion`` and ``gvm-curve`` CLI
 calls on the configs of the benchmark's seed-1 ``dispersion_curves`` and
 ``gvm_sweep`` steps (``perfbench/workloads.py``), and the one mode-solver
 call of that ``dispersion`` call alone (``solve_neff_504``: 4 fibers x
@@ -20,8 +22,8 @@ median over the repeats (ms per call), the mode-solver (``_solve_neff``)
 and Brent (``_brentq``, bound in ``dispersion`` or ``phasematch``) calls one
 of each of those CLI calls makes, the core count and the OpenBLAS builds
 and thread counts the process loaded.  ``--src`` times the package under
-another checkout's ``src/`` the same way, older ones too, whose k(omega)
-helpers take a mode model and a sweep FWHM.
+another checkout's ``src/`` the same way, older ones too, whose series
+build takes a mode model.
 """
 
 from __future__ import annotations
@@ -61,37 +63,39 @@ def main() -> int:
                       default_grid, find_zdw, gvd, gvm_curve, solve_phase_match)
     from sfwm import dispersion, phasematch
 
-    s1 = FiberSegment("S1", 947.0, 0.296, 0.3)
+    def s1():
+        return FiberSegment("S1", 947.0, 0.296, 0.3)
+
+    built = s1()
+    getattr(built, "series", None)  # where a fiber keeps its series, build it now
     s2 = FiberSegment("S2", 947.5, 0.296, 0.3)
     pump = PumpSpec(PUMP_NM, 2.0)
     wl = np.linspace(850.0, 1450.0, 61)
-    sweep = gvm_curve(s1, (955.0, 1095.0), 29)
+    sweep = gvm_curve(s1(), (955.0, 1095.0), 29)
     full = assembly_from_fibers([s2], pump, model_mode="full")
     grid = default_grid(assembly_from_fibers([s2], pump), pump, 512, 512)
     calls = {
-        "gvd_61": lambda: gvd(s1, wl),
-        "find_zdw": lambda: find_zdw(s1, (900.0, 1250.0)),
-        "solve_phase_match": lambda: solve_phase_match(s1, pump),
-        "gvm_curve_29": lambda: gvm_curve(s1, (955.0, 1095.0), 29),
-        "agvm_roots": lambda: agvm_roots(s1, sweep),
+        "gvd_61": lambda: gvd(s1(), wl),
+        "find_zdw": lambda: find_zdw(s1(), (900.0, 1250.0)),
+        "solve_phase_match": lambda: solve_phase_match(s1(), pump),
+        "gvm_curve_29": lambda: gvm_curve(s1(), (955.0, 1095.0), 29),
+        "gvm_curve_29_built": lambda: gvm_curve(built, (955.0, 1095.0), 29),
+        "agvm_roots": lambda: agvm_roots(s1(), sweep),
         "build_jsa_full_512x512": lambda: build_jsa(full, pump, grid=grid),
     }
     if hasattr(dispersion, "_KSeries"):
         try:
-            mode, fwhm = (), ()
-            series = dispersion._KSeries(s1)
-        except TypeError:  # an older checkout: it takes a mode model and a sweep FWHM
-            mode, fwhm = ("he11",), (1.0,)
-            series = dispersion._KSeries(s1, *mode)
+            mode = ()
+            series = dispersion._KSeries(s1())
+        except TypeError:  # an older checkout: it takes a mode model
+            mode = ("he11",)
+            series = dispersion._KSeries(s1(), *mode)
         small = FiberSegment("small", 200.0, 0.296, 1.0)
         omegas = [float(w) for w in dispersion._omega(np.linspace(850.0, 1450.0, 100))]
-        calls = {"series_build": lambda: dispersion._KSeries(s1, *mode),
+        calls = {"series_build": lambda: dispersion._KSeries(s1(), *mode),
                  "series_scalar_300": lambda: [series(w, order) for order in range(3)
                                                for w in omegas],
                  **calls,
-                 "gvm_sweep_29": lambda: phasematch._gvm_curve(series, s1, (955.0, 1095.0), 29,
-                                                               *fwhm),
-                 "agvm_polish": lambda: phasematch._agvm_roots(series, s1, sweep),
                  "series_build_r200": lambda: dispersion._KSeries(small, *mode)}
 
     sys.path.insert(0, str(REPO / "perfbench"))
