@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._scipy import NUMPY_DIR, SCIPY_DIR, extension, park_openblas
+from ._scipy import park_openblas, zherk
 from .phasematch import PumpSpec
 from .spectra import (
     AssemblySpec,
@@ -101,12 +101,9 @@ def _end_corrected_gram(blocks, shape: tuple[int, int]) -> np.ndarray:
     idler columns) the Gram needs every row at once, so such an amplitude
     comes as one block.
 
-    scipy's BLAS loads here, on first use, not at import: loading it starts
-    its OpenBLAS thread pool, whose ~0.1 s spin a subcommand without a Gram
-    would otherwise pay.  The pool is parked again between blocks and at the
-    end, so its worker does not spin through the fill of the next block or
-    of the next amplitude."""
-    blas = extension("linalg", "_fblas", "scipy.linalg.blas")
+    zherk runs in numpy's OpenBLAS (sfwm._scipy.zherk), whose pool is parked
+    again between blocks and at the end, so its worker does not spin through
+    the fill of the next block or of the next amplitude."""
     ns, ni = shape
     trans = 0 if ns >= ni else 2
     upper = None
@@ -120,14 +117,11 @@ def _end_corrected_gram(blocks, shape: tuple[int, int]) -> np.ndarray:
             if rows.stop == ns:
                 ends[1] = block[-1]
         # block.T is Fortran-ordered: trans=0 gives conj(b^H b), trans=2 conj(b b^H).
-        if upper is None:
-            upper = blas.zherk(1.0, block.T, trans=trans)
-        else:
-            upper = blas.zherk(1.0, block.T, trans=trans, beta=1.0, c=upper, overwrite_c=1)
+        upper = zherk(1.0, block.T, trans, 0.0 if upper is None else 1.0, upper)
         if rows.stop < ns:
-            park_openblas(SCIPY_DIR)
-    upper = blas.zherk(-0.5, ends.T, trans=trans, beta=1.0, c=upper, overwrite_c=1)
-    park_openblas(SCIPY_DIR)
+            park_openblas()
+    upper = zherk(-0.5, ends.T, trans, 1.0, upper)
+    park_openblas()
     return upper
 
 
@@ -217,7 +211,7 @@ def schmidt_decompose(jsa: JsaGrid) -> SchmidtResult:
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"Schmidt decomposition failed to converge: {exc}") from exc
     finally:
-        park_openblas(NUMPY_DIR)
+        park_openblas()
     s2 = sv**2
     total = float(s2.sum())
     purity = float((s2**2).sum()) / total**2

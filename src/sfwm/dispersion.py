@@ -523,11 +523,12 @@ def dispersion_table(segment: FiberSegment, wavelengths_nm) -> dict:
 
 
 def _dispersion_tables(fibers, wavelengths_nm):
-    """Per fiber, in turn, its dispersion_table, from one solver call over
-    every fiber's series nodes and the wavelengths; a fiber without a series
-    yet keeps the one built from its nodes."""
-    wl = np.asarray(wavelengths_nm, dtype=float)
-    nodes, omega = _lobatto_nm(WAVELENGTH_WINDOW_NM[1]), _omega(wl)
+    """Per fiber, in turn, its dispersion_table, from one solver call over the
+    wavelengths and, unless every fiber holds its series, every fiber's series
+    nodes; a fiber without a series yet keeps the one built from its nodes."""
+    wl, omega = np.asarray(wavelengths_nm, dtype=float), _omega(wavelengths_nm)
+    nodes = (np.empty(0) if all("series" in vars(x) for x in fibers)
+             else _lobatto_nm(WAVELENGTH_WINDOW_NM[1]))
     r, f = np.array([(x.core_radius_nm, x.air_fill) for x in fibers]).T[..., None]  # a column each
     n_eff = _solve_neff(r, f, np.concatenate((nodes, wl.ravel())))
     for fiber, row in zip(fibers, n_eff):

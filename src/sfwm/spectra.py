@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._scipy import NUMPY_DIR, park_openblas
+from ._scipy import park_openblas
 from .dispersion import TWO_PI_C, FiberSegment
 from .phasematch import PhaseMatchPoint, PumpSpec, gaussian_sigma_omega, solve_phase_match
 
@@ -437,31 +437,31 @@ def _amplitude_blocks(assembly: AssemblySpec, pump: PumpSpec, grid: FrequencyGri
     in row order, every block in the same buffer and checked finite: ``rows``
     rows a block, by default the streamed STREAM_BLOCK_CELLS.
 
-    The linearized kernel fills each block in FILL_BLOCK_CELLS steps and the
-    pump envelope multiplies it in place; every cell's value is the same
-    whatever block holds it.  The full model yields the whole grid as one
-    block; it reads each segment's k(omega) series from the segment's fiber,
-    which builds it once.
+    Each block is filled in FILL_BLOCK_CELLS steps, by the linearized
+    kernel or the full model's sum (which reads each segment's k(omega)
+    series from its fiber), and the pump envelope multiplies it in place;
+    every cell's value is the same whatever block holds it.
     """
     ns, ni = grid.signal.size, grid.idler.size
     ws = grid.signal[:, None]
     wi = grid.idler[None, :]
-    if assembly.model_mode == "full":
-        yield slice(0, ns), _finite(phi_assembly(assembly, ws, wi) * pump_envelope(pump, ws, wi))
-        return
-    factors = _linearized_factors(assembly.segments, ws, wi)
     if rows is None:
         rows = max(1, FILL_BLOCK_CELLS // ni) * (STREAM_BLOCK_CELLS // FILL_BLOCK_CELLS)
     rows = min(ns, rows)
     step = min(rows, max(1, FILL_BLOCK_CELLS // ni))
+    full = assembly.model_mode == "full"
+    factors = None if full else _linearized_factors(assembly.segments, ws, wi)
     buffer = np.empty((rows, ni), dtype=complex)
-    scratch = [np.empty((step, ni), dtype=t) for t in (complex, float, float)]
+    scratch = None if full else [np.empty((step, ni), dtype=t) for t in (complex, float, float)]
     for start in range(0, ns, rows):
         block = buffer[:min(rows, ns - start)]
         for r in range(0, len(block), step):
             part = block[r:r + step]
             cells = slice(start + r, start + r + len(part))
-            _linearized_combine(factors, cells, part, *(s[:len(part)] for s in scratch))
+            if full:
+                part[...] = _full_sum(assembly, ws[cells], wi)
+            else:
+                _linearized_combine(factors, cells, part, *(s[:len(part)] for s in scratch))
             part *= pump_envelope(pump, ws[cells], wi)
         yield slice(start, start + len(block)), _finite(block)
 
@@ -490,7 +490,7 @@ def _marginal_sums(grid: FrequencyGrid, blocks, sums: dict):
         sums["idler"] += w_s[rows] @ intensity
         del intensity
         yield rows, block
-    park_openblas(NUMPY_DIR)  # a one-block product is threaded from ~5e5 cells
+    park_openblas()  # a one-block product is threaded from ~5e5 cells
 
 
 def _marginals(grid: FrequencyGrid, blocks) -> dict[str, Spectrum1D]:

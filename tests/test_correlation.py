@@ -149,17 +149,22 @@ def test_gram_matches_weighted_copy_formula(tall_and_square):
         assert g2_quadrature(jsa) == pytest.approx(full_side_uncut(jsa), rel=1e-15, abs=0)
 
 
-def test_gram_is_one_zherk_and_a_rank_2_update(tall_and_square, monkeypatch):
-    from sfwm._scipy import extension
+def _counted_zherk(monkeypatch):
+    """The shapes of the operands that the Gram passes to _scipy.zherk, in call order."""
+    from sfwm import _scipy, correlation
 
-    blas = extension("linalg", "_fblas", "scipy.linalg.blas")
-    zherk, shapes = blas.zherk, []
+    shapes = []
 
-    def counted(alpha, a, **kwargs):
+    def counted(alpha, a, *args):
         shapes.append(a.shape)
-        return zherk(alpha, a, **kwargs)
+        return _scipy.zherk(alpha, a, *args)
 
-    monkeypatch.setattr(blas, "zherk", counted)
+    monkeypatch.setattr(correlation, "zherk", counted)
+    return shapes
+
+
+def test_gram_is_one_zherk_and_a_rank_2_update(tall_and_square, monkeypatch):
+    shapes = _counted_zherk(monkeypatch)
     tall, square = tall_and_square
     for jsa in (tall, _transposed(tall), square):
         shapes.clear()
@@ -251,18 +256,6 @@ def test_schmidt_result_validation():
 # the streamed evaluator: the amplitude in row blocks, never stored
 
 
-def _counted_zherk(monkeypatch):
-    from sfwm._scipy import extension
-
-    blas = extension("linalg", "_fblas", "scipy.linalg.blas")
-    zherk, shapes = blas.zherk, []
-
-    def counted(alpha, a, **kwargs):
-        shapes.append(a.shape)
-        return zherk(alpha, a, **kwargs)
-
-    monkeypatch.setattr(blas, "zherk", counted)
-    return shapes
 
 
 def test_streamed_g2_matches_stored_amplitude_on_the_catalog(reference_rows):
@@ -282,13 +275,12 @@ def test_streamed_g2_adds_256_row_blocks_into_one_gram(tall_and_square, monkeypa
     expected = [g2_quadrature(jsa) for jsa in (tall, square)]
     shapes = _counted_zherk(monkeypatch)
     park = correlation.park_openblas
-    monkeypatch.setattr(correlation, "park_openblas",
-                        lambda package_dir: (shapes.append("park"), park(package_dir)))
+    monkeypatch.setattr(correlation, "park_openblas", lambda: (shapes.append("park"), park()))
     for jsa, g2, blocks in ((tall, expected[0], [256] * 5 + [98]),
                             (square, expected[1], [256, 256])):
         shapes.clear()
         streamed, spectrum = g2_streamed(jsa.assembly, jsa.pump, jsa.grid)
-        # SciPy's pool is parked before each next block's fill, and at the end.
+        # numpy's pool is parked before each next block's fill, and at the end.
         calls = [call for rows in blocks[:-1] for call in ((512, rows), "park")]
         assert shapes == calls + [(512, blocks[-1]), (512, 2), "park"]
         assert spectrum is None
@@ -457,7 +449,7 @@ def test_streamed_g2_never_holds_the_amplitude(tall_and_square):
     import tracemalloc
 
     tall, _ = tall_and_square
-    g2_streamed(tall.assembly, tall.pump, tall.grid)  # scipy's BLAS is loaded
+    g2_streamed(tall.assembly, tall.pump, tall.grid)  # one-time set-up stays out of the peak
     tracemalloc.start()
     try:
         g2_streamed(tall.assembly, tall.pump, tall.grid)
@@ -465,6 +457,28 @@ def test_streamed_g2_never_holds_the_amplitude(tall_and_square):
     finally:
         tracemalloc.stop()
     assert peak < tall.amplitude.nbytes  # 10.8 MiB at 1378x512 (7.2 MiB seen)
+
+
+def test_streamed_full_model_g2_matches_the_stored_amplitude_without_holding_it(
+        tall_and_square):
+    # The full model streams through the same row blocks: every cell is the
+    # stored one, and the block sums reorder the Gram's rounding only.
+    import dataclasses
+    import tracemalloc
+
+    tall, _ = tall_and_square
+    full = dataclasses.replace(tall.assembly, model_mode="full")
+    stored = build_jsa(full, tall.pump, tall.grid)
+    g2, _ = g2_streamed(full, tall.pump, tall.grid)
+    assert g2 == pytest.approx(g2_quadrature(stored), rel=1e-15, abs=0)
+    del stored
+    tracemalloc.start()
+    try:
+        g2_streamed(full, tall.pump, tall.grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < tall.amplitude.nbytes  # 10.8 MiB at 1378x512 (7.3 MiB seen; 53.9 in one block)
 
 
 # ---------------------------------------------------------------------------

@@ -449,6 +449,26 @@ def test_dispersion_tables_of_a_fiber_batch_match_the_public_calls():
     assert str(batch.value) == str(alone.value)
 
 
+def test_dispersion_tables_of_fibers_with_their_series_solve_only_the_table(monkeypatch):
+    # The first call solves the 65 series nodes with the 61 table rows (and
+    # the r = 200 nm fiber then bisects its guided limit); once every fiber
+    # holds its series only the rows are solved, with the same bits, since no
+    # row depends on the elements beside it.
+    wl = np.linspace(850.0, 1450.0, 61)
+    fibers = [FiberSegment("R948", 948.0, 0.296, 1.9), FiberSegment("small", 200.0, 0.296, 1.0)]
+    solve, solved = disp._solve_neff, []
+    monkeypatch.setattr(disp, "_solve_neff", lambda r, f, x: (
+        solved.append(np.shape(x)), solve(r, f, x))[1])
+    first = [[_bits(c) for c in table.values()] for table in disp._dispersion_tables(fibers, wl)]
+    assert solved[0] == (disp.SERIES_DEGREE + 1 + wl.size,)
+    solved.clear()
+    again = [[_bits(c) for c in table.values()] for table in disp._dispersion_tables(fibers, wl)]
+    assert solved == [wl.shape] and again == first
+    solved.clear()
+    assert [_bits(c) for c in disp.dispersion_table(fibers[1], wl).values()] == first[1]
+    assert solved == [wl.shape]
+
+
 @pytest.mark.parametrize("fiber", [
     pytest.param(R948, id="fiber0-he11"),
     pytest.param(FiberSegment("small", 200.0, 0.296, 1.0), id="fiber2-he11")])

@@ -1,8 +1,10 @@
-"""The compiled SciPy kernels that sfwm loads without their packages.
+"""The compiled SciPy kernels that sfwm loads without their packages, and
+the Gram's zherk in numpy's OpenBLAS.
 
-Every output bit rests on these being the public API's own objects, so a
-SciPy release that moves one of them fails here rather than silently.
-The OpenBLAS pools that numpy and SciPy bring must sit idle between calls.
+Every output bit rests on these being the public API's own objects, or
+giving their bits, so a SciPy or numpy release that moves one of them fails
+here rather than silently.  numpy's OpenBLAS must be the only one a Gram
+loads, and its pool must sit idle between calls.
 """
 
 import json
@@ -17,7 +19,9 @@ import scipy
 import scipy.linalg.blas
 import scipy.special
 
-from sfwm import _scipy, cli, correlation, dispersion
+from sfwm import PumpSpec, _scipy, build_jsa, cli, correlation, dispersion
+
+from conftest import PUMP_NM, catalog_assembly
 
 
 def test_bessel_functions_are_scipy_specials():
@@ -25,16 +29,102 @@ def test_bessel_functions_are_scipy_specials():
         assert getattr(dispersion, name) is getattr(scipy.special, name), name
 
 
-def test_gram_zherk_is_scipys_public_zherk(monkeypatch):
-    loaded = []
+def _complex(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    def spy(*args):
-        loaded.append(_scipy.extension(*args))
-        return loaded[-1]
 
-    monkeypatch.setattr(correlation, "extension", spy)
-    correlation._end_corrected_gram([(slice(0, 5), np.ones((5, 3), dtype=complex))], (5, 3))
-    assert loaded and all(blas.zherk is scipy.linalg.blas.zherk for blas in loaded)
+def _same_bits(x, y):
+    return x.shape == y.shape and np.array_equal(np.ascontiguousarray(x).view(np.uint64),
+                                                 np.ascontiguousarray(y).view(np.uint64))
+
+
+@pytest.mark.parametrize("trans", [0, 2])
+@pytest.mark.parametrize("shape", [(680, 512), (512, 512), (300, 700)],
+                         ids=["tall", "square", "wide"])
+def test_zherk_gives_scipys_zherk_bits(shape, trans):
+    # The Gram's calls: a first block (beta 0), a next one into the same
+    # triangle (beta 1), and the alpha = -0.5 update by the two end rows
+    # (columns), each on a Fortran-ordered, a C-ordered and a strided operand.
+    rng = np.random.default_rng(7)
+    n = shape[trans // 2]
+    ends = _complex(rng, 2, n).T if trans == 0 else _complex(rng, n, 2).T
+    for layout, a in (("Fortran", np.asfortranarray(_complex(rng, *shape))),
+                      ("C", _complex(rng, *shape)),
+                      ("strided", _complex(rng, 2 * shape[0], shape[1] + 3)[::2, 3:])):
+        ours = _scipy.zherk(1.0, a, trans)
+        theirs = scipy.linalg.blas.zherk(1.0, a, trans=trans)
+        assert ours.flags.f_contiguous and _same_bits(ours, theirs), layout
+        assert not np.tril(ours, -1).any(), layout
+        c = ours
+        for alpha, op in ((1.0, a), (-0.5, ends)):
+            ours = _scipy.zherk(alpha, op, trans, 1.0, c)
+            theirs = scipy.linalg.blas.zherk(alpha, op, trans=trans, beta=1.0, c=theirs,
+                                             overwrite_c=1)
+            assert ours is c and _same_bits(ours, theirs), (layout, alpha)
+
+
+@pytest.mark.skipif(_scipy._CBLAS_ZHERK is None, reason="no cblas_zherk in numpy's OpenBLAS")
+def test_zherk_refuses_operands_that_blas_would_misread():
+    a = np.ones((4, 3), dtype=complex)
+    with pytest.raises(ValueError, match="trans"):
+        _scipy.zherk(1.0, a, 1)
+    for bad in (a.real, np.ones(4, dtype=complex), np.ones((2, 2, 2), dtype=complex)):
+        with pytest.raises(TypeError, match="2-D complex128"):
+            _scipy.zherk(1.0, bad)
+    frozen = np.zeros((4, 4), dtype=complex, order="F")
+    frozen.flags.writeable = False
+    for c in (np.zeros((4, 4), dtype=complex), np.zeros((3, 3), dtype=complex, order="F"),
+              np.zeros((4, 4), order="F"), frozen):
+        with pytest.raises(ValueError, match="Fortran-ordered complex128 4x4"):
+            _scipy.zherk(1.0, a, 0, 1.0, c)
+
+
+def test_gram_falls_back_to_scipys_public_zherk(monkeypatch):
+    # Where numpy's OpenBLAS has no cblas_zherk (another BLAS, a source
+    # build), the lookup gives None and the Gram runs SciPy's public zherk.
+    jsa = build_jsa(catalog_assembly([("S1", 0.3), ("S2", 0.3)]), PumpSpec(PUMP_NM, 2.0))
+    expected = correlation.g2_quadrature(jsa)
+    blas, calls = _scipy.extension("linalg", "_fblas", "scipy.linalg.blas"), []
+    public = blas.zherk
+    assert public is scipy.linalg.blas.zherk
+    monkeypatch.setattr(blas, "zherk", lambda *args, **kwargs: (
+        calls.append(args[1].shape), public(*args, **kwargs))[1])
+    monkeypatch.setattr(_scipy, "_CBLAS_ZHERK",
+                        getattr(_scipy._OPENBLAS, "no_such_cblas_zherk", None))
+    assert correlation.g2_quadrature(jsa) == expected
+    assert calls == [(512, 660), (512, 2)]
+
+
+# Runs g2-table on argv[1], then prints the OpenBLAS libraries mapped and
+# whether SciPy's BLAS module was loaded.
+_ONE_BLAS_PROBE = """
+import json, sys
+from sfwm import cli
+assert cli.run("g2-table", sys.argv[1]) == 0
+with open("/proc/self/maps") as fh:
+    libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+print(json.dumps([libs, "scipy.linalg._fblas" in sys.modules]))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="needs /proc/self/maps")
+@pytest.mark.skipif(_scipy._OPENBLAS is None, reason="numpy has no vendored OpenBLAS here")
+def test_g2_table_maps_only_numpys_openblas(tmp_path):
+    config = tmp_path / "g2_table.json"
+    bundled = json.loads((Path(__file__).resolve().parents[1] / "configs" / "g2_table.json")
+                         .read_text())
+    config.write_text(json.dumps({
+        **bundled, "assemblies": bundled["assemblies"][:1], "pump_fwhms_nm": [2.0],
+        "grid": {"ns": 256, "ni": 256}, "output_dir": str(tmp_path / "out")}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", _ONE_BLAS_PROBE, str(config)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    libs, fblas = json.loads(proc.stdout)
+    assert [Path(lib).parent.name for lib in libs] == ["numpy.libs"], libs
+    assert not fblas
 
 
 def test_extension_loads_the_compiled_file():
@@ -56,7 +146,7 @@ def test_missing_compiled_file_falls_back_to_the_public_module(tmp_path, monkeyp
     assert blas is scipy.linalg.blas and blas.zherk is scipy.linalg.blas.zherk
 
 
-def test_park_openblas_without_a_loaded_library_does_nothing(tmp_path):
+def test_park_openblas_without_a_loaded_library_does_nothing(tmp_path, monkeypatch):
     # An empty package directory, and one whose .libs holds a file named like
     # a vendored OpenBLAS that the process never loaded.
     empty, unloaded = tmp_path / "empty", tmp_path / "pkg"
@@ -65,8 +155,10 @@ def test_park_openblas_without_a_loaded_library_does_nothing(tmp_path):
     (tmp_path / "pkg.libs").mkdir()
     (tmp_path / "pkg.libs" / "libscipy_openblas-0.so").write_bytes(b"not a library")
     for package_dir in (empty, unloaded, tmp_path):
-        assert _scipy.park_openblas(package_dir) is None
-    assert not {empty, unloaded, tmp_path} & _scipy._SHUTDOWNS.keys()
+        lib = _scipy._vendored_openblas(package_dir)
+        assert lib is None
+        monkeypatch.setattr(_scipy, "_SHUTDOWN", getattr(lib, "blas_thread_shutdown_", None))
+        assert _scipy._SHUTDOWN is None and _scipy.park_openblas() is None
     if Path("/proc/self/maps").exists():  # nothing was loaded
         assert str(tmp_path) not in Path("/proc/self/maps").read_text()
 

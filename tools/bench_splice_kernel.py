@@ -20,6 +20,18 @@ loaded.
 A BLAS worker that spins after its call shows as CPU above wall time, in
 the call or in the one after it.
 ``--src`` times the package under another checkout's ``src/`` the same way.
+
+    python3 tools/bench_splice_kernel.py --one-openblas --src PARENT/src [--repeats N]
+
+prints the ``one_openblas`` record instead: per step of the benchmark's
+seed-1 ``splice_design`` workload (``g2-table``, then ``plan``), one
+``sfwm.cli.run`` in a fresh interpreter under ``--src`` (the parent) and
+under this checkout's ``src/``, alternating, ``--repeats`` times a side,
+with the median ``ru_maxrss`` in MiB and the number of mapped
+``libscipy_openblas*`` files; then, in this process, the median time of
+one whole-amplitude ``zherk`` on each 2 nm grid, in numpy's OpenBLAS
+(``sfwm._scipy.zherk``) and in SciPy's (``scipy.linalg.blas.zherk``),
+alternating, with both pools parked after every call.
 """
 
 from __future__ import annotations
@@ -28,6 +40,7 @@ import argparse
 import json
 import os
 import statistics
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -112,11 +125,87 @@ def _time_plan(repeats: int) -> dict:
             "predicted_g2": plans[-1].predicted_g2}
 
 
+# Runs one CLI step (argv: src, subcommand, config, out) and prints its
+# ru_maxrss in MiB and the number of OpenBLAS libraries mapped.
+_STEP_PROBE = """
+import json, resource, sys
+sys.path.insert(0, sys.argv[1])
+import sfwm.cli
+assert sfwm.cli.run(sys.argv[2], sys.argv[3], sys.argv[4]) == 0
+with open("/proc/self/maps") as fh:
+    libs = {line.split()[-1] for line in fh if "libscipy_openblas" in line}
+print(json.dumps([resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, len(libs)]))
+"""
+
+
+def _one_openblas(parent_src: str, repeats: int) -> dict:
+    """Per-step peak RSS and mapped OpenBLAS count, parent against this
+    checkout, and the zherk time per OpenBLAS library."""
+    import tempfile
+
+    import numpy as np
+
+    sys.path.insert(0, str(REPO / "perfbench"))
+    from workloads import SUBCOMMAND, WORKLOADS, make_config
+
+    sides = {"parent": parent_src, "change": str(REPO / "src")}
+    steps = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for step in WORKLOADS["splice_design"]:
+            config = Path(tmp) / f"{step}.json"
+            config.write_text(json.dumps(make_config(step, 1)))
+            runs = {side: [] for side in sides}
+            for k in range(repeats):
+                for side in (sides if k % 2 == 0 else reversed(sides)):
+                    proc = subprocess.run(
+                        [sys.executable, "-c", _STEP_PROBE, sides[side], SUBCOMMAND[step],
+                         str(config), str(Path(tmp) / f"out_{side}")],
+                        capture_output=True, text=True, check=True)
+                    runs[side].append(json.loads(proc.stdout.splitlines()[-1]))
+            steps[SUBCOMMAND[step]] = {side: {
+                "ru_maxrss_mib": round(statistics.median(r[0] for r in rs), 2),
+                "openblas_libs": statistics.median_low(r[1] for r in rs)}
+                for side, rs in runs.items()}
+    sys.path.insert(0, sides["change"])
+    import scipy.linalg.blas
+    from sfwm import AssemblySegment, AssemblySpec, PhaseMatchPoint, PumpSpec, _scipy, build_jsa
+
+    # Both pools are parked after every timed call, as the Gram parks its own.
+    parks = [getattr(_scipy._vendored_openblas(package), "blas_thread_shutdown_", None)
+             for package in (_scipy.NUMPY_DIR, _scipy.SCIPY_DIR)]
+    zherk_ms = {}
+    for name, labels in CASES.items():
+        assembly = AssemblySpec(tuple(
+            AssemblySegment(0.3, PhaseMatchPoint.from_signal_and_angle(PUMP_NM, *CATALOG[label]))
+            for label in labels))
+        a = build_jsa(assembly, PumpSpec(PUMP_NM, 2.0)).amplitude.T
+        calls = {"numpy": lambda: _scipy.zherk(1.0, a, 0),
+                 "scipy": lambda: scipy.linalg.blas.zherk(1.0, a)}
+        if not np.array_equal(calls["numpy"](), calls["scipy"]()):
+            raise RuntimeError(f"the two zherk calls differ on {name}")
+        times = {library: [] for library in calls}
+        for k in range(repeats):  # alternating which library goes first
+            for library in (calls if k % 2 == 0 else reversed(calls)):
+                t0 = time.perf_counter()
+                calls[library]()
+                times[library].append((time.perf_counter() - t0) * 1e3)
+                for park in filter(None, parks):
+                    park()
+        zherk_ms[f"{name}@2nm"] = {lib: round(statistics.median(t), 2) for lib, t in times.items()}
+    return {"repeats": repeats, "nproc": os.cpu_count(),
+            "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "openblas": _openblas(), "steps": steps, "zherk_ms": zherk_ms}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(REPO / "src"))
     parser.add_argument("--repeats", type=int, default=7)
+    parser.add_argument("--one-openblas", action="store_true")
     args = parser.parse_args()
+    if args.one_openblas:
+        print(json.dumps({"one_openblas": _one_openblas(args.src, args.repeats)}, indent=1))
+        return 0
     sys.path.insert(0, args.src)
     import sfwm
     from sfwm import (AssemblySegment, AssemblySpec, PhaseMatchPoint, PumpSpec, build_jsa,
