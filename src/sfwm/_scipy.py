@@ -93,7 +93,9 @@ def zherk(alpha: float, a: np.ndarray, trans: int = 0, beta: float = 0.0,
     else in a new Fortran-ordered array with a zero strict lower triangle.
     ``a`` is copied to Fortran order if it is not; a wrong ``a`` or ``c``
     raises, since BLAS would read or write past it.  Without numpy's OpenBLAS
-    or its CBLAS zherk (another BLAS, a source build) SciPy's zherk runs."""
+    or its CBLAS zherk (another BLAS, a source build) SciPy's zherk runs;
+    nothing parks SciPy's pool, so where SciPy's wheel brings its own
+    OpenBLAS, its worker spins after each Gram on that fallback."""
     if _CBLAS_ZHERK is None:
         blas = extension("linalg", "_fblas", "scipy.linalg.blas")
         return blas.zherk(alpha, a, beta=beta, c=c, trans=trans, overwrite_c=1)

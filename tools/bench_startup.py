@@ -2,14 +2,18 @@
 
     python3 tools/bench_startup.py --src DIR [--runs N]
 
-Starts 2N fresh interpreters (``python3 -I``), alternating the package under
-``--src`` (the baseline, e.g. a parent checkout's ``src/``) and the one in
-this checkout's ``src/``.  Each imports ``sfwm.cli`` and reports the wall
-time of that import, the number of loaded modules, ``ru_maxrss`` after it,
-which of the heavy SciPy packages were loaded and how many OpenBLAS
-libraries were mapped.  Prints one JSON object: per side the median and
-quartiles of the import time and the medians of the rest, with the core
-count and the Python, numpy and scipy versions.
+Starts 2N fresh interpreters (``python3 -I -B``), alternating the package
+under ``--src`` (the baseline, e.g. a parent checkout's ``src/``) and the one
+in this checkout's ``src/``.  ``-I`` ignores ``PYTHONDONTWRITEBYTECODE``, so
+``-B`` keeps the probes from writing byte-code into either checkout: in
+checkouts without a ``__pycache__`` every probe compiles the package, as
+perfbench's workers do under ``PYTHONDONTWRITEBYTECODE=1``.  Each imports
+``sfwm.cli`` and reports the wall time of that import, the number of loaded
+modules, ``ru_maxrss`` after it, which of the heavy SciPy packages were
+loaded and how many OpenBLAS libraries were mapped.  Prints one JSON
+object: per side the median and quartiles of the import time and the
+medians of the rest, with the core count and the Python, numpy and scipy
+versions.
 """
 
 from __future__ import annotations
@@ -53,8 +57,9 @@ HEAVY = ("scipy", "scipy.optimize", "scipy.linalg", "scipy.special", "scipy._lib
 
 
 def _probe(src: Path) -> dict:
-    out = subprocess.run([sys.executable, "-I", "-c", _PROBE, str(src), json.dumps(HEAVY)],
-                         capture_output=True, text=True, check=True).stdout
+    out = subprocess.run(
+        [sys.executable, "-I", "-B", "-c", _PROBE, str(src), json.dumps(HEAVY)],
+        capture_output=True, text=True, check=True).stdout
     return json.loads(out)
 
 
