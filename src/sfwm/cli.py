@@ -14,8 +14,9 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import astuple, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -45,12 +46,6 @@ from .spectra import (
     filter_scan,
     jsa_grid,
 )
-
-SUBCOMMANDS = (
-    "dispersion", "fit", "phasematch", "gvm-curve", "jsa", "marginal",
-    "filter-scan", "g2", "g2-table", "plan",
-)
-
 
 class ConfigError(ValueError):
     """Config rejected before any computation; message names the field."""
@@ -323,69 +318,39 @@ _CONFIG = {
 }
 
 
-@dataclass
-class SegmentEntry:
-    label: str
-    length_m: float
-    core_radius_nm: float | None
-    air_fill: float | None
-    phase_match: dict | None  # validated linearization override
-
-    def fiber(self, length_m: float | None = None) -> FiberSegment:
-        if self.core_radius_nm is None or self.air_fill is None:
-            raise ConfigError(
-                f"segment {self.label!r} needs core_radius_nm and air_fill for this command"
-            )
-        return FiberSegment(self.label, self.core_radius_nm, self.air_fill,
-                            length_m if length_m is not None else self.length_m)
-
-
-@dataclass
-class RunConfig:
-    pump: PumpSpec | None
-    segments: dict[str, SegmentEntry]  # in config order
-    assembly: list[tuple[str, float | None]] | None
-    assemblies: list[tuple[str, list[tuple[str, float | None]]]] | None
-    pump_fwhms_nm: list[float] | None
-    grid: dict
-    model: str
-    filt: dict | None
-    planner: dict | None
-    fit: dict | None
-    sweep: dict | None
-    dispersion: dict
-    output_dir: str
-    raw_sha256: str
-
-
-def load_config(path) -> RunConfig:
+def load_config(path) -> SimpleNamespace:
+    """One attribute per _CONFIG field, defaults filled in, and the file's
+    ``raw_sha256``.  ``pump`` is a PumpSpec (or None); ``segments`` maps each
+    label to its segment, in config order."""
     raw = Path(path).read_bytes()
     try:
         data = json.loads(raw)
     except ValueError as exc:  # JSONDecodeError, or bytes that are not text
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    c = _walk(data, _CONFIG, "config")
-    return RunConfig(
-        pump=None if c["pump"] is None else PumpSpec(**c["pump"]),
-        segments={seg["label"]: SegmentEntry(**seg) for seg in c["segments"]},
-        assembly=c["assembly"],
-        assemblies=None if c["assemblies"] is None else [
-            (a["name"], a["segments"]) for a in c["assemblies"]],
-        pump_fwhms_nm=c["pump_fwhms_nm"], grid=c["grid"], model=c["model"],
-        filt=c["filter"], planner=c["planner"], fit=c["fit"], sweep=c["sweep"],
-        dispersion=c["dispersion"], output_dir=c["output_dir"],
-        raw_sha256=hashlib.sha256(raw).hexdigest(),
-    )
+    cfg = SimpleNamespace(**_walk(data, _CONFIG, "config"),
+                          raw_sha256=hashlib.sha256(raw).hexdigest())
+    if cfg.pump is not None:
+        cfg.pump = PumpSpec(**cfg.pump)
+    cfg.segments = {seg["label"]: seg for seg in cfg.segments}
+    return cfg
+
+
+def _fiber(entry: dict, length_m: float | None = None) -> FiberSegment:
+    if entry["core_radius_nm"] is None or entry["air_fill"] is None:
+        raise ConfigError(
+            f"segment {entry['label']!r} needs core_radius_nm and air_fill for this command"
+        )
+    return FiberSegment(entry["label"], entry["core_radius_nm"], entry["air_fill"],
+                        length_m if length_m is not None else entry["length_m"])
 
 
 # ---------------------------------------------------------------------------
 # assembly construction
 
 
-def _point_for(entry: SegmentEntry, pump: PumpSpec,
-               fiber: FiberSegment | None) -> PhaseMatchPoint:
-    if entry.phase_match is not None:
-        ov = entry.phase_match
+def _point_for(entry: dict, pump: PumpSpec, fiber: FiberSegment | None) -> PhaseMatchPoint:
+    if entry["phase_match"] is not None:
+        ov = entry["phase_match"]
         pt = PhaseMatchPoint.from_signal_and_angle(
             pump.center_wavelength_nm, ov["lambda_s0_nm"], ov["tau_s_ps_per_m"],
             ov["theta_rad"], ov["tau_i_sign"],
@@ -398,19 +363,19 @@ def _point_for(entry: SegmentEntry, pump: PumpSpec,
                     f"got {ov['lambda_i0_nm']!r}; omit it to derive it"
                 )
         return pt
-    return solve_phase_match(fiber or entry.fiber(), pump)  # entry.fiber() names what is missing
+    return solve_phase_match(fiber or _fiber(entry), pump)  # _fiber names what is missing
 
 
-def _build_assembly(cfg: RunConfig, elems, pump: PumpSpec) -> AssemblySpec:
+def _build_assembly(cfg: SimpleNamespace, elems, pump: PumpSpec) -> AssemblySpec:
     segs = []
     for label, length in elems:
         if label not in cfg.segments:
             raise ConfigError(f"assembly references unknown segment label {label!r}")
         entry = cfg.segments[label]
-        seg_len = length if length is not None else entry.length_m
+        seg_len = length if length is not None else entry["length_m"]
         fiber = None
-        if entry.core_radius_nm is not None and entry.air_fill is not None:
-            fiber = entry.fiber(seg_len)
+        if entry["core_radius_nm"] is not None and entry["air_fill"] is not None:
+            fiber = _fiber(entry, seg_len)
         point = _point_for(entry, pump, fiber)
         if cfg.model == "full" and fiber is None:
             raise ConfigError(
@@ -419,20 +384,21 @@ def _build_assembly(cfg: RunConfig, elems, pump: PumpSpec) -> AssemblySpec:
     return AssemblySpec(tuple(segs), cfg.model)
 
 
-def _named_assemblies(cfg: RunConfig, pump: PumpSpec) -> list[tuple[str, AssemblySpec]]:
+def _named_assemblies(cfg: SimpleNamespace, pump: PumpSpec) -> list[tuple[str, AssemblySpec]]:
+    if cfg.assembly is not None and cfg.assemblies is not None:
+        raise ConfigError("assembly and assemblies must not be given together")
     if cfg.assembly is not None:
         name = "+".join(label for label, _ in cfg.assembly)
         return [(name, _build_assembly(cfg, cfg.assembly, pump))]
     if cfg.assemblies is not None:
-        return [(name, _build_assembly(cfg, elems, pump))
-                for name, elems in cfg.assemblies]
+        return [(a["name"], _build_assembly(cfg, a["segments"], pump)) for a in cfg.assemblies]
     if cfg.segments:
         elems = [(label, None) for label in cfg.segments]
         return [("+".join(cfg.segments), _build_assembly(cfg, elems, pump))]
     raise ConfigError("config defines no segments, assembly, or assemblies")
 
 
-def _jsa_args(cfg: RunConfig) -> dict:
+def _jsa_args(cfg: SimpleNamespace) -> dict:
     """The build_jsa keyword arguments the config's grid block asks for."""
     g = cfg.grid
     grid = None
@@ -448,7 +414,7 @@ def _jsa_args(cfg: RunConfig) -> dict:
             "pad_sigmas": g["pad_sigmas"]}
 
 
-def _require_pump(cfg: RunConfig) -> PumpSpec:
+def _require_pump(cfg: SimpleNamespace) -> PumpSpec:
     if cfg.pump is None:
         raise ConfigError("missing required field pump")
     return cfg.pump
@@ -504,13 +470,11 @@ def _grid_record(grid: FrequencyGrid) -> dict:
 
 
 def _pump_record(pump: PumpSpec) -> dict:
-    return {
-        "center_wavelength_nm": pump.center_wavelength_nm,
-        "fwhm_nm": pump.fwhm_nm,
-        "sigma_rad_per_s": pump.sigma_omega,
-        "gamma_per_w_km": pump.gamma_per_w_km,
-        "peak_power_w": pump.peak_power_w,
-    }
+    return {**asdict(pump), "sigma_rad_per_s": pump.sigma_omega}
+
+
+#: The columns of a phase-matched point, as the CSVs and the JSI sidecars name them.
+_POINT = ("lambda_s0_nm", "lambda_i0_nm", "tau_s_ps_per_m", "tau_i_ps_per_m", "theta_rad")
 
 
 def _assembly_record(name: str, assembly: AssemblySpec) -> dict:
@@ -521,11 +485,7 @@ def _assembly_record(name: str, assembly: AssemblySpec) -> dict:
         "segments": [
             {
                 "length_m": seg.length_m,
-                "lambda_s0_nm": seg.point.lambda_s0_nm,
-                "lambda_i0_nm": seg.point.lambda_i0_nm,
-                "tau_s_ps_per_m": seg.point.tau_s_ps_per_m,
-                "tau_i_ps_per_m": seg.point.tau_i_ps_per_m,
-                "theta_rad": seg.point.theta_rad,
+                **{col: getattr(seg.point, col) for col in _POINT},
                 "fiber": None if seg.fiber is None else {
                     "label": seg.fiber.label,
                     "core_radius_nm": seg.fiber.core_radius_nm,
@@ -559,13 +519,13 @@ def _suffix(name: str, multi: bool) -> str:
     return f"_{_safe_name(name)}"
 
 
-def _cmd_dispersion(cfg: RunConfig, out: _OutputSet) -> dict:
+def _cmd_dispersion(cfg: SimpleNamespace, out: _OutputSet) -> dict:
     if not cfg.segments:
         raise ConfigError("dispersion needs a segments list")
     lo, hi = cfg.dispersion["wavelength_range_nm"]
     wl = np.linspace(lo, hi, cfg.dispersion["n_points"])
     zdw_rows = []
-    fibers = [entry.fiber() for entry in cfg.segments.values()]
+    fibers = [_fiber(entry) for entry in cfg.segments.values()]
     for label, fiber, table in zip(cfg.segments, fibers, _dispersion_tables(fibers, wl)):
         out.add_csv(
             f"dispersion_{label}.csv",
@@ -579,7 +539,7 @@ def _cmd_dispersion(cfg: RunConfig, out: _OutputSet) -> dict:
     return {}
 
 
-def _cmd_fit(cfg: RunConfig, out: _OutputSet) -> dict:
+def _cmd_fit(cfg: SimpleNamespace, out: _OutputSet) -> dict:
     if cfg.fit is None:
         raise ConfigError("missing required field fit")
     samples = read_gvd_csv(cfg.fit["gvd_csv"])
@@ -592,48 +552,32 @@ def _cmd_fit(cfg: RunConfig, out: _OutputSet) -> dict:
     return {}
 
 
-def _cmd_phasematch(cfg: RunConfig, out: _OutputSet) -> dict:
+def _cmd_phasematch(cfg: SimpleNamespace, out: _OutputSet) -> dict:
     pump = _require_pump(cfg)
     if not cfg.segments:
         raise ConfigError("phasematch needs a segments list")
     rows = []
     for label, entry in cfg.segments.items():
-        fiber = entry.fiber()
+        fiber = _fiber(entry)
         pt = solve_phase_match(fiber, pump)
         rows.append((label, fiber.core_radius_nm, fiber.air_fill, fiber.length_m,
-                     pt.lambda_s0_nm, pt.lambda_i0_nm, pt.tau_s_ps_per_m,
-                     pt.tau_i_ps_per_m, pt.theta_rad))
-    out.add_csv(
-        "phasematch.csv",
-        ["label", "core_radius_nm", "air_fill", "length_m", "lambda_s0_nm",
-         "lambda_i0_nm", "tau_s_ps_per_m", "tau_i_ps_per_m", "theta_rad"],
-        rows,
-    )
+                     *(getattr(pt, col) for col in _POINT)))
+    out.add_csv("phasematch.csv", ["label", "core_radius_nm", "air_fill", "length_m", *_POINT],
+                rows)
     return {}
 
 
-def _cmd_gvm_curve(cfg: RunConfig, out: _OutputSet) -> dict:
+def _cmd_gvm_curve(cfg: SimpleNamespace, out: _OutputSet) -> dict:
     if cfg.sweep is None:
         raise ConfigError("missing required field sweep")
     label = cfg.sweep["segment_label"] or next(iter(cfg.segments), None)
     if label is None or label not in cfg.segments:
         raise ConfigError("sweep.segment_label missing or unknown")
-    fiber = cfg.segments[label].fiber()
+    fiber = _fiber(cfg.segments[label])
     curve = gvm_curve(fiber, cfg.sweep["pump_range_nm"], cfg.sweep["n_points"])
-    rows = []
-    for sample in curve:
-        if sample.point is None:
-            rows.append((sample.lambda_p_nm, None, None, None, None, None))
-        else:
-            pt = sample.point
-            rows.append((sample.lambda_p_nm, pt.lambda_s0_nm, pt.lambda_i0_nm,
-                         pt.tau_s_ps_per_m, pt.tau_i_ps_per_m, pt.theta_rad))
-    out.add_csv(
-        "gvm_curve.csv",
-        ["lambda_p_nm", "lambda_s0_nm", "lambda_i0_nm", "tau_s_ps_per_m",
-         "tau_i_ps_per_m", "theta_rad"],
-        rows,
-    )
+    rows = [(s.lambda_p_nm, *(None if s.point is None else getattr(s.point, c) for c in _POINT))
+            for s in curve]
+    out.add_csv("gvm_curve.csv", ["lambda_p_nm", *_POINT], rows)
     roots = agvm_roots(fiber, curve)
     out.add_csv("agvm_roots.csv", ["condition", "pump_nm"],
                 [("tau_i_zero", roots.pump_for_tau_i_zero),
@@ -641,7 +585,7 @@ def _cmd_gvm_curve(cfg: RunConfig, out: _OutputSet) -> dict:
     return {}
 
 
-def _each_jsa(cfg: RunConfig, write: Callable) -> dict:
+def _each_jsa(cfg: SimpleNamespace, write: Callable) -> dict:
     """Call ``write(suffix, name, assembly, pump, grid)`` for each named
     assembly on the grid its JSA is sampled on; returns the manifest's grid
     record(s)."""
@@ -657,7 +601,7 @@ def _each_jsa(cfg: RunConfig, write: Callable) -> dict:
     return {"grid": grids[named[0][0]] if not multi else grids}
 
 
-def _cmd_jsa(cfg: RunConfig, out: _OutputSet) -> dict:
+def _cmd_jsa(cfg: SimpleNamespace, out: _OutputSet) -> dict:
     def write(sfx, name, assembly, pump, grid):
         jsi = build_jsa(assembly, pump, grid).intensity()[::-1, ::-1]
         lam_i = grid.idler_wavelength_nm()[::-1]
@@ -672,7 +616,7 @@ def _cmd_jsa(cfg: RunConfig, out: _OutputSet) -> dict:
     return _each_jsa(cfg, write)
 
 
-def _cmd_marginal(cfg: RunConfig, out: _OutputSet) -> dict:
+def _cmd_marginal(cfg: SimpleNamespace, out: _OutputSet) -> dict:
     def write(sfx, name, assembly, pump, grid):
         for axis, spectrum in _streamed_marginals(assembly, pump, grid).items():
             out.add_csv(f"marginal_{axis}{sfx}.csv", ["x_nm", "intensity"],
@@ -680,29 +624,28 @@ def _cmd_marginal(cfg: RunConfig, out: _OutputSet) -> dict:
     return _each_jsa(cfg, write)
 
 
-def _filter_centers(cfg: RunConfig, assembly: AssemblySpec) -> list[float]:
-    filt = cfg.filt
-    if filt["centers_nm"] is not None:
-        return filt["centers_nm"]
-    if filt["scan_range_nm"] is not None:
-        lo, hi = filt["scan_range_nm"]
+def _filter_centers(cfg: SimpleNamespace, assembly: AssemblySpec) -> list[float]:
+    if cfg.filter["centers_nm"] is not None:
+        return cfg.filter["centers_nm"]
+    if cfg.filter["scan_range_nm"] is not None:
+        lo, hi = cfg.filter["scan_range_nm"]
     else:
         # Scan across the union of the segments' phase-matched neighbourhoods.
         ls0 = [seg.point.lambda_s0_nm for seg in assembly.segments]
         lo, hi = min(ls0) - 12.0, max(ls0) + 12.0
-    return list(np.linspace(lo, hi, filt["n_centers"]))
+    return list(np.linspace(lo, hi, cfg.filter["n_centers"]))
 
 
-def _cmd_filter_scan(cfg: RunConfig, out: _OutputSet) -> dict:
+def _cmd_filter_scan(cfg: SimpleNamespace, out: _OutputSet) -> dict:
     pump = _require_pump(cfg)
-    if cfg.filt is None:
+    if cfg.filter is None:
         raise ConfigError("missing required field filter")
     named = _named_assemblies(cfg, pump)
     multi = len(named) > 1
     for name, assembly in named:
         centers = _filter_centers(cfg, assembly)
-        center_nm = cfg.filt["center_nm"] or float(np.mean(centers))
-        scan = filter_scan(assembly, FilterSpec(center_nm, cfg.filt["fwhm_nm"]),
+        center_nm = cfg.filter["center_nm"] or float(np.mean(centers))
+        scan = filter_scan(assembly, FilterSpec(center_nm, cfg.filter["fwhm_nm"]),
                            centers, pump=pump)
         out.add_csv(f"filter_scan{_suffix(name, multi)}.csv", ["x_nm", "intensity"],
                     list(zip(scan.axis, scan.values)))
@@ -712,7 +655,7 @@ def _cmd_filter_scan(cfg: RunConfig, out: _OutputSet) -> dict:
 _G2_HEADER = [f.name for f in fields(G2Row)]
 
 
-def _cmd_g2(cfg: RunConfig, out: _OutputSet) -> dict:
+def _cmd_g2(cfg: SimpleNamespace, out: _OutputSet) -> dict:
     pump = _require_pump(cfg)
     named = _named_assemblies(cfg, pump)
     if len(named) != 1:
@@ -724,13 +667,12 @@ def _cmd_g2(cfg: RunConfig, out: _OutputSet) -> dict:
     return {"grid": _grid_record(grid)}
 
 
-def _cmd_g2_table(cfg: RunConfig, out: _OutputSet) -> dict:
+def _cmd_g2_table(cfg: SimpleNamespace, out: _OutputSet) -> dict:
     pump = _require_pump(cfg)
     if cfg.assemblies is None:
         raise ConfigError("missing required field assemblies")
     fwhms = cfg.pump_fwhms_nm or [pump.fwhm_nm]
-    pumps = [PumpSpec(pump.center_wavelength_nm, fw, pump.gamma_per_w_km,
-                      pump.peak_power_w) for fw in fwhms]
+    pumps = [replace(pump, fwhm_nm=fw) for fw in fwhms]
     configurations = _named_assemblies(cfg, pumps[0])
     jsa_args = _jsa_args(cfg)
     rows = g2_table(configurations, pumps, **jsa_args)
@@ -739,7 +681,7 @@ def _cmd_g2_table(cfg: RunConfig, out: _OutputSet) -> dict:
                      for name, assembly in configurations for p in pumps]}
 
 
-def _cmd_plan(cfg: RunConfig, out: _OutputSet) -> dict:
+def _cmd_plan(cfg: SimpleNamespace, out: _OutputSet) -> dict:
     pump = _require_pump(cfg)
     if cfg.planner is None:
         raise ConfigError("missing required field planner")
@@ -820,7 +762,7 @@ def main(argv=None) -> int:
         description="Photon-pair spectra from pulse-pumped four-wave mixing "
                     "in segmented photonic crystal fibers",
     )
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("subcommand", choices=_HANDLERS)
     parser.add_argument("--config", required=True, help="path to the JSON run config")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
     args = parser.parse_args(argv)

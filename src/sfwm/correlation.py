@@ -200,7 +200,7 @@ def g2_streamed(assembly: AssemblySpec, pump: PumpSpec, grid: FrequencyGrid,
         return _g2_of_blocks(fill(), fill, (ns, ni)), None
     sums = {}
     g2 = _g2_of_blocks(_marginal_sums(grid, fill(), sums), fill, (ns, ni))
-    return g2, Spectrum1D(grid.signal, sums["signal"], "angular_frequency", "raw")
+    return g2, Spectrum1D(grid.signal, sums["signal"], "angular_frequency")
 
 
 def schmidt_decompose(jsa: JsaGrid) -> SchmidtResult:

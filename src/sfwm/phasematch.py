@@ -137,9 +137,6 @@ class PhaseMatchPoint:
 
 _LAM_MIN_NM, _LAM_MAX_NM = WAVELENGTH_WINDOW_NM
 
-# The pump FWHM of a sweep's PumpSpecs; the linearization does not depend on it.
-_SWEEP_FWHM_NM = 1.0
-
 
 def solve_phase_match(segment: FiberSegment, pump: PumpSpec,
                       search_window_nm: tuple[float, float] | None = None) -> PhaseMatchPoint:
@@ -149,21 +146,22 @@ def solve_phase_match(segment: FiberSegment, pump: PumpSpec,
     polishes the root to machine precision so the momentum residual at the
     returned point is far below 1e-6 rad/m.
     """
-    (pt,) = _phase_match(segment, [pump], search_window_nm)
+    (pt,) = _phase_match(segment, [pump.center_wavelength_nm], search_window_nm)
     if isinstance(pt, PhaseMatchError):
         raise pt
     return pt
 
 
-def _phase_match(segment: FiberSegment, pumps: list[PumpSpec],
+def _phase_match(segment: FiberSegment, pumps_nm: list[float],
                  search_window_nm: tuple[float, float] | None) -> list:
-    """solve_phase_match for all the pumps at once, bit for bit: per pump, its
-    PhaseMatchPoint or its PhaseMatchError.  One call of the segment's series
-    scans, one per Brent iteration polishes, one gives slownesses.
+    """solve_phase_match for all the pump wavelengths at once, bit for bit:
+    per pump, its PhaseMatchPoint or its PhaseMatchError.  One call of the
+    segment's series scans, one per Brent iteration polishes, one gives
+    slownesses.
     """
     series, windows, scans = segment.series, [], []
-    for pump in pumps:
-        lam_p, w_p = pump.center_wavelength_nm, pump.omega_pc
+    for lam_p in pumps_nm:
+        w_p = TWO_PI_C / (lam_p * 1e-9)  # PumpSpec.omega_pc's expression, so its bits
         lo, hi = search_window_nm or (lam_p + 10.0, min(lam_p + 500.0, _LAM_MAX_NM - 5.0))
         # Integer-nm coarse grid, independent of the window's fractional part,
         # so neighbouring pumps of a sweep bracket on the same lattice; the
@@ -176,9 +174,9 @@ def _phase_match(segment: FiberSegment, pumps: list[PumpSpec],
         scans += [np.array([w_p]), w_grid, 2.0 * w_p - w_grid]  # in a lone pump's order
     k = np.split(series(np.concatenate([np.empty(0), *scans])),
                  np.cumsum([w.size for w in scans], dtype=int)[:-1])
-    out, solve = [None] * len(pumps), []
-    for n, (pump, (lo, hi)) in enumerate(zip(pumps, windows)):
-        lam_p, w_grid = pump.center_wavelength_nm, scans[3 * n + 1]
+    out, solve = [None] * len(pumps_nm), []
+    for n, (lam_p, (lo, hi)) in enumerate(zip(pumps_nm, windows)):
+        w_grid = scans[3 * n + 1]
         vals = 2.0 * k[3 * n] - k[3 * n + 1] - k[3 * n + 2]
         brackets = np.flatnonzero(vals[:-1] * vals[1:] < 0)
         if not w_grid.size:
@@ -195,7 +193,7 @@ def _phase_match(segment: FiberSegment, pumps: list[PumpSpec],
             # The bracket at largest omega_s = smallest signal wavelength;
             # omega descends along the lambda grid.
             i = brackets[0]
-            solve.append((n, w_grid[i + 1], w_grid[i], k[3 * n][0], pump.omega_pc))
+            solve.append((n, w_grid[i + 1], w_grid[i], k[3 * n][0], scans[3 * n][0]))
     at, w_a, w_b, k_p, w_p = np.array(solve, dtype=float).reshape(-1, 5).T
 
     def mismatch(w_s, k_p, w_p):
@@ -205,7 +203,7 @@ def _phase_match(segment: FiberSegment, pumps: list[PumpSpec],
     w_s0 = _brentq(mismatch, w_a, w_b, xtol=1e-3, args=(k_p, w_p))
     slow = np.split(series(np.concatenate((w_p, w_s0, 2.0 * w_p - w_s0)), 1), 3)
     for n, w, slow_p, slow_s, slow_i in zip(at.astype(int), w_s0, *slow):
-        out[n] = PhaseMatchPoint.for_pump(pumps[n].center_wavelength_nm, TWO_PI_C / float(w) * 1e9,
+        out[n] = PhaseMatchPoint.for_pump(pumps_nm[n], TWO_PI_C / float(w) * 1e9,
                                           (slow_p - slow_s) * 1e12, (slow_p - slow_i) * 1e12)
     return out
 
@@ -224,9 +222,9 @@ def gvm_curve(segment: FiberSegment, pump_range_nm: tuple[float, float],
     """Phase-matching linearization swept over the pump wavelength: one
     phase-match solve of all the pumps."""
     lo, hi = min(pump_range_nm), max(pump_range_nm)
-    pumps = [PumpSpec(float(lam_p), _SWEEP_FWHM_NM) for lam_p in np.linspace(lo, hi, n_points)]
-    return [GvmSample(pump.center_wavelength_nm, None if isinstance(pt, PhaseMatchError) else pt)
-            for pump, pt in zip(pumps, _phase_match(segment, pumps, None))]
+    pumps_nm = np.linspace(lo, hi, n_points).tolist()
+    return [GvmSample(lam_p, None if isinstance(pt, PhaseMatchError) else pt)
+            for lam_p, pt in zip(pumps_nm, _phase_match(segment, pumps_nm, None))]
 
 
 @dataclass(frozen=True)
@@ -266,7 +264,7 @@ def agvm_roots(segment: FiberSegment, sweep: list[GvmSample]) -> AgvmRoots:
                 break
 
     def tau(lam_p, component):
-        points = _phase_match(segment, [PumpSpec(float(x), _SWEEP_FWHM_NM) for x in lam_p], None)
+        points = _phase_match(segment, lam_p.tolist(), None)
         for pt in points:
             if isinstance(pt, PhaseMatchError):
                 raise pt

@@ -94,10 +94,6 @@ class AssemblySpec:
     def total_length_m(self) -> float:
         return float(sum(s.length_m for s in self.segments))
 
-    @property
-    def pump_wavelength_nm(self) -> float:
-        return self.segments[0].point.pump_wavelength_nm
-
 
 def assembly_from_fibers(fibers, pump: PumpSpec, model_mode: str = "linearized") -> AssemblySpec:
     """Solve the phase matching of each fiber at the pump and splice them."""
@@ -153,7 +149,6 @@ class Spectrum1D:
     axis: np.ndarray
     values: np.ndarray
     axis_kind: str  # "wavelength_nm" | "angular_frequency"
-    normalization: str = "raw"  # "raw" | "peak"
 
     def __post_init__(self):
         ax = np.asarray(self.axis, dtype=float)
@@ -166,22 +161,14 @@ class Spectrum1D:
             raise ValueError("intensities must be finite and non-negative")
         if self.axis_kind not in ("wavelength_nm", "angular_frequency"):
             raise ValueError(f"unknown axis_kind {self.axis_kind!r}")
-        if self.normalization not in ("raw", "peak"):
-            raise ValueError(f"unknown normalization {self.normalization!r}")
         object.__setattr__(self, "axis", ax)
         object.__setattr__(self, "values", vals)
-
-    def peak_normalized(self) -> "Spectrum1D":
-        peak = self.values.max()
-        if peak == 0:
-            raise ZeroJsaError("cannot peak-normalize an all-zero spectrum")
-        return Spectrum1D(self.axis, self.values / peak, self.axis_kind, "peak")
 
     def to_wavelength(self) -> "Spectrum1D":
         if self.axis_kind == "wavelength_nm":
             return self
         lam = TWO_PI_C / self.axis * 1e9
-        return Spectrum1D(lam[::-1], self.values[::-1], "wavelength_nm", self.normalization)
+        return Spectrum1D(lam[::-1], self.values[::-1], "wavelength_nm")
 
 
 @dataclass(frozen=True)
@@ -498,7 +485,7 @@ def _marginals(grid: FrequencyGrid, blocks) -> dict[str, Spectrum1D]:
     sums = {}
     for _ in _marginal_sums(grid, blocks, sums):
         pass
-    return {axis: Spectrum1D(getattr(grid, axis), values, "angular_frequency", "raw")
+    return {axis: Spectrum1D(getattr(grid, axis), values, "angular_frequency")
             for axis, values in sums.items()}
 
 
@@ -562,4 +549,4 @@ def filter_scan(assembly: AssemblySpec, filt: FilterSpec, centers_nm,
         scale = pump.gain**2 / pump.sigma_omega
     vals = _scan_quadrature(axis, intensity, sigma, centers_omega, scale)
     # Order follows ascending wavelength; the omega centers descend.
-    return Spectrum1D(centers, vals, "wavelength_nm", "raw")
+    return Spectrum1D(centers, vals, "wavelength_nm")

@@ -104,6 +104,36 @@ def test_rejects_inconsistent_idler_override(tmp_path, capsys):
     assert "energy conservation" in record["message"]
 
 
+@pytest.mark.parametrize("subcommand", ["g2-table", "jsa"])
+def test_rejects_assembly_and_assemblies_together(tmp_path, capsys, subcommand):
+    # Either field selects what runs; neither may silently win over the other.
+    cfg = json.loads((CONFIGS / "g2_table.json").read_text())
+    cfg["assembly"] = ["S2"]
+    path = tmp_path / "both.json"
+    path.write_text(json.dumps(cfg))
+    assert run(subcommand, path, out_dir=tmp_path / "out") == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record == {"stage": subcommand, "message":
+                      "ConfigError: assembly and assemblies must not be given together"}
+    assert not (tmp_path / "out").exists()
+
+
+def test_load_config_has_one_attribute_per_schema_field(tmp_path):
+    from sfwm import PumpSpec
+    from sfwm.cli import _CONFIG
+
+    cfg = load_config(small_config(tmp_path, segments=[{**_SEG, "label": "S3"}, _SEG]))
+    assert set(vars(cfg)) == set(_CONFIG) | {"raw_sha256"}
+    assert isinstance(cfg.pump, PumpSpec)
+    assert list(cfg.segments) == ["S3", "S2"]
+    assert cfg.segments["S2"]["core_radius_nm"] == 947.5
+    empty = tmp_path / "empty.json"
+    empty.write_text("{}")
+    cfg = load_config(empty)
+    assert set(vars(cfg)) == set(_CONFIG) | {"raw_sha256"}
+    assert cfg.pump is None and cfg.segments == {}
+
+
 def test_g2_outputs_and_manifest(tmp_path):
     path = small_config(tmp_path)
     assert run("g2", path) == 0
@@ -331,7 +361,7 @@ def test_cli_builds_one_series_per_fiber_and_matches_the_public_calls(tmp_path, 
         config.write_text(json.dumps(benchmark_config(name, 1)))
         assert run(subcommand, config, tmp_path / name) == 0
         cfg = load_config(config)
-        return cfg, [entry.fiber() for entry in cfg.segments.values()]
+        return cfg, [cli._fiber(entry) for entry in cfg.segments.values()]
 
     cfg, fibers = step("dispersion_curves", "dispersion")
     assert len(builds) == len(fibers) == 4

@@ -1,0 +1,107 @@
+"""Byte diff of the command line's outputs against another checkout's.
+
+    python3 tools/diff_outputs.py --parent DIR
+
+Runs every bundled config of the acceptance suite's ``CONFIG_RUNS`` and the
+four benchmark steps (``perfbench/workloads.py`` ``make_config``) at seeds 1
+and 7 through ``python3 -B -m sfwm.cli``, once with the package under
+``--parent`` (the baseline, e.g. a parent checkout's ``src/``) and once with
+this checkout's ``src/``, each under ``OPENBLAS_NUM_THREADS=1`` and ``=2``.
+Both sides read the same config files from this checkout, so their
+manifests record the same config hash.  Prints each output file that
+differs or exists on one side only, and each run that fails, then a
+summary; exits 1 on any of them and 0 when every file is byte-identical.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+SEEDS = (1, 7)
+BLAS_THREADS = ("1", "2")
+
+
+def _workloads():
+    """perfbench/workloads.py, loaded by path as the test suite loads it."""
+    path = REPO / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_benchmark_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _runs(work: Path) -> list[tuple[str, Path, str]]:
+    """(name, config path, subcommand) of every run; writes the benchmark
+    steps' configs into ``work``."""
+    sys.dont_write_bytecode = True  # as the runs' -B: no byte-code left in the checkout
+    sys.path[:0] = [str(REPO / "src"), str(REPO / "tests")]
+    from test_acceptance import CONFIG_RUNS
+
+    runs = [(f"{Path(name).stem}:{sub}", REPO / "configs" / name, sub)
+            for name, sub in CONFIG_RUNS]
+    workloads = _workloads()
+    for step in workloads.STEPS:
+        for seed in SEEDS:
+            path = work / f"{step}_{seed}.json"
+            path.write_text(json.dumps(workloads.make_config(step, seed)))
+            runs.append((f"{step}:seed{seed}", path, workloads.SUBCOMMAND[step]))
+    return runs
+
+
+def _run(src: Path, config: Path, subcommand: str, out: Path, threads: str) -> str | None:
+    """Runs one subcommand; returns its error record, or None on success."""
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads}
+    proc = subprocess.run(
+        [sys.executable, "-B", "-m", "sfwm.cli", subcommand, "--config", str(config),
+         "--out", str(out)],
+        cwd=REPO, env=env, capture_output=True, text=True)
+    return None if proc.returncode == 0 else proc.stderr.strip()
+
+
+def _files(out: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.is_dir() else {}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, type=Path,
+                        help="src/ of the baseline checkout")
+    args = parser.parse_args()
+    sides = {"parent": args.parent.resolve(), "this": REPO / "src"}
+    problems = compared = 0
+    with tempfile.TemporaryDirectory(prefix="diff_outputs_") as tmp:
+        work = Path(tmp)
+        runs = _runs(work)
+        for name, config, subcommand in runs:
+            for threads in BLAS_THREADS:
+                label = f"{name} (OPENBLAS_NUM_THREADS={threads})"
+                files = {}
+                for side, src in sides.items():
+                    out = work / f"{side}_{name.replace(':', '_')}_{threads}"
+                    error = _run(src, config, subcommand, out, threads)
+                    if error is not None:
+                        print(f"{label}: {side} run failed: {error}")
+                        problems += 1
+                    files[side] = _files(out)
+                for file in sorted(files["parent"].keys() | files["this"].keys()):
+                    compared += 1
+                    if files["parent"].get(file) != files["this"].get(file):
+                        missing = [s for s in sides if file not in files[s]]
+                        print(f"{label}: {file} "
+                              + (f"missing on {missing[0]}" if missing else "differs"))
+                        problems += 1
+    print(f"{len(runs)} runs x {len(BLAS_THREADS)} thread counts, {compared} files compared, "
+          f"{problems} differences or failures")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
