@@ -27,7 +27,7 @@ from .correlation import G2Row, g2_streamed, g2_table
 from .dispersion import (
     TWO_PI_C,
     FiberSegment,
-    _dispersion_tables,
+    dispersion_table,
     find_zdw,
     fit_structure,
     read_gvd_csv,
@@ -526,7 +526,8 @@ def _cmd_dispersion(cfg: SimpleNamespace, out: _OutputSet) -> dict:
     wl = np.linspace(lo, hi, cfg.dispersion["n_points"])
     zdw_rows = []
     fibers = [_fiber(entry) for entry in cfg.segments.values()]
-    for label, fiber, table in zip(cfg.segments, fibers, _dispersion_tables(fibers, wl)):
+    for label, fiber in zip(cfg.segments, fibers):
+        table = dispersion_table(fiber, wl)
         out.add_csv(
             f"dispersion_{label}.csv",
             ["wavelength_nm", "n_eff", "k_rad_per_m", "k1_ps_per_m", "beta2_ps2_per_m"],

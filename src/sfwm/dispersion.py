@@ -300,23 +300,20 @@ def _solve_neff(core_radius_nm, air_fill, wavelength_nm):
     return n_eff.reshape(shape)[()]
 
 
-def _guided(n_eff, core_radius_nm: float, air_fill: float, wavelength_nm):
-    """n_eff, or the ModeCutoffError of its first element without a mode."""
+def effective_index(segment: FiberSegment, wavelength_nm):
+    """Fundamental-mode effective index, elementwise; n_cl < n_eff < n_co.
+    Raises the ModeCutoffError of the first element without a mode."""
+    r, f = segment.core_radius_nm, segment.air_fill
+    n_eff = _solve_neff(r, f, wavelength_nm)
     miss = np.isnan(n_eff)
     if np.any(miss):
         wl = float(np.broadcast_to(wavelength_nm, np.shape(miss))[miss][0])
         n_co = silica_refractive_index(wl)
-        n_cl = (1.0 - air_fill) * n_co + air_fill
-        v = 2.0 * math.pi / (wl * 1e-9) * (core_radius_nm * 1e-9) * math.sqrt(n_co**2 - n_cl**2)
-        raise ModeCutoffError(f"no guided fundamental mode for r={core_radius_nm} nm, "
-                              f"f={air_fill}, lambda={wl} nm (V={v:.3f})")
+        n_cl = (1.0 - f) * n_co + f
+        v = 2.0 * math.pi / (wl * 1e-9) * (r * 1e-9) * math.sqrt(n_co**2 - n_cl**2)
+        raise ModeCutoffError(f"no guided fundamental mode for r={r} nm, "
+                              f"f={f}, lambda={wl} nm (V={v:.3f})")
     return n_eff
-
-
-def effective_index(segment: FiberSegment, wavelength_nm):
-    """Fundamental-mode effective index, elementwise; n_cl < n_eff < n_co."""
-    r, f = segment.core_radius_nm, segment.air_fill
-    return _guided(_solve_neff(r, f, wavelength_nm), r, f, wavelength_nm)
 
 
 def propagation_constant(segment: FiberSegment, wavelength_nm):
@@ -379,20 +376,19 @@ class _KSeries:
     returns that derivative in SI units.
 
     The domain depends on the fiber only: the whole window when the solver
-    finds the mode at the 2000 nm nodes (n_eff, if given, holds its values
-    at _lobatto_nm(2000 nm)), else 300 nm up to the guided-mode limit.
+    finds the mode at the 2000 nm nodes, else 300 nm up to the guided-mode
+    limit.
     Evaluation is _clenshaw on Python floats for a scalar or a short array
     and on ndarrays for a longer one: the same IEEE operations, so a batch
     gives the same bits as scalar calls, and both the bits of numpy's
     Chebyshev.__call__.
     """
 
-    def __init__(self, segment: FiberSegment, n_eff=None):
+    def __init__(self, segment: FiberSegment):
         r, f = segment.core_radius_nm, segment.air_fill
         self._fiber = f"r={r} nm, f={f}"
         self.lam_max_nm = WAVELENGTH_WINDOW_NM[1]
-        if n_eff is None:
-            n_eff = _solve_neff(r, f, _lobatto_nm(self.lam_max_nm))
+        n_eff = _solve_neff(r, f, _lobatto_nm(self.lam_max_nm))
         if np.isnan(n_eff).any():
             self.lam_max_nm = _guided_limit_nm(r, f)
             if self.lam_max_nm is None:
@@ -514,31 +510,17 @@ def fit_structure(samples: list[GvdSample], initial_guess: tuple[float, float]) 
 
 
 def dispersion_table(segment: FiberSegment, wavelengths_nm) -> dict:
-    """Column dict for the dispersion CSV export."""
-    (table,) = _dispersion_tables([segment], wavelengths_nm)
-    return table
-
-
-def _dispersion_tables(fibers, wavelengths_nm):
-    """Per fiber, in turn, its dispersion_table, from one solver call over the
-    wavelengths and, unless every fiber holds its series, every fiber's series
-    nodes; a fiber without a series yet keeps the one built from its nodes."""
+    """Column dict for the dispersion CSV export; every column comes from the
+    fiber's k(omega) series, with n_eff = k c / omega."""
     wl, omega = np.asarray(wavelengths_nm, dtype=float), _omega(wavelengths_nm)
-    nodes = (np.empty(0) if all("series" in vars(x) for x in fibers)
-             else _lobatto_nm(WAVELENGTH_WINDOW_NM[1]))
-    r, f = np.array([(x.core_radius_nm, x.air_fill) for x in fibers]).T[..., None]  # a column each
-    n_eff = _solve_neff(r, f, np.concatenate((nodes, wl.ravel())))
-    for fiber, row in zip(fibers, n_eff):
-        if "series" not in vars(fiber):
-            vars(fiber)["series"] = _KSeries(fiber, row[:nodes.size])
-        n = _guided(row[nodes.size:].reshape(wl.shape), fiber.core_radius_nm, fiber.air_fill, wl)
-        yield {
-            "wavelength_nm": wl,
-            "n_eff": n,
-            "k_rad_per_m": n * 2.0 * math.pi / (wl * 1e-9),
-            "k1_ps_per_m": fiber.series(omega, 1) * 1e12,
-            "beta2_ps2_per_m": fiber.series(omega, 2) * 1e24,
-        }
+    n = segment.series(omega) * C_LIGHT / omega
+    return {
+        "wavelength_nm": wl,
+        "n_eff": n,
+        "k_rad_per_m": n * 2.0 * math.pi / (wl * 1e-9),
+        "k1_ps_per_m": segment.series(omega, 1) * 1e12,
+        "beta2_ps2_per_m": segment.series(omega, 2) * 1e24,
+    }
 
 
 def read_gvd_csv(path) -> list[GvdSample]:

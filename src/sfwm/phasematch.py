@@ -138,22 +138,21 @@ class PhaseMatchPoint:
 _LAM_MIN_NM, _LAM_MAX_NM = WAVELENGTH_WINDOW_NM
 
 
-def solve_phase_match(segment: FiberSegment, pump: PumpSpec,
-                      search_window_nm: tuple[float, float] | None = None) -> PhaseMatchPoint:
+def solve_phase_match(segment: FiberSegment, pump: PumpSpec) -> PhaseMatchPoint:
     """Nondegenerate phase-matched pair with the signal on the red side.
 
-    Brackets 2k(w_p) - k(w_s) - k(2w_p - w_s) on a 1 nm signal grid and
-    polishes the root to machine precision so the momentum residual at the
-    returned point is far below 1e-6 rad/m.
+    Brackets 2k(w_p) - k(w_s) - k(2w_p - w_s) on a 1 nm signal grid over
+    [lambda_p + 10, min(lambda_p + 500, 1995)] nm and polishes the root to
+    machine precision so the momentum residual at the returned point is far
+    below 1e-6 rad/m.
     """
-    (pt,) = _phase_match(segment, [pump.center_wavelength_nm], search_window_nm)
+    (pt,) = _phase_match(segment, [pump.center_wavelength_nm])
     if isinstance(pt, PhaseMatchError):
         raise pt
     return pt
 
 
-def _phase_match(segment: FiberSegment, pumps_nm: list[float],
-                 search_window_nm: tuple[float, float] | None) -> list:
+def _phase_match(segment: FiberSegment, pumps_nm: list[float]) -> list:
     """solve_phase_match for all the pump wavelengths at once, bit for bit:
     per pump, its PhaseMatchPoint or its PhaseMatchError.  One call of the
     segment's series scans, one per Brent iteration polishes, one gives
@@ -162,7 +161,7 @@ def _phase_match(segment: FiberSegment, pumps_nm: list[float],
     series, windows, scans = segment.series, [], []
     for lam_p in pumps_nm:
         w_p = TWO_PI_C / (lam_p * 1e-9)  # PumpSpec.omega_pc's expression, so its bits
-        lo, hi = search_window_nm or (lam_p + 10.0, min(lam_p + 500.0, _LAM_MAX_NM - 5.0))
+        lo, hi = lam_p + 10.0, min(lam_p + 500.0, _LAM_MAX_NM - 5.0)
         # Integer-nm coarse grid, independent of the window's fractional part,
         # so neighbouring pumps of a sweep bracket on the same lattice; the
         # idler counterpart of each candidate must stay inside the window.
@@ -224,7 +223,7 @@ def gvm_curve(segment: FiberSegment, pump_range_nm: tuple[float, float],
     lo, hi = min(pump_range_nm), max(pump_range_nm)
     pumps_nm = np.linspace(lo, hi, n_points).tolist()
     return [GvmSample(lam_p, None if isinstance(pt, PhaseMatchError) else pt)
-            for lam_p, pt in zip(pumps_nm, _phase_match(segment, pumps_nm, None))]
+            for lam_p, pt in zip(pumps_nm, _phase_match(segment, pumps_nm))]
 
 
 @dataclass(frozen=True)
@@ -264,7 +263,7 @@ def agvm_roots(segment: FiberSegment, sweep: list[GvmSample]) -> AgvmRoots:
                 break
 
     def tau(lam_p, component):
-        points = _phase_match(segment, lam_p.tolist(), None)
+        points = _phase_match(segment, lam_p.tolist())
         for pt in points:
             if isinstance(pt, PhaseMatchError):
                 raise pt

@@ -167,7 +167,11 @@ def _greedy_seed(pool: SegmentPool) -> tuple[int, ...] | None:
     return best_window
 
 
-def plan_greedy(pool: SegmentPool, pump: PumpSpec, max_rounds: int = 100,
+# Improvement rounds plan_greedy makes before it returns its current plan.
+_GREEDY_MAX_ROUNDS = 100
+
+
+def plan_greedy(pool: SegmentPool, pump: PumpSpec,
                 ns: int = 512, ni: int = 512, **grid_kwargs) -> SplicePlan:
     """Cluster-then-improve heuristic.
 
@@ -191,7 +195,7 @@ def plan_greedy(pool: SegmentPool, pump: PumpSpec, max_rounds: int = 100,
         return _plan(order, pool, *scores[key])
 
     current = plan_for(seed)
-    for _ in range(max_rounds):
+    for _ in range(_GREEDY_MAX_ROUNDS):
         members = set(current.order)
         moves: list[tuple[int, ...]] = []
         for pos in range(len(current.order)):

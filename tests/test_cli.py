@@ -411,9 +411,9 @@ def test_full_model_g2_table_builds_one_series_per_segment(tmp_path, monkeypatch
 
 def test_fiber_design_steps_batch_their_solves(tmp_path, monkeypatch):
     # On the seed-1 benchmark configs: `dispersion` makes one mode-solver call
-    # for all four fibers' series nodes and table rows; `gvm-curve` makes one
-    # array Brent for the pump sweep and one for the AGVM polish of both
-    # roots (the polish's evaluations nest their phase-match solves).
+    # per fiber, for its series nodes, and solves no table row; `gvm-curve`
+    # makes one array Brent for the pump sweep and one for the AGVM polish of
+    # both roots (the polish's evaluations nest their phase-match solves).
     from sfwm import dispersion, phasematch
 
     solve, solves = dispersion._solve_neff, []
@@ -435,10 +435,9 @@ def test_fiber_design_steps_batch_their_solves(tmp_path, monkeypatch):
         config.write_text(json.dumps(benchmark_config(step, 1)))
         assert run(subcommand, config, tmp_path / step) == 0
         if step == "dispersion_curves":
-            ((r_nm, fill, wl),) = solves
-            assert np.broadcast(r_nm, fill, wl).size == 4 * (65 + 61)
+            assert [np.broadcast(*a).size for a in solves] == [65] * 4
             assert outer == []
-    assert len(solves) == 2  # and the sweep fiber's series nodes
+    assert len(solves) == 5  # and the sweep fiber's series nodes
     _, rows = read_csv(tmp_path / "gvm_sweep" / "gvm_curve.csv")
     assert outer == [(sum(bool(row[1]) for row in rows), 1e-3), (2, 1e-2)]
     assert len(rows) == 29

@@ -354,6 +354,11 @@ def test_mode_cutoff_is_explicit():
     # An array call names its first failing wavelength.
     with pytest.raises(ModeCutoffError, match=r"lambda=800\.0 nm \(V=0\.240\)"):
         effective_index(thin, [400.0, 800.0, 1070.0])
+    # The dispersion table reads the series, whose cut-off names its limit.
+    with pytest.raises(ModeCutoffError) as info:
+        disp.dispersion_table(thin, np.linspace(850.0, 1450.0, 61))
+    assert str(info.value) == ("no guided fundamental mode for r=50.0 nm, f=0.296, "
+                               "lambda=850.0 nm (guided up to 501.53 nm)")
 
 
 def test_small_core_series_stops_at_the_guided_limit():
@@ -425,48 +430,29 @@ def test_mixed_fiber_batch_matches_one_call_per_fiber():
     assert _bits([disp._solve_neff(948.0, 0.296, x) for x in wl[0]]) == _bits(batch[0])
 
 
-def test_dispersion_tables_of_a_fiber_batch_match_the_public_calls():
-    # One solver call for every fiber's series nodes and table wavelengths;
-    # the r = 200 nm fiber bisects its guided limit and the r = 50 nm one
-    # raises the ModeCutoffError of its first unguided table wavelength.
-    # Each fiber keeps the series built from the batch's nodes, and it is
-    # the series a fresh fiber builds alone.
-    wl = np.linspace(850.0, 1450.0, 7)
-    fibers = [FiberSegment("R948", 948.0, 0.296, 1.9), FiberSegment("small", 200.0, 0.296, 1.0),
-              FiberSegment("thin", 50.0, 0.296, 1.0)]
-    tables = disp._dispersion_tables(fibers, wl)
-    for fiber, table in zip(fibers[:2], tables):
-        fresh = FiberSegment(fiber.label, fiber.core_radius_nm, fiber.air_fill, fiber.length_m)
-        assert [_bits(c) for c in table.values()] == [
-            _bits(c) for c in disp.dispersion_table(fresh, wl).values()]
-        assert _bits(table["n_eff"]) == _bits(effective_index(fresh, wl))
-        series, alone = vars(fiber)["series"], disp._KSeries(fresh)
-        assert (series.lam_max_nm, repr(series._terms)) == (alone.lam_max_nm, repr(alone._terms))
-    with pytest.raises(ModeCutoffError) as batch:
-        next(tables)
-    with pytest.raises(ModeCutoffError) as alone:
-        effective_index(fibers[2], wl)
-    assert str(batch.value) == str(alone.value)
-
-
-def test_dispersion_tables_of_fibers_with_their_series_solve_only_the_table(monkeypatch):
-    # The first call solves the 65 series nodes with the 61 table rows (and
-    # the r = 200 nm fiber then bisects its guided limit); once every fiber
-    # holds its series only the rows are solved, with the same bits, since no
-    # row depends on the elements beside it.
+@pytest.mark.parametrize("fiber", [
+    pytest.param(FiberSegment("R948", 948.0, 0.296, 1.9), id="R948"),
+    pytest.param(FiberSegment("small", 200.0, 0.296, 1.0), id="r200")])
+def test_dispersion_table_reads_the_fiber_series_against_the_direct_solves(fiber, monkeypatch):
+    # Every column comes from the fiber's k(omega) series, so once the series
+    # is built the table solves nothing.  n_eff and k against the direct
+    # solves (measured <= 5.8e-15 relative), k1 and beta2 against the series'
+    # derivatives; the r = 200 nm series stops at its guided limit.
     wl = np.linspace(850.0, 1450.0, 61)
-    fibers = [FiberSegment("R948", 948.0, 0.296, 1.9), FiberSegment("small", 200.0, 0.296, 1.0)]
+    n_eff, k = effective_index(fiber, wl), propagation_constant(fiber, wl)
+    gvd(fiber, wl)  # builds the series
     solve, solved = disp._solve_neff, []
-    monkeypatch.setattr(disp, "_solve_neff", lambda r, f, x: (
-        solved.append(np.shape(x)), solve(r, f, x))[1])
-    first = [[_bits(c) for c in table.values()] for table in disp._dispersion_tables(fibers, wl)]
-    assert solved[0] == (disp.SERIES_DEGREE + 1 + wl.size,)
-    solved.clear()
-    again = [[_bits(c) for c in table.values()] for table in disp._dispersion_tables(fibers, wl)]
-    assert solved == [wl.shape] and again == first
-    solved.clear()
-    assert [_bits(c) for c in disp.dispersion_table(fibers[1], wl).values()] == first[1]
-    assert solved == [wl.shape]
+    monkeypatch.setattr(disp, "_solve_neff", lambda *a: solved.append(a) or solve(*a))
+    table = disp.dispersion_table(fiber, wl)
+    assert solved == []
+    assert list(table) == ["wavelength_nm", "n_eff", "k_rad_per_m", "k1_ps_per_m",
+                           "beta2_ps2_per_m"]
+    assert _bits(table["wavelength_nm"]) == _bits(wl)
+    np.testing.assert_allclose(table["n_eff"], n_eff, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(table["k_rad_per_m"], k, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(table["k1_ps_per_m"], group_slowness(fiber, wl) * 1e12,
+                               rtol=1e-13, atol=0)
+    np.testing.assert_allclose(table["beta2_ps2_per_m"], gvd(fiber, wl), rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("fiber", [

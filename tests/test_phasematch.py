@@ -89,9 +89,12 @@ def test_catalog_ordering_in_radius(pump_2nm):
     assert all(b < a for a, b in zip(li0, li0[1:]))
 
 
-def test_no_phase_matching_in_narrow_window(pump_2nm):
-    with pytest.raises(PhaseMatchError, match="no phase matching"):
-        solve_phase_match(catalog_fiber("S2"), pump_2nm, search_window_nm=(1090.0, 1120.0))
+def test_no_phase_matching_in_narrow_window():
+    # A pump below S2's 942 nm zero-dispersion wavelength: no signal in its
+    # window phase-matches.
+    with pytest.raises(PhaseMatchError, match=r"no phase matching .* in signal window "
+                                              r"\[930, 1420\] nm"):
+        solve_phase_match(catalog_fiber("S2"), PumpSpec(920.0, 2.0))
 
 
 def test_gvm_curve_marks_absent_points():
@@ -157,7 +160,7 @@ def test_agvm_roots_refuses_a_sweep_that_cannot_bracket(pumps, message):
     assert str(info.value) == message
 
 
-def _phase_match_outcomes(fiber, pumps, window):
+def _phase_match_outcomes(fiber, pumps):
     """repr of each pump's point (types included) or its error, and the
     warnings issued, from one batched call and from one call per pump."""
     def outcomes(points):
@@ -166,10 +169,10 @@ def _phase_match_outcomes(fiber, pumps, window):
 
     with warnings.catch_warnings(record=True) as batch_warnings:
         warnings.simplefilter("always")
-        batch = outcomes(_phase_match(fiber, pumps, window))
+        batch = outcomes(_phase_match(fiber, pumps))
     with warnings.catch_warnings(record=True) as alone_warnings:
         warnings.simplefilter("always")
-        alone = outcomes([_phase_match(fiber, [p], window)[0] for p in pumps])
+        alone = outcomes([_phase_match(fiber, [p])[0] for p in pumps])
     return ((batch, [str(w.message) for w in batch_warnings]),
             (alone, [str(w.message) for w in alone_warnings]))
 
@@ -186,19 +189,28 @@ def test_batched_phase_match_matches_one_pump_calls_on_benchmark_sweeps(seed):
     lams = np.concatenate((np.linspace(*cfg["sweep"]["pump_range_nm"], cfg["sweep"]["n_points"]),
                            _OFF_SWEEP_NM))
     (batch, batch_warnings), (alone, alone_warnings) = _phase_match_outcomes(
-        fiber, lams.tolist(), None)
+        fiber, lams.tolist())
     assert batch == alone and batch_warnings == alone_warnings
     assert sum(o.startswith("PhaseMatchError") for o in batch) >= 2
 
 
 @pytest.mark.parametrize("window", [None, (1090.0, 1120.0), (1380.0, 1440.0)])
 def test_batched_phase_match_matches_one_pump_calls_on_the_catalog(window):
-    pumps_nm = [1060.0, PUMP_NM, 1080.0]
+    # window: a pump range swept on four points, every pump phase-matched
+    # in (1090, 1120) nm and none in (1380, 1440) nm; None: hand-picked
+    # pumps, the 920 nm one below every catalog fiber's zero-dispersion
+    # wavelength, with no root in its signal window.
+    pumps_nm = [1060.0, PUMP_NM, 1080.0, 920.0] if window is None else \
+        np.linspace(*window, 4).tolist()
     for label in CATALOG:
         fiber = catalog_fiber(label)
-        (batch, batch_warnings), (alone, alone_warnings) = _phase_match_outcomes(
-            fiber, pumps_nm, window)
+        (batch, batch_warnings), (alone, alone_warnings) = _phase_match_outcomes(fiber, pumps_nm)
         assert batch == alone and batch_warnings == alone_warnings
-        if window is None:  # the pump's width does not enter the linearization
-            for fwhm in (2.0, 5.0):
-                assert batch[1] == repr(solve_phase_match(fiber, PumpSpec(PUMP_NM, fwhm)))
+        if window is not None:
+            found = [o.startswith("PhaseMatchPoint(") for o in batch]
+            assert found == [window == (1090.0, 1120.0)] * len(pumps_nm), (label, batch)
+            continue
+        assert batch[3].startswith("PhaseMatchError: no phase matching")
+        # The pump's width does not enter the linearization.
+        for fwhm in (2.0, 5.0):
+            assert batch[1] == repr(solve_phase_match(fiber, PumpSpec(PUMP_NM, fwhm)))

@@ -15,13 +15,14 @@ bisects its guided-mode limit (``series_build_r200``), and the full-model
 ``build_jsa`` of S2 (0.3 m) on its 512x512 grid, whose fiber has solved its
 phase matching before; then the in-process ``dispersion`` and ``gvm-curve`` CLI
 calls on the configs of the benchmark's seed-1 ``dispersion_curves`` and
-``gvm_sweep`` steps (``perfbench/workloads.py``), and the one mode-solver
-call of that ``dispersion`` call alone (``solve_neff_504``: 4 fibers x
-(65 series nodes + 61 table wavelengths)).  Prints one JSON object: the
-median over the repeats (ms per call), the mode-solver (``_solve_neff``)
-and Brent (``_brentq``, bound in ``dispersion`` or ``phasematch``) calls one
-of each of those CLI calls makes, the core count and the OpenBLAS builds
-and thread counts the process loaded.  ``--src`` times the package under
+``gvm_sweep`` steps (``perfbench/workloads.py``), and the first mode-solver
+call of that ``dispersion`` call alone, keyed by its element count
+(``solve_neff_65``: one fiber's series nodes; ``solve_neff_504`` where one
+call batched 4 fibers x (65 series nodes + 61 table wavelengths)).  Prints
+one JSON object: the median over the repeats (ms per call), the mode-solver
+(``_solve_neff``) and Brent (``_brentq``, bound in ``dispersion`` or
+``phasematch``) calls one of each of those CLI calls makes, the core count
+and the OpenBLAS builds and thread counts the process loaded.  ``--src`` times the package under
 another checkout's ``src/`` the same way, older ones too, whose series
 build takes a mode model.
 """
@@ -133,8 +134,8 @@ def main() -> int:
         calls[f"cli_{step}_seed1"]()
         for module, name, fn in saved:
             setattr(module, name, fn)
-    solve, solve_args, _ = seen["_solve_neff"][0]  # the dispersion call's one
-    calls["solve_neff_504"] = lambda: solve(*solve_args)
+    solve, solve_args, _ = seen["_solve_neff"][0]  # the dispersion call's first
+    calls[f"solve_neff_{np.broadcast(*solve_args).size}"] = lambda: solve(*solve_args)
     layers = {name: _median_ms(fn, args.repeats) for name, fn in calls.items()}
     work.cleanup()
     print(json.dumps({"repeats": args.repeats, "nproc": os.cpu_count(),

@@ -11,13 +11,19 @@ Both sides read the same config files from this checkout, so their
 manifests record the same config hash.  Prints each output file that
 differs or exists on one side only, and each run that fails, then a
 summary; exits 1 on any of them and 0 when every file is byte-identical.
+A differing CSV also reports the largest relative difference over its
+numeric cells, so that a rounding-level change shows its size.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import importlib.util
+import io
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -70,6 +76,24 @@ def _files(out: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.is_dir() else {}
 
 
+def _csv_change(parent: bytes, this: bytes) -> str:
+    """How two CSVs differ: the largest relative difference over the numeric
+    cells they hold at the same place, or that their shapes differ."""
+    rows = [list(csv.reader(io.StringIO(side.decode()))) for side in (parent, this)]
+    if [len(row) for row in rows[0]] != [len(row) for row in rows[1]]:
+        return "rows or columns differ"
+    worst = 0.0
+    for a, b in zip(*map(itertools.chain.from_iterable, rows)):
+        try:
+            x, y = float(a), float(b)
+        except ValueError:
+            continue
+        if x != y and not (math.isnan(x) and math.isnan(y)):
+            rel = abs(x - y) / max(abs(x), abs(y))
+            worst = max(worst, math.inf if math.isnan(rel) else rel)
+    return f"largest relative difference {worst:.3g} over numeric cells"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, type=Path,
@@ -93,10 +117,16 @@ def main() -> int:
                     files[side] = _files(out)
                 for file in sorted(files["parent"].keys() | files["this"].keys()):
                     compared += 1
-                    if files["parent"].get(file) != files["this"].get(file):
+                    parent, this = files["parent"].get(file), files["this"].get(file)
+                    if parent != this:
                         missing = [s for s in sides if file not in files[s]]
-                        print(f"{label}: {file} "
-                              + (f"missing on {missing[0]}" if missing else "differs"))
+                        if missing:
+                            change = f"missing on {missing[0]}"
+                        elif file.endswith(".csv"):
+                            change = f"differs ({_csv_change(parent, this)})"
+                        else:
+                            change = "differs"
+                        print(f"{label}: {file} {change}")
                         problems += 1
     print(f"{len(runs)} runs x {len(BLAS_THREADS)} thread counts, {compared} files compared, "
           f"{problems} differences or failures")
