@@ -14,7 +14,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from ._scipy import scipy_version
-from .correlation import G2Row, g2_streamed, g2_table
+from .correlation import g2_table
 from .dispersion import (
     TWO_PI_C,
     FiberSegment,
@@ -33,7 +33,7 @@ from .dispersion import (
     read_gvd_csv,
 )
 from .phasematch import PhaseMatchPoint, PumpSpec, agvm_roots, gvm_curve, solve_phase_match
-from .planner import SegmentPool, _scored_orders, plan_exhaustive
+from .planner import SegmentPool, plan_exhaustive
 from .spectra import (
     DEFAULT_LOBES,
     DEFAULT_PAD_SIGMAS,
@@ -497,10 +497,9 @@ def _assembly_record(name: str, assembly: AssemblySpec) -> dict:
     }
 
 
-def _jsa_entry(name: str, assembly: AssemblySpec, pump: PumpSpec, jsa_args: dict) -> dict:
+def _jsa_entry(name: str, pump_fwhm_nm: float, grid: FrequencyGrid) -> dict:
     """The manifest's record of one JSA that g2-table or plan streams."""
-    grid = jsa_grid(assembly, pump, **jsa_args)
-    return {"name": name, "pump_fwhm_nm": pump.fwhm_nm,
+    return {"name": name, "pump_fwhm_nm": pump_fwhm_nm,
             "ns": int(grid.signal.size), "ni": int(grid.idler.size)}
 
 
@@ -653,7 +652,8 @@ def _cmd_filter_scan(cfg: SimpleNamespace, out: _OutputSet) -> dict:
     return {}
 
 
-_G2_HEADER = [f.name for f in fields(G2Row)]
+#: The columns of a G2Row, as g2.csv and g2_table.csv name them.
+_G2 = ("configuration", "total_length_m", "pump_fwhm_nm", "g2", "schmidt_number", "purity")
 
 
 def _cmd_g2(cfg: SimpleNamespace, out: _OutputSet) -> dict:
@@ -661,11 +661,9 @@ def _cmd_g2(cfg: SimpleNamespace, out: _OutputSet) -> dict:
     named = _named_assemblies(cfg, pump)
     if len(named) != 1:
         raise ConfigError("g2 works on a single assembly; use g2-table for sets")
-    name, assembly = named[0]
-    grid = jsa_grid(assembly, pump, **_jsa_args(cfg))
-    g2, _ = g2_streamed(assembly, pump, grid)
-    out.add_csv("g2.csv", _G2_HEADER, [astuple(G2Row.from_g2(name, assembly, pump, g2))])
-    return {"grid": _grid_record(grid)}
+    rows = g2_table(named, [pump], **_jsa_args(cfg))
+    out.add_csv("g2.csv", _G2, [[getattr(row, col) for col in _G2] for row in rows])
+    return {"grid": _grid_record(rows[0].grid)}
 
 
 def _cmd_g2_table(cfg: SimpleNamespace, out: _OutputSet) -> dict:
@@ -674,12 +672,9 @@ def _cmd_g2_table(cfg: SimpleNamespace, out: _OutputSet) -> dict:
         raise ConfigError("missing required field assemblies")
     fwhms = cfg.pump_fwhms_nm or [pump.fwhm_nm]
     pumps = [replace(pump, fwhm_nm=fw) for fw in fwhms]
-    configurations = _named_assemblies(cfg, pumps[0])
-    jsa_args = _jsa_args(cfg)
-    rows = g2_table(configurations, pumps, **jsa_args)
-    out.add_csv("g2_table.csv", _G2_HEADER, map(astuple, rows))
-    return {"jsas": [_jsa_entry(name, assembly, p, jsa_args)
-                     for name, assembly in configurations for p in pumps]}
+    rows = g2_table(_named_assemblies(cfg, pumps[0]), pumps, **_jsa_args(cfg))
+    out.add_csv("g2_table.csv", _G2, [[getattr(row, col) for col in _G2] for row in rows])
+    return {"jsas": [_jsa_entry(row.configuration, row.pump_fwhm_nm, row.grid) for row in rows]}
 
 
 def _cmd_plan(cfg: SimpleNamespace, out: _OutputSet) -> dict:
@@ -697,8 +692,7 @@ def _cmd_plan(cfg: SimpleNamespace, out: _OutputSet) -> dict:
         tolerance_m=cfg.planner["tolerance_m"],
         max_segments=cfg.planner["max_segments"],
     )
-    jsa_args = _jsa_args(cfg)
-    plan = plan_exhaustive(pool, pump, max_plans=cfg.planner["max_plans"], **jsa_args)
+    plan = plan_exhaustive(pool, pump, max_plans=cfg.planner["max_plans"], **_jsa_args(cfg))
     out.add_csv("plan_spectrum.csv", ["x_nm", "intensity"],
                 _spectrum_rows(plan.predicted_spectrum))
     lengths = " ".join(_fmt(segments[i].length_m) for i in plan.order)
@@ -710,9 +704,8 @@ def _cmd_plan(cfg: SimpleNamespace, out: _OutputSet) -> dict:
         f"predicted_g2: {_fmt(plan.predicted_g2)}",
         "spectrum_csv: plan_spectrum.csv",
     ]) + "\n")
-    return {"jsas": [_jsa_entry("+".join(pool.candidates[i][0] for i in order),
-                                AssemblySpec(tuple(segments[i] for i in order)), pump, jsa_args)
-                     for order in _scored_orders(pool)]}
+    return {"jsas": [_jsa_entry("+".join(scored.labels), pump.fwhm_nm, scored.grid)
+                     for scored in plan.scored]}
 
 
 _HANDLERS = {

@@ -19,7 +19,7 @@ spectrum and serves as their oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -225,32 +225,32 @@ def schmidt_decompose(jsa: JsaGrid) -> SchmidtResult:
 
 @dataclass(frozen=True)
 class G2Row:
+    """One g2_table row, from a single Gram evaluation: purity P = g2 - 1,
+    K = 1/P; and the grid its JSA was filled on."""
+
     configuration: str
     total_length_m: float
     pump_fwhm_nm: float
     g2: float
     schmidt_number: float
     purity: float
-
-    @classmethod
-    def from_g2(cls, configuration: str, assembly: AssemblySpec, pump: PumpSpec,
-                g2: float) -> "G2Row":
-        """One row from a single Gram evaluation: purity P = g2 - 1, K = 1/P."""
-        purity = g2 - 1.0  # exact for g2 in [1, 2] (Sterbenz), so g2 == 1 + purity
-        return cls(configuration, assembly.total_length_m, pump.fwhm_nm, g2, 1.0 / purity, purity)
+    grid: FrequencyGrid = field(repr=False, compare=False)
 
 
-def g2_table(configurations, pumps, grid: FrequencyGrid | None = None,
-             ns: int = 512, ni: int = 512, **grid_kwargs) -> list[G2Row]:
-    """g2 / Schmidt number / purity for labelled assemblies at several pumps.
+def g2_table(configurations, pumps, **grid_kwargs) -> list[G2Row]:
+    """g2 / Schmidt number / purity for labelled assemblies at several pumps,
+    each on jsa_grid(assembly, pump, **grid_kwargs).
 
     ``configurations`` holds (label, AssemblySpec) pairs; ``pumps`` one
     PumpSpec per bandwidth column.  Rows are emitted configuration-major in
     input order.
     """
-    return [
-        G2Row.from_g2(label, assembly, pump, g2_streamed(
-            assembly, pump, jsa_grid(assembly, pump, grid, ns, ni, **grid_kwargs))[0])
-        for label, assembly in configurations
-        for pump in pumps
-    ]
+    rows = []
+    for label, assembly in configurations:
+        for pump in pumps:
+            grid = jsa_grid(assembly, pump, **grid_kwargs)
+            g2, _ = g2_streamed(assembly, pump, grid)
+            purity = g2 - 1.0  # exact for g2 in [1, 2] (Sterbenz), so g2 == 1 + purity
+            rows.append(G2Row(label, assembly.total_length_m, pump.fwhm_nm, g2, 1.0 / purity,
+                              purity, grid))
+    return rows

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .correlation import g2_streamed
 from .phasematch import PumpSpec
-from .spectra import AssemblySegment, AssemblySpec, Spectrum1D, jsa_grid
+from .spectra import AssemblySegment, AssemblySpec, FrequencyGrid, Spectrum1D, jsa_grid
 
 
 class PlanSpaceError(RuntimeError):
@@ -63,13 +63,17 @@ class SegmentPool:
 
 @dataclass(frozen=True)
 class SplicePlan:
-    """An ordered selection with its predicted performance."""
+    """An ordered selection with its predicted performance and the grid its JSA
+    was filled on.  A planner's result lists in ``scored`` each plan it filled
+    a JSA for, in fill order and in the orientation evaluate_plan fills."""
 
     order: tuple[int, ...]
     labels: tuple[str, ...]
     total_length_m: float
     predicted_g2: float
     predicted_spectrum: Spectrum1D = field(repr=False)
+    grid: FrequencyGrid = field(repr=False, compare=False)
+    scored: tuple["SplicePlan", ...] = field(default=(), repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.order)) != len(self.order):
@@ -77,7 +81,7 @@ class SplicePlan:
 
 
 def evaluate_plan(order, pool: SegmentPool, pump: PumpSpec,
-                  ns: int = 512, ni: int = 512, **grid_kwargs) -> tuple[float, Spectrum1D]:
+                  **grid_kwargs) -> tuple[float, Spectrum1D]:
     """Predicted g2 and signal spectrum of the assembly spliced in this order.
 
     A splice and its mirror image share both.  Reversing a linearized
@@ -85,7 +89,7 @@ def evaluate_plan(order, pool: SegmentPool, pump: PumpSpec,
     P + Q is the total mismatch phase; that leaves |f| and the Schmidt
     spectrum unchanged.  Both orders are therefore evaluated in the
     lexicographically smaller orientation, so that mirror images tie exactly
-    rather than by rounding noise.
+    rather than by rounding noise.  ``grid_kwargs`` go to jsa_grid.
     """
     order = tuple(order)
     if not order:
@@ -94,10 +98,13 @@ def evaluate_plan(order, pool: SegmentPool, pump: PumpSpec,
         raise ValueError(f"plan indices {order} out of range")
     if len(set(order)) != len(order):
         raise ValueError("plan indices must be distinct")
-    order = min(order, order[::-1])
-    assembly = AssemblySpec(tuple(pool.candidates[i][1] for i in order), "linearized")
-    return g2_streamed(assembly, pump, jsa_grid(assembly, pump, ns=ns, ni=ni, **grid_kwargs),
+    assembly = _assembly(min(order, order[::-1]), pool)
+    return g2_streamed(assembly, pump, jsa_grid(assembly, pump, **grid_kwargs),
                        signal_marginal=True)
+
+
+def _assembly(order: tuple[int, ...], pool: SegmentPool) -> AssemblySpec:
+    return AssemblySpec(tuple(pool.candidates[i][1] for i in order), "linearized")
 
 
 def _feasible_subsets(pool: SegmentPool) -> list[tuple[int, ...]]:
@@ -106,18 +113,15 @@ def _feasible_subsets(pool: SegmentPool) -> list[tuple[int, ...]]:
             for combo in itertools.combinations(idx, size) if pool.is_feasible(combo)]
 
 
-def _scored_orders(pool: SegmentPool) -> list[tuple[int, ...]]:
-    """The orders whose JSA plan_exhaustive evaluates, in its order: each
-    mirror pair once, in the orientation evaluate_plan builds."""
-    return [order for subset in _feasible_subsets(pool)
-            for order in itertools.permutations(subset) if order <= order[::-1]]
-
-
-def _plan(order: tuple[int, ...], pool: SegmentPool, g2: float,
-          spectrum: Spectrum1D) -> SplicePlan:
+def _score(order: tuple[int, ...], pool: SegmentPool, pump: PumpSpec,
+           grid_kwargs: dict) -> SplicePlan:
+    """The plan of ``order``, the orientation of a mirror pair that
+    evaluate_plan fills (order <= order[::-1]), on the grid sized here once."""
+    grid = jsa_grid(_assembly(order, pool), pump, **grid_kwargs)
+    g2, spectrum = evaluate_plan(order, pool, pump, grid=grid)
     return SplicePlan(order=order, labels=tuple(pool.candidates[i][0] for i in order),
                       total_length_m=pool.total_length_m(order), predicted_g2=g2,
-                      predicted_spectrum=spectrum)
+                      predicted_spectrum=spectrum, grid=grid)
 
 
 def _rank(plan: SplicePlan) -> tuple:
@@ -127,7 +131,7 @@ def _rank(plan: SplicePlan) -> tuple:
 
 
 def plan_exhaustive(pool: SegmentPool, pump: PumpSpec, max_plans: int = 100_000,
-                    ns: int = 512, ni: int = 512, **grid_kwargs) -> SplicePlan:
+                    **grid_kwargs) -> SplicePlan:
     """Global argmax of predicted g2 over all feasible ordered subsets."""
     subsets = _feasible_subsets(pool)
     if not subsets:
@@ -144,8 +148,9 @@ def plan_exhaustive(pool: SegmentPool, pump: PumpSpec, max_plans: int = 100_000,
         )
     # A mirror image ties on g2 and length and loses on order, so scoring
     # the smaller orientation of each pair alone gives the same argmax.
-    return min((_plan(order, pool, *evaluate_plan(order, pool, pump, ns=ns, ni=ni, **grid_kwargs))
-                for order in _scored_orders(pool)), key=_rank)
+    scored = tuple(_score(order, pool, pump, grid_kwargs) for subset in subsets
+                   for order in itertools.permutations(subset) if order <= order[::-1])
+    return replace(min(scored, key=_rank), scored=scored)
 
 
 def _greedy_seed(pool: SegmentPool) -> tuple[int, ...] | None:
@@ -171,8 +176,7 @@ def _greedy_seed(pool: SegmentPool) -> tuple[int, ...] | None:
 _GREEDY_MAX_ROUNDS = 100
 
 
-def plan_greedy(pool: SegmentPool, pump: PumpSpec,
-                ns: int = 512, ni: int = 512, **grid_kwargs) -> SplicePlan:
+def plan_greedy(pool: SegmentPool, pump: PumpSpec, **grid_kwargs) -> SplicePlan:
     """Cluster-then-improve heuristic.
 
     Seeds with the feasible set of smallest signal-wavelength spread (grown
@@ -186,13 +190,14 @@ def plan_greedy(pool: SegmentPool, pump: PumpSpec,
             f"no subset of the pool meets total length "
             f"{pool.target_total_length_m} +/- {pool.effective_tolerance_m} m"
         )
-    scores: dict = {}  # by orientation: rounds revisit orders, and mirror pairs tie
+    scored: dict = {}  # by orientation: rounds revisit orders, and mirror pairs tie
 
     def plan_for(order: tuple[int, ...]) -> SplicePlan:
         key = min(order, order[::-1])
-        if key not in scores:
-            scores[key] = evaluate_plan(key, pool, pump, ns=ns, ni=ni, **grid_kwargs)
-        return _plan(order, pool, *scores[key])
+        if key not in scored:
+            scored[key] = _score(key, pool, pump, grid_kwargs)
+        return replace(scored[key], order=order,
+                       labels=tuple(pool.candidates[i][0] for i in order))
 
     current = plan_for(seed)
     for _ in range(_GREEDY_MAX_ROUNDS):
@@ -214,6 +219,6 @@ def plan_greedy(pool: SegmentPool, pump: PumpSpec,
         better = [plan for plan in map(plan_for, moves)
                   if plan.predicted_g2 > current.predicted_g2 + 1e-15]
         if not better:
-            return current
+            break
         current = min(better, key=_rank)
-    return current
+    return replace(current, scored=tuple(scored.values()))

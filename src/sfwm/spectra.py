@@ -92,7 +92,8 @@ class AssemblySpec:
 
     @property
     def total_length_m(self) -> float:
-        return float(sum(s.length_m for s in self.segments))
+        """Exactly rounded sum, so a splice and its mirror image agree."""
+        return math.fsum(s.length_m for s in self.segments)
 
 
 def assembly_from_fibers(fibers, pump: PumpSpec, model_mode: str = "linearized") -> AssemblySpec:
@@ -454,10 +455,9 @@ def _amplitude_blocks(assembly: AssemblySpec, pump: PumpSpec, grid: FrequencyGri
 
 
 def build_jsa(assembly: AssemblySpec, pump: PumpSpec, grid: FrequencyGrid | None = None,
-              ns: int = 512, ni: int = 512, lobes: float = DEFAULT_LOBES,
-              pad_sigmas: float = DEFAULT_PAD_SIGMAS) -> JsaGrid:
-    """Sample alpha * phi on the grid (auto-sized when not supplied)."""
-    grid = jsa_grid(assembly, pump, grid, ns, ni, lobes, pad_sigmas)
+              **grid_kwargs) -> JsaGrid:
+    """Sample alpha * phi on jsa_grid(assembly, pump, grid, **grid_kwargs)."""
+    grid = jsa_grid(assembly, pump, grid, **grid_kwargs)
     (_, amp), = _amplitude_blocks(assembly, pump, grid, grid.signal.size)
     return JsaGrid(grid, amp, pump, assembly)
 

@@ -577,12 +577,19 @@ def test_bundled_g2_table_matches_reference(tmp_path):
 
 
 
-def test_g2_table_and_plan_manifests_record_each_jsa(tmp_path):
+def test_g2_table_and_plan_manifests_record_each_jsa(tmp_path, monkeypatch):
     # Neither subcommand stores an amplitude, so the manifest records the
     # grid of every JSA it streams: one entry each, in evaluation order.
-    from sfwm import build_jsa
-    from sfwm.cli import _build_assembly, _jsa_args
+    import sfwm.correlation
 
+    filled = []
+    real_blocks = sfwm.correlation._amplitude_blocks
+
+    def spy(assembly, pump, grid, *args, **kwargs):
+        filled.append((grid.signal.size, grid.idler.size))
+        return real_blocks(assembly, pump, grid, *args, **kwargs)
+
+    monkeypatch.setattr(sfwm.correlation, "_amplitude_blocks", spy)
     seg3 = {**_SEG, "label": "S3", "core_radius_nm": 948.0,
             "phase_match": {"lambda_s0_nm": 1417.3, "tau_s_ps_per_m": 3.3, "theta_rad": 0.001}}
     seg4 = {**_SEG, "label": "S4", "core_radius_nm": 948.5,
@@ -591,23 +598,27 @@ def test_g2_table_and_plan_manifests_record_each_jsa(tmp_path):
                         assemblies=[{"name": "S2+S3", "segments": ["S2", "S3"]},
                                     {"name": "S4", "segments": ["S4"]}],
                         planner={"target_total_length_m": 0.6, "tolerance_m": 0.0})
-    assert run("g2-table", path, out_dir=tmp_path / "table") == 0
-    assert run("plan", path, out_dir=tmp_path / "plan") == 0
-    table = json.loads((tmp_path / "table" / "manifest.json").read_text())["jsas"]
-    plan = json.loads((tmp_path / "plan" / "manifest.json").read_text())["jsas"]
+    manifests = {}
+    for subcommand in ("g2-table", "plan"):
+        filled.clear()
+        assert run(subcommand, path, out_dir=tmp_path / subcommand) == 0
+        manifests[subcommand] = json.loads(
+            (tmp_path / subcommand / "manifest.json").read_text())["jsas"]
+        # Each entry is the grid that one fill received, in fill order.
+        assert [(e["ns"], e["ni"]) for e in manifests[subcommand]] == filled
+    table, plan = manifests["g2-table"], manifests["plan"]
     assert [(e["name"], e["pump_fwhm_nm"]) for e in table] == [
         ("S2+S3", 2.0), ("S2+S3", 5.0), ("S4", 2.0), ("S4", 5.0)]
     assert [e["name"] for e in plan] == ["S2+S3", "S2+S4", "S3+S4"]
     assert {e["pump_fwhm_nm"] for e in plan} == {2.0}
-    # Each entry is the grid build_jsa samples for that assembly and pump.
-    cfg = load_config(path)
-    pump = cfg.pump
-    for entry in plan:
-        labels = entry["name"].split("+")
-        assembly = _build_assembly(cfg, [(label, None) for label in labels], pump)
-        grid = build_jsa(assembly, pump, **_jsa_args(cfg)).grid
-        assert (entry["ns"], entry["ni"]) == (grid.signal.size, grid.idler.size)
     assert len({(e["ns"], e["ni"]) for e in table}) > 1
+    # g2 records the one grid it fills.
+    (tmp_path / "single").mkdir()
+    single = small_config(tmp_path / "single", segments=[_SEG, seg3], assembly=["S2", "S3"])
+    filled.clear()
+    assert run("g2", single, out_dir=tmp_path / "g2") == 0
+    grid = json.loads((tmp_path / "g2" / "manifest.json").read_text())["grid"]
+    assert [(grid["ns"], grid["ni"])] == filled
 
 
 _DROP = object()
@@ -832,3 +843,18 @@ def test_benchmark_traces_only_public_functions_that_exist():
         obj = getattr(module, function, None)
         assert not function.startswith("_") and inspect.isfunction(obj), f"{layer}.{function}"
         assert obj.__module__ == module.__name__, f"{layer}.{function}"
+
+
+def test_cli_imports_no_private_name_from_the_evaluation_layers():
+    # The command line formats what the evaluation returns.  A private import
+    # from these layers is how a replay of their work (a planner's scoring
+    # order, a second grid sizing) would come back.
+    import ast
+
+    layers = {"planner", "correlation", "dispersion"}
+    tree = ast.parse((REPO / "src" / "sfwm" / "cli.py").read_text())
+    imported = [(node.module.split(".")[-1], alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module
+                and node.module.split(".")[-1] in layers for alias in node.names]
+    assert {module for module, _ in imported} == layers
+    assert [(m, name) for m, name in imported if name.startswith("_")] == []

@@ -5,8 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
-from sfwm import PumpSpec, build_jsa, evaluate_plan, g2_quadrature, plan_exhaustive, plan_greedy
-from sfwm.planner import PlanSpaceError, SegmentPool, _scored_orders
+from sfwm import (AssemblySpec, PumpSpec, build_jsa, evaluate_plan, g2_quadrature,
+                  plan_exhaustive, plan_greedy)
+from sfwm.planner import PlanSpaceError, SegmentPool
 
 from conftest import (
     CATALOG,
@@ -215,6 +216,10 @@ def test_planners_break_mirror_ties_on_the_exact_total_length():
     for plan in (plan_exhaustive(pool, PUMP, **kwargs), plan_greedy(pool, PUMP, **kwargs)):
         assert plan.order == (0, 2, 1)
         assert plan.total_length_m == 0.6
+    # The assembly's own sum agrees, in either orientation.
+    segments = tuple(seg for _, seg in pool.candidates)
+    assert AssemblySpec(segments).total_length_m == AssemblySpec(segments[::-1]).total_length_m
+    assert AssemblySpec(segments).total_length_m == 0.6
 
 
 @pytest.mark.parametrize("target_m, n_orders, n_builds", [(0.6, 12, 6), (0.9, 24, 12)],
@@ -233,9 +238,9 @@ def test_exhaustive_builds_one_jsa_per_mirror_pair(monkeypatch, target_m, n_orde
     built = _count_builds(monkeypatch)
     plan = plan_exhaustive(pool, PUMP, **FAST)
     assert len(built) == n_builds
-    # In the order that the plan manifest records its JSAs.
+    # plan.scored, which the plan manifest records, lists them in fill order.
     assert [assembly.segments for assembly in built] == [
-        tuple(pool.candidates[i][1] for i in order) for order in _scored_orders(pool)]
+        tuple(pool.candidates[i][1] for i in scored.order) for scored in plan.scored]
     assert plan.order == best[0]
     assert plan.predicted_g2 == best[1]
     assert np.array_equal(plan.predicted_spectrum.values, best[2].values)
@@ -261,8 +266,13 @@ def test_greedy_result_pinned_and_builds_once_per_mirror_pair(monkeypatch, label
 
     monkeypatch.setattr(sfwm.planner, "evaluate_plan", recording)
     built = _count_builds(monkeypatch)
-    plan = plan_greedy(catalog_pool(labels, target_m, tolerance_m=0.0), PUMP, **FAST)
+    pool = catalog_pool(labels, target_m, tolerance_m=0.0)
+    plan = plan_greedy(pool, PUMP, **FAST)
     assert plan.order == order
     assert plan.predicted_g2 == float.fromhex(g2_hex)
-    # One evaluation, and one JSA, per orientation visited.
+    # One evaluation, and one JSA, per orientation visited; plan.scored lists
+    # each once, in fill order.
     assert len(evaluated) == len(set(evaluated)) == len(built)
+    assert [scored.order for scored in plan.scored] == evaluated
+    assert [assembly.segments for assembly in built] == [
+        tuple(pool.candidates[i][1] for i in scored.order) for scored in plan.scored]
