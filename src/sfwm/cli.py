@@ -35,8 +35,6 @@ from .dispersion import (
 from .phasematch import PhaseMatchPoint, PumpSpec, agvm_roots, gvm_curve, solve_phase_match
 from .planner import SegmentPool, plan_exhaustive
 from .spectra import (
-    DEFAULT_LOBES,
-    DEFAULT_PAD_SIGMAS,
     AssemblySegment,
     AssemblySpec,
     FilterSpec,
@@ -73,7 +71,9 @@ class _Field:
     ends of a pair, or the length of a text or a list.  ``expect`` completes
     the "must be ..." message of texts, lists and ``choices``.  A default is
     a JSON value, checked like a given one.  ``rule`` checks relations inside
-    the parsed value.
+    the parsed value.  ``together`` names a sibling that must be given with
+    this field, ``excludes`` siblings that must not; both read the keys the
+    file gives, so a default never trips them.
     """
 
     kind: str = "number"
@@ -87,6 +87,8 @@ class _Field:
     choices: tuple = ()
     fields: dict | None = None  # of the object, or of each list item
     rule: Callable[[object, str], None] | None = None
+    together: str | None = None
+    excludes: tuple = ()
 
 
 def _finite(val) -> bool:
@@ -161,15 +163,24 @@ def _walk(obj, table: dict, path: str) -> dict:
     unknown = set(obj) - set(table)
     if unknown:
         raise ConfigError(f"unknown field {path}.{sorted(unknown)[0]}")
+
+    def at(key):
+        return key if path == "config" else f"{path}.{key}"
+
     out = {}
     for key, f in table.items():
-        sub = key if path == "config" else f"{path}.{key}"
         if key in obj:
-            out[key] = _value(f, obj[key], sub)
+            out[key] = _value(f, obj[key], at(key))
         elif f.required:
-            raise ConfigError(f"missing required field {sub}")
+            raise ConfigError(f"missing required field {at(key)}")
         else:
-            out[key] = None if f.default is None else _value(f, f.default, sub)
+            out[key] = None if f.default is None else _value(f, f.default, at(key))
+    for key, f in table.items():
+        if f.together and (key in obj) != (f.together in obj):
+            raise ConfigError(f"{at(key)} and {at(f.together)} must be given together")
+        for other in f.excludes:
+            if key in obj and other in obj:
+                raise ConfigError(f"{at(key)} and {at(other)} must not be given together")
     return out
 
 
@@ -187,12 +198,6 @@ def _element(val, path: str) -> tuple[str, float | None]:
         elem = _walk(val, _ELEMENT, path)
         return elem["label"], elem["length_m"]
     raise ConfigError(f"{path} must be a label or an object")
-
-
-def _gain_together(pump: dict, path: str) -> None:
-    if (pump["gamma_per_w_km"] is None) != (pump["peak_power_w"] is None):
-        raise ConfigError(f"{path}.gamma_per_w_km and {path}.peak_power_w "
-                          "must be given together")
 
 
 def _unique_labels(segments: list, path: str) -> None:
@@ -227,12 +232,6 @@ def _unique_names(assemblies: list, path: str) -> None:
                               f"{names[j]!r} give the same output file suffix")
 
 
-def _ranges_together(grid: dict, path: str) -> None:
-    if (grid["signal_range_nm"] is None) != (grid["idler_range_nm"] is None):
-        raise ConfigError(f"{path}.signal_range_nm and {path}.idler_range_nm "
-                          "must be given together")
-
-
 def _ascending(values: list, path: str) -> None:
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ConfigError(f"{path} must be strictly ascending")
@@ -253,22 +252,22 @@ _SEGMENT = {
     "label": _Field("text", required=True, lo=1, expect="a non-empty string",
                     rule=_file_name_part),
     "length_m": _Field(required=True, **_POSITIVE),
-    "core_radius_nm": _Field(**_POSITIVE),
+    "core_radius_nm": _Field(together="air_fill", **_POSITIVE),
     "air_fill": _Field(**_FRACTION),
     "phase_match": _Field("object", fields=_PHASE_MATCH),
 }
 
 #: The whole config, in the order its fields are checked.
 _CONFIG = {
-    "pump": _Field("object", rule=_gain_together, fields={
+    "pump": _Field("object", fields={
         "center_wavelength_nm": _Field(required=True, **_POSITIVE),
         "fwhm_nm": _Field(required=True, **_POSITIVE),
-        "gamma_per_w_km": _Field(lo=0),
+        "gamma_per_w_km": _Field(together="peak_power_w", lo=0),
         "peak_power_w": _Field(lo=0),
     }),
     "segments": _Field("list", default=[], expect="a list", fields=_SEGMENT,
                        rule=_unique_labels),
-    "assembly": _Field("elements"),
+    "assembly": _Field("elements", excludes=("assemblies",)),
     "assemblies": _Field("list", lo=1, expect="a non-empty list", rule=_unique_names,
                          fields={
         "name": _Field("text", required=True, lo=1, expect="a non-empty string"),
@@ -276,13 +275,15 @@ _CONFIG = {
     }),
     "pump_fwhms_nm": _Field("numbers", expect="a non-empty list of positive numbers",
                             **_POSITIVE),
-    "grid": _Field("object", default={}, rule=_ranges_together, fields={
+    "grid": _Field("object", default={}, fields={
         "ns": _Field("integer", lo=2, default=512),
         "ni": _Field("integer", lo=2, default=512),
-        "signal_range_nm": _Field("pair", **_POSITIVE),
+        # Explicit axes, or an auto-sized window that lobes and pad_sigmas set.
+        "signal_range_nm": _Field("pair", together="idler_range_nm",
+                                  excludes=("lobes", "pad_sigmas"), **_POSITIVE),
         "idler_range_nm": _Field("pair", **_POSITIVE),
-        "lobes": _Field(lo=0.5, default=DEFAULT_LOBES),
-        "pad_sigmas": _Field(lo=0, default=DEFAULT_PAD_SIGMAS),
+        "lobes": _Field(lo=0.5),
+        "pad_sigmas": _Field(lo=0),
     }),
     "model": _Field("text", default="linearized", choices=("linearized", "full"),
                     expect='"linearized" or "full"'),
@@ -291,7 +292,8 @@ _CONFIG = {
         "fwhm_nm": _Field(required=True, **_POSITIVE),
         "scan_range_nm": _Field("pair", **_POSITIVE),
         "n_centers": _Field("integer", lo=2, default=201),
-        "centers_nm": _Field("numbers", expect="a list of numbers", rule=_ascending),
+        "centers_nm": _Field("numbers", expect="a list of numbers", rule=_ascending,
+                             excludes=("scan_range_nm", "n_centers")),
     }),
     "planner": _Field("object", fields={
         "target_total_length_m": _Field(required=True, **_POSITIVE),
@@ -336,7 +338,7 @@ def load_config(path) -> SimpleNamespace:
 
 
 def _fiber(entry: dict, length_m: float | None = None) -> FiberSegment:
-    if entry["core_radius_nm"] is None or entry["air_fill"] is None:
+    if entry["core_radius_nm"] is None:  # the schema gives air_fill with it
         raise ConfigError(
             f"segment {entry['label']!r} needs core_radius_nm and air_fill for this command"
         )
@@ -373,9 +375,7 @@ def _build_assembly(cfg: SimpleNamespace, elems, pump: PumpSpec) -> AssemblySpec
             raise ConfigError(f"assembly references unknown segment label {label!r}")
         entry = cfg.segments[label]
         seg_len = length if length is not None else entry["length_m"]
-        fiber = None
-        if entry["core_radius_nm"] is not None and entry["air_fill"] is not None:
-            fiber = _fiber(entry, seg_len)
+        fiber = None if entry["core_radius_nm"] is None else _fiber(entry, seg_len)
         point = _point_for(entry, pump, fiber)
         if cfg.model == "full" and fiber is None:
             raise ConfigError(
@@ -385,8 +385,6 @@ def _build_assembly(cfg: SimpleNamespace, elems, pump: PumpSpec) -> AssemblySpec
 
 
 def _named_assemblies(cfg: SimpleNamespace, pump: PumpSpec) -> list[tuple[str, AssemblySpec]]:
-    if cfg.assembly is not None and cfg.assemblies is not None:
-        raise ConfigError("assembly and assemblies must not be given together")
     if cfg.assembly is not None:
         name = "+".join(label for label, _ in cfg.assembly)
         return [(name, _build_assembly(cfg, cfg.assembly, pump))]
@@ -399,25 +397,19 @@ def _named_assemblies(cfg: SimpleNamespace, pump: PumpSpec) -> list[tuple[str, A
 
 
 def _jsa_args(cfg: SimpleNamespace) -> dict:
-    """The build_jsa keyword arguments the config's grid block asks for."""
+    """The jsa_grid keyword arguments the config's grid block gives; jsa_grid's
+    own defaults stand for the rest."""
     g = cfg.grid
-    grid = None
+    args = {key: g[key] for key in ("ns", "ni", "lobes", "pad_sigmas") if g[key] is not None}
     if g["signal_range_nm"] is not None:
         # Endpoints are given in nm; the axes themselves are uniform in omega.
         def axis(rng, n):
             w_hi = TWO_PI_C / (rng[0] * 1e-9)
             w_lo = TWO_PI_C / (rng[1] * 1e-9)
             return np.linspace(w_lo, w_hi, n)
-        grid = FrequencyGrid(axis(g["signal_range_nm"], g["ns"]),
-                             axis(g["idler_range_nm"], g["ni"]))
-    return {"grid": grid, "ns": g["ns"], "ni": g["ni"], "lobes": g["lobes"],
-            "pad_sigmas": g["pad_sigmas"]}
-
-
-def _require_pump(cfg: SimpleNamespace) -> PumpSpec:
-    if cfg.pump is None:
-        raise ConfigError("missing required field pump")
-    return cfg.pump
+        args["grid"] = FrequencyGrid(axis(g["signal_range_nm"], g["ns"]),
+                                     axis(g["idler_range_nm"], g["ni"]))
+    return args
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +511,6 @@ def _suffix(name: str, multi: bool) -> str:
 
 
 def _cmd_dispersion(cfg: SimpleNamespace, out: _OutputSet) -> dict:
-    if not cfg.segments:
-        raise ConfigError("dispersion needs a segments list")
     lo, hi = cfg.dispersion["wavelength_range_nm"]
     wl = np.linspace(lo, hi, cfg.dispersion["n_points"])
     zdw_rows = []
@@ -540,8 +530,6 @@ def _cmd_dispersion(cfg: SimpleNamespace, out: _OutputSet) -> dict:
 
 
 def _cmd_fit(cfg: SimpleNamespace, out: _OutputSet) -> dict:
-    if cfg.fit is None:
-        raise ConfigError("missing required field fit")
     samples = read_gvd_csv(cfg.fit["gvd_csv"])
     result = fit_structure(
         samples,
@@ -553,13 +541,10 @@ def _cmd_fit(cfg: SimpleNamespace, out: _OutputSet) -> dict:
 
 
 def _cmd_phasematch(cfg: SimpleNamespace, out: _OutputSet) -> dict:
-    pump = _require_pump(cfg)
-    if not cfg.segments:
-        raise ConfigError("phasematch needs a segments list")
     rows = []
     for label, entry in cfg.segments.items():
         fiber = _fiber(entry)
-        pt = solve_phase_match(fiber, pump)
+        pt = solve_phase_match(fiber, cfg.pump)
         rows.append((label, fiber.core_radius_nm, fiber.air_fill, fiber.length_m,
                      *(getattr(pt, col) for col in _POINT)))
     out.add_csv("phasematch.csv", ["label", "core_radius_nm", "air_fill", "length_m", *_POINT],
@@ -568,8 +553,6 @@ def _cmd_phasematch(cfg: SimpleNamespace, out: _OutputSet) -> dict:
 
 
 def _cmd_gvm_curve(cfg: SimpleNamespace, out: _OutputSet) -> dict:
-    if cfg.sweep is None:
-        raise ConfigError("missing required field sweep")
     label = cfg.sweep["segment_label"] or next(iter(cfg.segments), None)
     if label is None or label not in cfg.segments:
         raise ConfigError("sweep.segment_label missing or unknown")
@@ -589,7 +572,7 @@ def _each_jsa(cfg: SimpleNamespace, write: Callable) -> dict:
     """Call ``write(suffix, name, assembly, pump, grid)`` for each named
     assembly on the grid its JSA is sampled on; returns the manifest's grid
     record(s)."""
-    pump = _require_pump(cfg)
+    pump = cfg.pump
     named = _named_assemblies(cfg, pump)
     multi = len(named) > 1
     jsa_args = _jsa_args(cfg)
@@ -637,9 +620,7 @@ def _filter_centers(cfg: SimpleNamespace, assembly: AssemblySpec) -> list[float]
 
 
 def _cmd_filter_scan(cfg: SimpleNamespace, out: _OutputSet) -> dict:
-    pump = _require_pump(cfg)
-    if cfg.filter is None:
-        raise ConfigError("missing required field filter")
+    pump = cfg.pump
     named = _named_assemblies(cfg, pump)
     multi = len(named) > 1
     for name, assembly in named:
@@ -657,32 +638,24 @@ _G2 = ("configuration", "total_length_m", "pump_fwhm_nm", "g2", "schmidt_number"
 
 
 def _cmd_g2(cfg: SimpleNamespace, out: _OutputSet) -> dict:
-    pump = _require_pump(cfg)
-    named = _named_assemblies(cfg, pump)
+    named = _named_assemblies(cfg, cfg.pump)
     if len(named) != 1:
         raise ConfigError("g2 works on a single assembly; use g2-table for sets")
-    rows = g2_table(named, [pump], **_jsa_args(cfg))
+    rows = g2_table(named, [cfg.pump], **_jsa_args(cfg))
     out.add_csv("g2.csv", _G2, [[getattr(row, col) for col in _G2] for row in rows])
     return {"grid": _grid_record(rows[0].grid)}
 
 
 def _cmd_g2_table(cfg: SimpleNamespace, out: _OutputSet) -> dict:
-    pump = _require_pump(cfg)
-    if cfg.assemblies is None:
-        raise ConfigError("missing required field assemblies")
-    fwhms = cfg.pump_fwhms_nm or [pump.fwhm_nm]
-    pumps = [replace(pump, fwhm_nm=fw) for fw in fwhms]
+    fwhms = cfg.pump_fwhms_nm or [cfg.pump.fwhm_nm]
+    pumps = [replace(cfg.pump, fwhm_nm=fw) for fw in fwhms]
     rows = g2_table(_named_assemblies(cfg, pumps[0]), pumps, **_jsa_args(cfg))
     out.add_csv("g2_table.csv", _G2, [[getattr(row, col) for col in _G2] for row in rows])
     return {"jsas": [_jsa_entry(row.configuration, row.pump_fwhm_nm, row.grid) for row in rows]}
 
 
 def _cmd_plan(cfg: SimpleNamespace, out: _OutputSet) -> dict:
-    pump = _require_pump(cfg)
-    if cfg.planner is None:
-        raise ConfigError("missing required field planner")
-    if not cfg.segments:
-        raise ConfigError("plan needs a segments list as the candidate pool")
+    pump = cfg.pump
     if cfg.model == "full":
         raise ConfigError("plan scores splices in the linearized model only; got model 'full'")
     segments = _build_assembly(cfg, [(label, None) for label in cfg.segments], pump).segments
@@ -708,17 +681,18 @@ def _cmd_plan(cfg: SimpleNamespace, out: _OutputSet) -> dict:
                      for scored in plan.scored]}
 
 
+#: Each subcommand's handler and the config fields it needs, checked in order.
 _HANDLERS = {
-    "dispersion": _cmd_dispersion,
-    "fit": _cmd_fit,
-    "phasematch": _cmd_phasematch,
-    "gvm-curve": _cmd_gvm_curve,
-    "jsa": _cmd_jsa,
-    "marginal": _cmd_marginal,
-    "filter-scan": _cmd_filter_scan,
-    "g2": _cmd_g2,
-    "g2-table": _cmd_g2_table,
-    "plan": _cmd_plan,
+    "dispersion": (_cmd_dispersion, ("segments",)),
+    "fit": (_cmd_fit, ("fit",)),
+    "phasematch": (_cmd_phasematch, ("pump", "segments")),
+    "gvm-curve": (_cmd_gvm_curve, ("sweep",)),
+    "jsa": (_cmd_jsa, ("pump",)),
+    "marginal": (_cmd_marginal, ("pump",)),
+    "filter-scan": (_cmd_filter_scan, ("pump", "filter")),
+    "g2": (_cmd_g2, ("pump",)),
+    "g2-table": (_cmd_g2_table, ("pump", "assemblies")),
+    "plan": (_cmd_plan, ("pump", "planner", "segments")),
 }
 
 
@@ -728,8 +702,12 @@ def run(subcommand: str, config_path, out_dir=None) -> int:
     try:
         cfg = load_config(config_path)
         stage = subcommand
+        handler, needs = _HANDLERS[subcommand]
+        for need in needs:
+            if not getattr(cfg, need):  # absent, or an empty segments list
+                raise ConfigError(f"missing required field {need}")
         out = _OutputSet(Path(out_dir) if out_dir else Path(cfg.output_dir))
-        extra = _HANDLERS[subcommand](cfg, out)
+        extra = handler(cfg, out)
         manifest = {
             "subcommand": subcommand,
             "config_sha256": cfg.raw_sha256,

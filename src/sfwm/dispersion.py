@@ -63,7 +63,7 @@ _BISECT_LEVELS = 4
 # per-call cost; beyond _SUM_BLOCK it sums blocks, keeping temporaries small.
 _FLOAT_SUM_MAX, _SUM_BLOCK = 24, 1 << 13
 
-# Residuals evaluated per step of the bracket march (rows x open columns).
+# Residuals per column chunk of the bracket table (rows x columns).
 _MARCH_CELLS = 1 << 14
 
 
@@ -171,30 +171,21 @@ def _first_brackets(fun, args, start: float, stop, num: int):
     """Per column, the first sign change of fun(u, *args) on the rows of
     np.linspace(start, stop, num); NaN where there is none.
 
-    The rows are marched in blocks of at most _MARCH_CELLS residuals over the
-    columns still open: a small batch takes every row in a step or two, a
-    large one a row per step, so memory stays O(columns)."""
+    The (num, columns) table of residuals is evaluated in chunks of
+    _MARCH_CELLS // num columns (at least one), so memory stays bounded
+    however many columns there are."""
     lo, hi = np.full((2, stop.size), np.nan)
-    cols = np.arange(stop.size)
     step = (stop - start) / (num - 1)  # row j is j * step + start, as in linspace
-    u_prev = np.full(stop.shape, start)
-    f_prev = fun(u_prev, *args)
-    j = 1
-    while j < num and cols.size:
-        rows = np.arange(j, min(num, j + max(1, _MARCH_CELLS // cols.size)))
-        u = np.concatenate((u_prev[None], rows[:, None] * step + start))
-        if rows[-1] == num - 1:
-            u[-1] = stop
-        f = np.concatenate((f_prev[None], fun(u[1:], *args)))
-        s = np.sign(f)
+    width = max(1, _MARCH_CELLS // num)
+    for c in range(0, stop.size, width):
+        cols = slice(c, c + width)
+        u = np.arange(num)[:, None] * step[cols] + start
+        u[0], u[-1] = start, stop[cols]
+        s = np.sign(fun(u, *(x[cols] for x in args)))
         change = s[:-1] * s[1:] < 0  # False wherever a residual is NaN
         found = change.any(axis=0)
         at, first = np.flatnonzero(found), change.argmax(axis=0)[found]
-        lo[cols[at]], hi[cols[at]] = u[first, at], u[first + 1, at]
-        keep = ~found
-        cols, stop, step = cols[keep], stop[keep], step[keep]
-        u_prev, f_prev, args = u[-1, keep], f[-1, keep], tuple(x[keep] for x in args)
-        j = rows[-1] + 1
+        lo[c + at], hi[c + at] = u[first, at], u[first + 1, at]
     return lo, hi
 
 

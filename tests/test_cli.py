@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.constants import c
 
-from sfwm.cli import ConfigError, load_config, run
+from sfwm.cli import _HANDLERS, ConfigError, load_config, run
 
 from conftest import benchmark_config
 
@@ -104,16 +104,17 @@ def test_rejects_inconsistent_idler_override(tmp_path, capsys):
     assert "energy conservation" in record["message"]
 
 
-@pytest.mark.parametrize("subcommand", ["g2-table", "jsa"])
+@pytest.mark.parametrize("subcommand", ["g2-table", "jsa", "dispersion"])
 def test_rejects_assembly_and_assemblies_together(tmp_path, capsys, subcommand):
-    # Either field selects what runs; neither may silently win over the other.
+    # Either field selects what runs; neither may silently win over the other,
+    # so the config is refused as it loads, whatever the subcommand.
     cfg = json.loads((CONFIGS / "g2_table.json").read_text())
     cfg["assembly"] = ["S2"]
     path = tmp_path / "both.json"
     path.write_text(json.dumps(cfg))
     assert run(subcommand, path, out_dir=tmp_path / "out") == 1
     record = json.loads(capsys.readouterr().err)
-    assert record == {"stage": subcommand, "message":
+    assert record == {"stage": "config", "message":
                       "ConfigError: assembly and assemblies must not be given together"}
     assert not (tmp_path / "out").exists()
 
@@ -530,12 +531,43 @@ def test_benchmark_subcommands_never_import_scipy_optimize(tmp_path):
         assert path.read_bytes() == (tmp_path / "fit" / path.name).read_bytes(), path.name
 
 
-def test_missing_required_block(tmp_path, capsys):
-    path = small_config(tmp_path)
-    assert run("plan", path) == 1
+@pytest.mark.parametrize("subcommand, need",
+                         [(sub, need) for sub, (_, needs) in _HANDLERS.items() for need in needs])
+def test_missing_required_block(tmp_path, capsys, subcommand, need):
+    # Every block some subcommand needs, less the one under test.
+    cfg = json.loads(small_config(
+        tmp_path, assemblies=[{"name": "S2", "segments": ["S2"]}],
+        filter={"fwhm_nm": 0.8}, planner={"target_total_length_m": 0.3},
+        fit={"gvd_csv": "samples.csv", "initial_core_radius_nm": 940.0,
+             "initial_air_fill": 0.28},
+        sweep={"pump_range_nm": [950.0, 1100.0], "n_points": 3}).read_text())
+    del cfg[need]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert run(subcommand, path) == 1
     record = json.loads(capsys.readouterr().err)
-    assert record["stage"] == "plan"
-    assert "planner" in record["message"]
+    assert record == {"stage": subcommand,
+                      "message": f"ConfigError: missing required field {need}"}
+    assert not (tmp_path / "out").exists()
+
+
+def test_paired_and_exclusive_fields_name_siblings():
+    # A misspelt sibling would switch its check off without a word.
+    from sfwm.cli import _CONFIG, _ELEMENT
+
+    def tables(table):
+        yield table
+        for f in table.values():
+            if f.fields:
+                yield from tables(f.fields)
+
+    pairs = set()
+    for table in [*tables(_CONFIG), _ELEMENT]:
+        for key, f in table.items():
+            for other in f.excludes + ((f.together,) if f.together else ()):
+                assert other in table and other != key, (key, other)
+                pairs.add((key, other))
+    assert ("core_radius_nm", "air_fill") in pairs  # list items' tables are walked
 
 
 def test_bundled_configs_validate():
@@ -670,12 +702,24 @@ MESSAGE_CASES = [
     (("grid", "signal_range_nm"), [1420, 1400], "grid.signal_range_nm must satisfy low < high"),
     (("grid", "signal_range_nm"), [1400, 1420],
      "grid.signal_range_nm and grid.idler_range_nm must be given together"),
+    # lobes and pad_sigmas size the auto grid only; explicit ranges refuse them.
+    (("grid",), {"signal_range_nm": [1400, 1420], "idler_range_nm": [850, 870], "lobes": 6.0},
+     "grid.signal_range_nm and grid.lobes must not be given together"),
+    (("grid",), {"signal_range_nm": [1400, 1420], "idler_range_nm": [850, 870],
+                 "pad_sigmas": 4.0},
+     "grid.signal_range_nm and grid.pad_sigmas must not be given together"),
     (("model",), "exact", 'model must be "linearized" or "full"'),
     (("filter",), {"centers_nm": [1410.0]}, "missing required field filter.fwhm_nm"),
     (("filter",), {"fwhm_nm": 1.0, "n_centers": 1}, "filter.n_centers = 1 violates >= 2"),
     (("filter",), {"fwhm_nm": 1.0, "centers_nm": []}, "filter.centers_nm must be a list of numbers"),
     (("filter",), {"fwhm_nm": 1.0, "centers_nm": [1410, 1410]},
      "filter.centers_nm must be strictly ascending"),
+    (("filter",), {"fwhm_nm": 1.0, "centers_nm": [1410.0], "scan_range_nm": [1400, 1420]},
+     "filter.centers_nm and filter.scan_range_nm must not be given together"),
+    (("filter",), {"fwhm_nm": 1.0, "centers_nm": [1410.0], "n_centers": 5},
+     "filter.centers_nm and filter.n_centers must not be given together"),
+    (("segments", 0, "air_fill"), _DROP,
+     "segments[0].core_radius_nm and segments[0].air_fill must be given together"),
     (("planner",), {"target_total_length_m": 0.6, "max_plans": 0},
      "planner.max_plans = 0 violates >= 1"),
     (("fit",), {"gvd_csv": 5, "initial_core_radius_nm": 940.0, "initial_air_fill": 0.28},
@@ -743,7 +787,9 @@ def test_plan_honours_explicit_grid(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-# Every config block, valid, for the fuzz test below.
+# Every config field, valid, for the fuzz test below.  Exclusive fields
+# cannot share one config, so the explicit-grid base takes assembly, explicit
+# ranges and filter centers, the auto-grid base their alternatives.
 _FULL = {
     "pump": {"center_wavelength_nm": 1070.0, "fwhm_nm": 2.0, "gamma_per_w_km": 11.0,
              "peak_power_w": 50.0},
@@ -754,13 +800,11 @@ _FULL = {
                          "tau_s_ps_per_m": 3.3, "theta_rad": 0.001, "tau_i_sign": -1}},
     ],
     "assembly": ["S2", {"label": "S3", "length_m": 0.6}],
-    "assemblies": [{"name": "a", "segments": ["S2", {"label": "S3"}]}],
     "pump_fwhms_nm": [2.0, 5.0],
     "grid": {"ns": 64, "ni": 64, "signal_range_nm": [1400.0, 1430.0],
-             "idler_range_nm": [850.0, 870.0], "lobes": 4.0, "pad_sigmas": 3.0},
+             "idler_range_nm": [850.0, 870.0]},
     "model": "full",
-    "filter": {"center_nm": 1414.0, "fwhm_nm": 0.8, "centers_nm": [1410.0, 1414.0],
-               "scan_range_nm": [1400.0, 1430.0], "n_centers": 5},
+    "filter": {"center_nm": 1414.0, "fwhm_nm": 0.8, "centers_nm": [1410.0, 1414.0]},
     "planner": {"target_total_length_m": 0.6, "tolerance_m": 0.0, "max_segments": 2,
                 "max_plans": 10},
     "fit": {"gvd_csv": "samples.csv", "initial_core_radius_nm": 940.0,
@@ -769,6 +813,13 @@ _FULL = {
     "dispersion": {"wavelength_range_nm": [900.0, 1250.0], "n_points": 15,
                    "zdw_search_nm": [900.0, 1250.0]},
     "output_dir": "out",
+}
+_FULL_AUTO = {
+    **{key: value for key, value in _FULL.items() if key != "assembly"},
+    "assemblies": [{"name": "a", "segments": ["S2", {"label": "S3"}]}],
+    "grid": {"ns": 64, "ni": 64, "lobes": 4.0, "pad_sigmas": 3.0},
+    "filter": {"center_nm": 1414.0, "fwhm_nm": 0.8, "scan_range_nm": [1400.0, 1430.0],
+               "n_centers": 5},
 }
 
 
@@ -796,8 +847,12 @@ def fuzz_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "config.json"
 
 
+# Each node path, with the base that holds it (_FULL where both do).
+_FUZZ_BASE = {path: base for base in (_FULL_AUTO, _FULL) for path in _node_paths(base)}
+
+
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
-@given(path=st.sampled_from(list(_node_paths(_FULL))),
+@given(path=st.sampled_from(list(_FUZZ_BASE)),
        value=st.sampled_from(_NEVER_VALID + _SOMETIMES_VALID))
 @example(path=("segments",), value=5)
 @example(path=("segments",), value=None)
@@ -806,7 +861,7 @@ def fuzz_path(tmp_path_factory):
 @example(path=("grid", "signal_range_nm", 0), value=math.nan)
 @example(path=("pump", "peak_power_w"), value=_DROP)
 def test_malformed_config_raises_config_error_naming_the_field(fuzz_path, path, value):
-    cfg = copy.deepcopy(_FULL)
+    cfg = copy.deepcopy(_FUZZ_BASE[path])
     node = cfg
     for key in path[:-1]:
         node = node[key]

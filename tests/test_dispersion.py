@@ -334,11 +334,11 @@ def test_block_march_matches_row_march(kind, n, start, num):
 
 @pytest.mark.parametrize("kind", ["he11", "cos"])
 def test_block_march_matches_row_march_beyond_cell_budget(kind, monkeypatch):
-    # More columns than the cell budget: one row per step on the 129-row pass.
+    # More columns than the cell budget: many column chunks on the 129-row
+    # pass, the last one partial.
     _assert_march_matches_oracle(kind, disp._MARCH_CELLS + 1, 1e-3, 129)
     # The 2049-row pass over that many columns costs seconds; a budget
-    # shrunk below 37 columns takes the same one-row-per-step path there,
-    # and gives partial last blocks to the smaller batches.
+    # shrunk below the row count evaluates one column per chunk instead.
     monkeypatch.setattr(disp, "_MARCH_CELLS", 30)
     for n in (1, 2, 37):
         _assert_march_matches_oracle(kind, n, 1e-6, 2049)
