@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .correlation import (
     G2Row,
-    SchmidtResult,
     g2_quadrature,
     g2_streamed,
     g2_table,

@@ -309,7 +309,7 @@ _CONFIG = {
     "sweep": _Field("object", fields={
         "pump_range_nm": _Field("pair", required=True, **_POSITIVE),
         "n_points": _Field("integer", lo=2, required=True),
-        "segment_label": _Field("text", expect="a string"),
+        "segment_label": _Field("text", lo=1, expect="a non-empty string"),
     }),
     "dispersion": _Field("object", default={}, fields={
         "wavelength_range_nm": _Field("pair", default=[850.0, 1450.0], **_POSITIVE),
@@ -323,7 +323,7 @@ _CONFIG = {
 def load_config(path) -> SimpleNamespace:
     """One attribute per _CONFIG field, defaults filled in, and the file's
     ``raw_sha256``.  ``pump`` is a PumpSpec (or None); ``segments`` maps each
-    label to its segment, in config order."""
+    label to its segment and the one ``fiber`` (or None) every command shares."""
     raw = Path(path).read_bytes()
     try:
         data = json.loads(raw)
@@ -333,24 +333,25 @@ def load_config(path) -> SimpleNamespace:
                           raw_sha256=hashlib.sha256(raw).hexdigest())
     if cfg.pump is not None:
         cfg.pump = PumpSpec(**cfg.pump)
+    for seg in cfg.segments:  # the schema gives air_fill with core_radius_nm
+        seg["fiber"] = None if seg["core_radius_nm"] is None else FiberSegment(
+            seg["label"], seg["core_radius_nm"], seg["air_fill"], seg["length_m"])
     cfg.segments = {seg["label"]: seg for seg in cfg.segments}
     return cfg
 
 
-def _fiber(entry: dict, length_m: float | None = None) -> FiberSegment:
-    if entry["core_radius_nm"] is None:  # the schema gives air_fill with it
-        raise ConfigError(
-            f"segment {entry['label']!r} needs core_radius_nm and air_fill for this command"
-        )
-    return FiberSegment(entry["label"], entry["core_radius_nm"], entry["air_fill"],
-                        length_m if length_m is not None else entry["length_m"])
+def _fiber(entry: dict) -> FiberSegment:
+    if entry["fiber"] is None:
+        raise ConfigError(f"segment {entry['label']!r} needs core_radius_nm and air_fill "
+                          "for this command")
+    return entry["fiber"]
 
 
 # ---------------------------------------------------------------------------
 # assembly construction
 
 
-def _point_for(entry: dict, pump: PumpSpec, fiber: FiberSegment | None) -> PhaseMatchPoint:
+def _point_for(entry: dict, pump: PumpSpec) -> PhaseMatchPoint:
     if entry["phase_match"] is not None:
         ov = entry["phase_match"]
         pt = PhaseMatchPoint.from_signal_and_angle(
@@ -365,7 +366,7 @@ def _point_for(entry: dict, pump: PumpSpec, fiber: FiberSegment | None) -> Phase
                     f"got {ov['lambda_i0_nm']!r}; omit it to derive it"
                 )
         return pt
-    return solve_phase_match(fiber or _fiber(entry), pump)  # _fiber names what is missing
+    return solve_phase_match(_fiber(entry), pump)
 
 
 def _build_assembly(cfg: SimpleNamespace, elems, pump: PumpSpec) -> AssemblySpec:
@@ -374,13 +375,12 @@ def _build_assembly(cfg: SimpleNamespace, elems, pump: PumpSpec) -> AssemblySpec
         if label not in cfg.segments:
             raise ConfigError(f"assembly references unknown segment label {label!r}")
         entry = cfg.segments[label]
-        seg_len = length if length is not None else entry["length_m"]
-        fiber = None if entry["core_radius_nm"] is None else _fiber(entry, seg_len)
-        point = _point_for(entry, pump, fiber)
-        if cfg.model == "full" and fiber is None:
+        point = _point_for(entry, pump)
+        if cfg.model == "full" and entry["fiber"] is None:
             raise ConfigError(
                 f"model 'full' needs core_radius_nm/air_fill on segment {label!r}")
-        segs.append(AssemblySegment(seg_len, point, fiber))
+        segs.append(AssemblySegment(entry["length_m"] if length is None else length, point,
+                                    entry["fiber"]))
     return AssemblySpec(tuple(segs), cfg.model)
 
 

@@ -12,8 +12,8 @@ Schmidt mode count.  g2 = 2 exactly when the amplitude factorizes.
 The Gram path is the one evaluator behind every table row: g2_streamed
 fills the amplitude in row blocks and adds each into the Gram, so the
 amplitude is never stored; g2_quadrature runs the same quadrature on a
-stored amplitude.  The SVD path (schmidt_decompose) gives the full Schmidt
-spectrum and serves as their oracle.
+stored amplitude.  The SVD (schmidt_decompose) gives the Schmidt spectrum
+itself, the oracle of both.
 """
 
 from __future__ import annotations
@@ -37,26 +37,6 @@ from .spectra import (
 )
 
 
-@dataclass(frozen=True)
-class SchmidtResult:
-    """Schmidt spectrum (up to common scale) and the scalars derived from it."""
-
-    singular_values: np.ndarray  # descending, non-negative
-    schmidt_number: float
-    purity: float
-    g2: float
-
-    def __post_init__(self):
-        sv = np.asarray(self.singular_values, dtype=float)
-        if np.any(sv < 0) or np.any(np.diff(sv) > 0):
-            raise ValueError("singular values must be non-negative and descending")
-        object.__setattr__(self, "singular_values", sv)
-        if self.schmidt_number < 1.0 - 1e-12:
-            raise ValueError("Schmidt number must be >= 1")
-        if not 0.0 < self.purity <= 1.0 + 1e-12:
-            raise ValueError("purity must lie in (0, 1]")
-
-
 def _peak_part(x: np.ndarray) -> float:
     """The largest |real or imaginary part| of ``x``."""
     parts = np.ascontiguousarray(x).view(float)
@@ -72,22 +52,6 @@ def _unit_scaled(x: np.ndarray, peak: float | None = None) -> np.ndarray:
     if peak == 0.0:
         raise ZeroJsaError("JSA is identically zero; g2 undefined")
     return np.ldexp(np.ascontiguousarray(x).view(float), -math.frexp(peak)[1]).view(x.dtype)
-
-
-def _weighted_amplitude(jsa: JsaGrid) -> np.ndarray:
-    """Trapezoid-weighted amplitude sqrt(w_s) f sqrt(w_i), times a power of two,
-    for the SVD.
-
-    The amplitude and both weight vectors are each brought to a peak in
-    [0.5, 1) first, so the product's largest part lies in [2^-4, 1) whatever
-    the amplitude's scale.  g2 and the purity do not depend on a common
-    factor, and a power of two leaves every bit of them unchanged.
-    """
-    w_s, w_i = jsa.grid.trapezoid_weights()
-    a = _unit_scaled(jsa.amplitude)
-    a *= _unit_scaled(np.sqrt(w_s))[:, None]
-    a *= _unit_scaled(np.sqrt(w_i))[None, :]
-    return a
 
 
 def _end_corrected_gram(blocks, shape: tuple[int, int]) -> np.ndarray:
@@ -203,24 +167,26 @@ def g2_streamed(assembly: AssemblySpec, pump: PumpSpec, grid: FrequencyGrid,
     return g2, Spectrum1D(grid.signal, sums["signal"], "angular_frequency")
 
 
-def schmidt_decompose(jsa: JsaGrid) -> SchmidtResult:
-    """Schmidt spectrum of the weighted amplitude via SVD."""
-    a = _weighted_amplitude(jsa)
+def schmidt_decompose(jsa: JsaGrid) -> np.ndarray:
+    """The Schmidt spectrum of ``jsa`` up to a power of two: the descending
+    singular values sigma of the trapezoid-weighted amplitude
+    sqrt(w_s) f sqrt(w_i), by SVD.  P = sum sigma^4 / (sum sigma^2)^2.
+
+    The amplitude and both weight vectors are each brought to a peak in
+    [0.5, 1) first, so the product's largest part lies in [2^-4, 1) whatever
+    the amplitude's scale, and a power of two leaves every bit of the
+    spectrum unchanged.
+    """
+    w_s, w_i = jsa.grid.trapezoid_weights()
+    a = _unit_scaled(jsa.amplitude)
+    a *= _unit_scaled(np.sqrt(w_s))[:, None]
+    a *= _unit_scaled(np.sqrt(w_i))[None, :]
     try:
-        sv = np.linalg.svd(a, compute_uv=False)
+        return np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"Schmidt decomposition failed to converge: {exc}") from exc
     finally:
         park_openblas()
-    s2 = sv**2
-    total = float(s2.sum())
-    purity = float((s2**2).sum()) / total**2
-    return SchmidtResult(
-        singular_values=sv,
-        schmidt_number=1.0 / purity,
-        purity=purity,
-        g2=1.0 + purity,
-    )
 
 
 @dataclass(frozen=True)

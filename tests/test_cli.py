@@ -388,7 +388,7 @@ def test_cli_builds_one_series_per_fiber_and_matches_the_public_calls(tmp_path, 
 
 
 def test_full_model_g2_table_builds_one_series_per_segment(tmp_path, monkeypatch):
-    # Each assembly segment's fiber serves both its phase-match solve and
+    # Each config segment's fiber serves both its phase-match solve and
     # the full-model mismatch of every pump: 3 segments, 3 series.
     cfg = {
         "pump": {"center_wavelength_nm": 1070.0, "fwhm_nm": 2.0},
@@ -408,6 +408,26 @@ def test_full_model_g2_table_builds_one_series_per_segment(tmp_path, monkeypatch
     assert len(builds) == 3
     _, rows = read_csv(tmp_path / "out" / "g2_table.csv")
     assert len(rows) == 4
+
+
+@pytest.mark.parametrize("subcommand, model", [("g2-table", "linearized"), ("jsa", "full")])
+def test_assemblies_share_one_series_per_config_segment(tmp_path, monkeypatch, subcommand,
+                                                        model):
+    # configs/g2_table.json without its phase_match blocks: every segment is
+    # solved from its structure.  Its ten assemblies hold 21 elements of 4
+    # segments, some at their own lengths, and each segment's one fiber
+    # serves all of them.
+    cfg = json.loads((CONFIGS / "g2_table.json").read_text())
+    for seg in cfg["segments"]:
+        del seg["phase_match"]
+    cfg.update(model=model, grid={"ns": 48, "ni": 48}, output_dir=str(tmp_path / "out"))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    builds = _count_series_builds(monkeypatch)
+    assert run(subcommand, path) == 0
+    labels = {elem if isinstance(elem, str) else elem["label"]
+              for assembly in cfg["assemblies"] for elem in assembly["segments"]}
+    assert sorted(fiber.label for fiber, in builds) == sorted(labels) == ["S1", "S2", "S3", "S4"]
 
 
 def test_fiber_design_steps_batch_their_solves(tmp_path, monkeypatch):
@@ -724,8 +744,9 @@ MESSAGE_CASES = [
      "planner.max_plans = 0 violates >= 1"),
     (("fit",), {"gvd_csv": 5, "initial_core_radius_nm": 940.0, "initial_air_fill": 0.28},
      "fit.gvd_csv must be a path string"),
-    (("sweep",), {"pump_range_nm": [950, 1100], "n_points": 3, "segment_label": 5},
-     "sweep.segment_label must be a string"),
+    # An empty label would sweep the first segment without a word.
+    (("sweep",), {"pump_range_nm": [950, 1100], "n_points": 3, "segment_label": ""},
+     "sweep.segment_label must be a non-empty string"),
     (("sweep",), {"pump_range_nm": [950, 1100]}, "missing required field sweep.n_points"),
     (("dispersion",), {"zdw_search_nm": "900-1250"},
      "dispersion.zdw_search_nm must be a [low, high] number pair"),

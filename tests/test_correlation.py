@@ -50,13 +50,29 @@ def outer_product_jsa():
     return JsaGrid(jsa.grid, np.outer(s, i).astype(complex), jsa.pump, jsa.assembly)
 
 
+def svd_purity(jsa):
+    """P = sum sigma^4 / (sum sigma^2)^2 of the SVD's Schmidt spectrum: an
+    oracle that shares no step with the Gram."""
+    s2 = schmidt_decompose(jsa) ** 2
+    return float((s2**2).sum()) / float(s2.sum()) ** 2
+
+
 def test_factorable_amplitude_reaches_two():
     jsa = outer_product_jsa()
     assert g2_quadrature(jsa) == pytest.approx(2.0, abs=1e-6)
-    schmidt = schmidt_decompose(jsa)
-    assert schmidt.g2 == pytest.approx(2.0, abs=1e-6)
-    assert schmidt.singular_values[1] < 1e-10 * schmidt.singular_values[0]
-    assert schmidt.schmidt_number == pytest.approx(1.0, abs=1e-9)
+    spectrum = schmidt_decompose(jsa)
+    assert spectrum[1] < 1e-10 * spectrum[0]
+    assert 1.0 / svd_purity(jsa) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_schmidt_spectrum_is_a_descending_non_negative_vector(tall_and_square, rng):
+    base = gaussian_jsa(ns=48, ni=40)
+    noise = JsaGrid(base.grid, rng.standard_normal((48, 40)) + 1j * rng.standard_normal((48, 40)),
+                    base.pump, base.assembly)
+    for jsa in (*tall_and_square, outer_product_jsa(), noise):
+        spectrum = schmidt_decompose(jsa)
+        assert spectrum.shape == (min(jsa.amplitude.shape),) and spectrum.dtype == float
+        assert np.all(spectrum >= 0) and np.all(np.diff(spectrum) <= 0)
 
 
 def test_strongly_correlated_amplitude_approaches_one():
@@ -74,7 +90,7 @@ def test_double_gaussian_matches_closed_form(a, b):
     jsa = gaussian_jsa(ns=257, ni=401, sigma_plus=a, sigma_minus=b, half_width=8 * max(a, b))
     purity = 2 * a * b / (a**2 + b**2)
     assert g2_quadrature(jsa) - 1.0 == pytest.approx(purity, abs=1e-14)
-    assert schmidt_decompose(jsa).purity == pytest.approx(purity, abs=1e-14)
+    assert svd_purity(jsa) == pytest.approx(purity, abs=1e-14)
 
 
 def test_paths_agree_and_bounds_hold_on_random_amplitudes(rng):
@@ -85,27 +101,24 @@ def test_paths_agree_and_bounds_hold_on_random_amplitudes(rng):
         amp *= np.exp(-np.linspace(-1, 1, 48)[:, None] ** 2 * smooth)
         jsa = JsaGrid(base.grid, amp, base.pump, base.assembly)
         quad = g2_quadrature(jsa)
-        schmidt = schmidt_decompose(jsa)
         assert 1.0 < quad <= 2.0 + 1e-12
-        assert abs(quad - schmidt.g2) < 1e-8
+        assert abs(quad - (1.0 + svd_purity(jsa))) < 1e-8
 
 
 def test_scale_invariance():
     jsa = gaussian_jsa(sigma_plus=0.4)
     g2 = g2_quadrature(jsa)
-    a = schmidt_decompose(jsa)
+    spectrum, purity = schmidt_decompose(jsa), svd_purity(jsa)
     # A power of two leaves every bit unchanged; any other factor, however
     # large or small, agrees to 1e-12.
     for factor in (2.0**400, 2.0**-400, 2.5 - 1.3j, 1e-100, 1e80, 1e150):
         scaled = JsaGrid(jsa.grid, jsa.amplitude * factor, jsa.pump, jsa.assembly)
-        b = schmidt_decompose(scaled)
         if factor in (2.0**400, 2.0**-400):
             assert g2_quadrature(scaled) == g2
-            assert (b.purity, b.schmidt_number) == (a.purity, a.schmidt_number)
+            assert np.array_equal(schmidt_decompose(scaled), spectrum)
         else:
             assert g2_quadrature(scaled) == pytest.approx(g2, rel=1e-12), factor
-            assert b.schmidt_number == pytest.approx(a.schmidt_number, rel=1e-12), factor
-            assert b.purity == pytest.approx(a.purity, rel=1e-12), factor
+            assert svd_purity(scaled) == pytest.approx(purity, rel=1e-12), factor
 
 
 def _transposed(jsa):
@@ -127,7 +140,7 @@ def tall_and_square(pump_2nm):
 def test_gram_matches_svd_on_tall_wide_and_square_grids(tall_and_square):
     tall, square = tall_and_square
     for jsa in (tall, _transposed(tall), square):
-        assert g2_quadrature(jsa) == pytest.approx(schmidt_decompose(jsa).g2, rel=1e-12)
+        assert g2_quadrature(jsa) == pytest.approx(1.0 + svd_purity(jsa), rel=1e-12)
 
 
 def full_side_uncut(jsa):
@@ -212,7 +225,7 @@ def test_reference_table_reproduced(reference_rows):
         if row.configuration in ("S1+S2", "S1+S4+S2+S3", "hom_1.5"):
             jsa = build_jsa(catalog_assembly(parts[row.configuration]),
                             PumpSpec(PUMP_NM, row.pump_fwhm_nm))
-            oracle = schmidt_decompose(jsa).purity
+            oracle = svd_purity(jsa)
             assert row.purity == pytest.approx(oracle, rel=1e-12), row.configuration
 
 
@@ -241,15 +254,6 @@ def test_walkoff_sign_flip_barely_moves_g2():
         g_plus = g2_quadrature(build_jsa(plus, pump, ns=320, ni=320))
         g_minus = g2_quadrature(build_jsa(minus, pump, ns=320, ni=320))
         assert abs(g_plus - g_minus) < 0.02, name
-
-
-def test_schmidt_result_validation():
-    from sfwm.correlation import SchmidtResult
-
-    with pytest.raises(ValueError):
-        SchmidtResult(np.array([1.0, 2.0]), 1.5, 0.66, 1.66)  # not descending
-    with pytest.raises(ValueError):
-        SchmidtResult(np.array([2.0, 1.0]), 0.5, 2.0, 3.0)  # K < 1
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,12 @@
 
     python3 tools/diff_outputs.py --parent DIR
 
-Runs every bundled config of the acceptance suite's ``CONFIG_RUNS`` and the
+Runs every bundled config of the acceptance suite's ``CONFIG_RUNS``, the
 four benchmark steps (``perfbench/workloads.py`` ``make_config``) at seeds 1
-and 7 through ``python3 -B -m sfwm.cli``, once with the package under
+and 7, and ``configs/g2_table.json`` without its ``phase_match`` blocks on a
+64x64 grid (as ``g2-table``, and as ``jsa`` with ``model: "full"``, so that
+each segment's phase matching and k(omega) come from its structure) through
+``python3 -B -m sfwm.cli``, once with the package under
 ``--parent`` (the baseline, e.g. a parent checkout's ``src/``) and once with
 this checkout's ``src/``, each under ``OPENBLAS_NUM_THREADS=1`` and ``=2``.
 Both sides read the same config files from this checkout, so their
@@ -46,7 +49,7 @@ def _workloads():
 
 def _runs(work: Path) -> list[tuple[str, Path, str]]:
     """(name, config path, subcommand) of every run; writes the benchmark
-    steps' configs into ``work``."""
+    steps' and the structural runs' configs into ``work``."""
     sys.dont_write_bytecode = True  # as the runs' -B: no byte-code left in the checkout
     sys.path[:0] = [str(REPO / "src"), str(REPO / "tests")]
     from test_acceptance import CONFIG_RUNS
@@ -59,6 +62,13 @@ def _runs(work: Path) -> list[tuple[str, Path, str]]:
             path = work / f"{step}_{seed}.json"
             path.write_text(json.dumps(workloads.make_config(step, seed)))
             runs.append((f"{step}:seed{seed}", path, workloads.SUBCOMMAND[step]))
+    structural = json.loads((REPO / "configs" / "g2_table.json").read_text())
+    for seg in structural["segments"]:
+        del seg["phase_match"]
+    for subcommand, model in (("g2-table", "linearized"), ("jsa", "full")):
+        path = work / f"g2_table_structural_{model}.json"
+        path.write_text(json.dumps({**structural, "model": model, "grid": {"ns": 64, "ni": 64}}))
+        runs.append((f"g2_table_structural:{subcommand}", path, subcommand))
     return runs
 
 
