@@ -38,7 +38,6 @@ from .spectra import (
     FrequencyGrid,
     JsaGrid,
     Spectrum1D,
-    assembly_from_fibers,
     build_jsa,
     default_grid,
     delta_k,

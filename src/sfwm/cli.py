@@ -323,7 +323,8 @@ _CONFIG = {
 def load_config(path) -> SimpleNamespace:
     """One attribute per _CONFIG field, defaults filled in, and the file's
     ``raw_sha256``.  ``pump`` is a PumpSpec (or None); ``segments`` maps each
-    label to its segment and the one ``fiber`` (or None) every command shares."""
+    label to its segment, with the one ``fiber`` (or None) and ``point`` every
+    command shares."""
     raw = Path(path).read_bytes()
     try:
         data = json.loads(raw)
@@ -335,7 +336,8 @@ def load_config(path) -> SimpleNamespace:
         cfg.pump = PumpSpec(**cfg.pump)
     for seg in cfg.segments:  # the schema gives air_fill with core_radius_nm
         seg["fiber"] = None if seg["core_radius_nm"] is None else FiberSegment(
-            seg["label"], seg["core_radius_nm"], seg["air_fill"], seg["length_m"])
+            seg["label"], seg["core_radius_nm"], seg["air_fill"])
+        seg["point"] = None  # its PhaseMatchPoint, found at first use
     cfg.segments = {seg["label"]: seg for seg in cfg.segments}
     return cfg
 
@@ -351,22 +353,28 @@ def _fiber(entry: dict) -> FiberSegment:
 # assembly construction
 
 
-def _point_for(entry: dict, pump: PumpSpec) -> PhaseMatchPoint:
-    if entry["phase_match"] is not None:
+def _segment(entry: dict, pump: PumpSpec, length_m: float | None = None) -> AssemblySegment:
+    """The config segment as an assembly element, ``length_m`` overriding its
+    length; its point is found once per run (one pump wavelength) and kept."""
+    if entry["point"] is None:
         ov = entry["phase_match"]
-        pt = PhaseMatchPoint.from_signal_and_angle(
-            pump.center_wavelength_nm, ov["lambda_s0_nm"], ov["tau_s_ps_per_m"],
-            ov["theta_rad"], ov["tau_i_sign"],
-        )
-        if ov["lambda_i0_nm"] is not None:
-            if abs(ov["lambda_i0_nm"] - pt.lambda_i0_nm) > 1e-9 * pt.lambda_i0_nm:
+        if ov is None:
+            entry["point"] = solve_phase_match(_fiber(entry), pump)
+        else:
+            pt = PhaseMatchPoint.from_signal_and_angle(
+                pump.center_wavelength_nm, ov["lambda_s0_nm"], ov["tau_s_ps_per_m"],
+                ov["theta_rad"], ov["tau_i_sign"],
+            )
+            li0 = ov["lambda_i0_nm"]
+            if li0 is not None and abs(li0 - pt.lambda_i0_nm) > 1e-9 * pt.lambda_i0_nm:
                 raise ConfigError(
                     "phase_match.lambda_i0_nm breaks energy conservation: "
                     f"expected {pt.lambda_i0_nm!r} from lambda_s0_nm, "
-                    f"got {ov['lambda_i0_nm']!r}; omit it to derive it"
+                    f"got {li0!r}; omit it to derive it"
                 )
-        return pt
-    return solve_phase_match(_fiber(entry), pump)
+            entry["point"] = pt
+    return AssemblySegment(entry["length_m"] if length_m is None else length_m,
+                           entry["point"], entry["fiber"])
 
 
 def _build_assembly(cfg: SimpleNamespace, elems, pump: PumpSpec) -> AssemblySpec:
@@ -374,13 +382,11 @@ def _build_assembly(cfg: SimpleNamespace, elems, pump: PumpSpec) -> AssemblySpec
     for label, length in elems:
         if label not in cfg.segments:
             raise ConfigError(f"assembly references unknown segment label {label!r}")
-        entry = cfg.segments[label]
-        point = _point_for(entry, pump)
-        if cfg.model == "full" and entry["fiber"] is None:
+        seg = _segment(cfg.segments[label], pump, length)
+        if cfg.model == "full" and seg.fiber is None:
             raise ConfigError(
                 f"model 'full' needs core_radius_nm/air_fill on segment {label!r}")
-        segs.append(AssemblySegment(entry["length_m"] if length is None else length, point,
-                                    entry["fiber"]))
+        segs.append(seg)
     return AssemblySpec(tuple(segs), cfg.model)
 
 
@@ -545,7 +551,7 @@ def _cmd_phasematch(cfg: SimpleNamespace, out: _OutputSet) -> dict:
     for label, entry in cfg.segments.items():
         fiber = _fiber(entry)
         pt = solve_phase_match(fiber, cfg.pump)
-        rows.append((label, fiber.core_radius_nm, fiber.air_fill, fiber.length_m,
+        rows.append((label, fiber.core_radius_nm, fiber.air_fill, entry["length_m"],
                      *(getattr(pt, col) for col in _POINT)))
     out.add_csv("phasematch.csv", ["label", "core_radius_nm", "air_fill", "length_m", *_POINT],
                 rows)
@@ -658,7 +664,7 @@ def _cmd_plan(cfg: SimpleNamespace, out: _OutputSet) -> dict:
     pump = cfg.pump
     if cfg.model == "full":
         raise ConfigError("plan scores splices in the linearized model only; got model 'full'")
-    segments = _build_assembly(cfg, [(label, None) for label in cfg.segments], pump).segments
+    segments = [_segment(entry, pump) for entry in cfg.segments.values()]
     pool = SegmentPool(
         candidates=tuple(zip(cfg.segments, segments)),
         target_total_length_m=cfg.planner["target_total_length_m"],

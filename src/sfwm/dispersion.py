@@ -94,20 +94,19 @@ class StructureFitError(RuntimeError):
 
 @dataclass(frozen=True)
 class FiberSegment:
-    """One homogeneous piece of PCF described by effective structure parameters."""
+    """One homogeneous piece of PCF described by effective structure
+    parameters.  It is structure only: a spliced piece's length belongs to the
+    AssemblySegment that holds the fiber."""
 
     label: str
     core_radius_nm: float
     air_fill: float
-    length_m: float
 
     def __post_init__(self):
         if self.core_radius_nm <= 0:
             raise ValueError(f"core_radius_nm must be > 0, got {self.core_radius_nm}")
         if not 0.0 < self.air_fill < 1.0:
             raise ValueError(f"air_fill must be in (0, 1), got {self.air_fill}")
-        if self.length_m <= 0:
-            raise ValueError(f"length_m must be > 0, got {self.length_m}")
 
     @cached_property
     def series(self) -> _KSeries:
@@ -479,7 +478,7 @@ def fit_structure(samples: list[GvdSample], initial_guess: tuple[float, float]) 
 
     def residuals(x):
         r, f = x
-        return FiberSegment("fit", r, f, 1.0).series(omegas, 2) * 1e24 - b2
+        return FiberSegment("fit", r, f).series(omegas, 2) * 1e24 - b2
 
     # Relative step of the forward-difference Jacobian.  The beta2 series is
     # smooth to ~1e-11 ps^2/m, so steps from 1e-3 down to 1e-7 reach the same

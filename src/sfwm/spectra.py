@@ -23,7 +23,7 @@ import numpy as np
 
 from ._scipy import park_openblas
 from .dispersion import TWO_PI_C, FiberSegment
-from .phasematch import PhaseMatchPoint, PumpSpec, gaussian_sigma_omega, solve_phase_match
+from .phasematch import PhaseMatchPoint, PumpSpec, gaussian_sigma_omega
 
 #: Default half-width of the signal window, in sinc lobes per segment.
 DEFAULT_LOBES = 10.0
@@ -94,12 +94,6 @@ class AssemblySpec:
     def total_length_m(self) -> float:
         """Exactly rounded sum, so a splice and its mirror image agree."""
         return math.fsum(s.length_m for s in self.segments)
-
-
-def assembly_from_fibers(fibers, pump: PumpSpec, model_mode: str = "linearized") -> AssemblySpec:
-    """Solve the phase matching of each fiber at the pump and splice them."""
-    segs = tuple(AssemblySegment(fb.length_m, solve_phase_match(fb, pump), fb) for fb in fibers)
-    return AssemblySpec(segs, model_mode)
 
 
 @dataclass(frozen=True)
@@ -520,7 +514,7 @@ def _scan_quadrature(axis: np.ndarray, intensity: np.ndarray, sigma: float,
 
 
 def filter_scan(assembly: AssemblySpec, filt: FilterSpec, centers_nm,
-                pump: PumpSpec | None = None, lobes: float = DEFAULT_LOBES) -> Spectrum1D:
+                pump: PumpSpec | None = None) -> Spectrum1D:
     """Counting rate of a Gaussian-filtered signal arm versus filter center.
 
     The one-dimensional phase-matching spectrum of ``assembly`` is evaluated
@@ -532,7 +526,7 @@ def filter_scan(assembly: AssemblySpec, filt: FilterSpec, centers_nm,
         raise ValueError("filter centers must be a strictly ascending 1-D list, nm")
     centers_omega = TWO_PI_C / (centers * 1e-9)
     sigma = filt.sigma_omega
-    s_lo, s_hi = _signal_window(assembly, lobes)
+    s_lo, s_hi = _signal_window(assembly, DEFAULT_LOBES)
     lo = min(s_lo, centers_omega.min() - 6 * sigma)
     hi = max(s_hi, centers_omega.max() + 6 * sigma)
     need = _required_points(hi - lo, _phase_slopes(assembly)[0])

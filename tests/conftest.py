@@ -69,14 +69,16 @@ def catalog_point(label: str, tau_i_sign: float = +1.0) -> PhaseMatchPoint:
     return PhaseMatchPoint.from_signal_and_angle(PUMP_NM, ls0, tau_s, theta, tau_i_sign)
 
 
-def catalog_fiber(label: str, length_m: float = 0.3) -> FiberSegment:
+def catalog_fiber(label: str, _length_m: float | None = None) -> FiberSegment:
+    """The catalog fiber's structure; a length, which the acceptance tests
+    still pass, is ignored: it belongs to the assembly element."""
     radius, _, _, _ = CATALOG[label]
-    return FiberSegment(label, radius, 0.296, length_m)
+    return FiberSegment(label, radius, 0.296)
 
 
 def catalog_assembly(parts, tau_i_sign: float = +1.0) -> AssemblySpec:
     segs = tuple(
-        AssemblySegment(length, catalog_point(label, tau_i_sign), catalog_fiber(label, length))
+        AssemblySegment(length, catalog_point(label, tau_i_sign), catalog_fiber(label))
         for label, length in parts
     )
     return AssemblySpec(segs, "linearized")

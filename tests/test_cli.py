@@ -415,8 +415,10 @@ def test_assemblies_share_one_series_per_config_segment(tmp_path, monkeypatch, s
                                                         model):
     # configs/g2_table.json without its phase_match blocks: every segment is
     # solved from its structure.  Its ten assemblies hold 21 elements of 4
-    # segments, some at their own lengths, and each segment's one fiber
-    # serves all of them.
+    # segments, some at their own lengths, and each segment's one fiber and
+    # one phase-match solve serve all of them.
+    from sfwm import cli
+
     cfg = json.loads((CONFIGS / "g2_table.json").read_text())
     for seg in cfg["segments"]:
         del seg["phase_match"]
@@ -424,10 +426,14 @@ def test_assemblies_share_one_series_per_config_segment(tmp_path, monkeypatch, s
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     builds = _count_series_builds(monkeypatch)
+    solve, solved = cli.solve_phase_match, []
+    monkeypatch.setattr(cli, "solve_phase_match",
+                        lambda fiber, pump: solved.append(fiber.label) or solve(fiber, pump))
     assert run(subcommand, path) == 0
     labels = {elem if isinstance(elem, str) else elem["label"]
               for assembly in cfg["assemblies"] for elem in assembly["segments"]}
     assert sorted(fiber.label for fiber, in builds) == sorted(labels) == ["S1", "S2", "S3", "S4"]
+    assert sorted(solved) == sorted(labels)
 
 
 def test_fiber_design_steps_batch_their_solves(tmp_path, monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 import scipy.constants
 from numpy.polynomial import Chebyshev
 
+from sfwm import AssemblySegment
 from sfwm import dispersion as disp
 from sfwm.dispersion import (
     DispersionDomainError,
@@ -26,9 +27,9 @@ from sfwm.dispersion import (
     silica_refractive_index,
 )
 
-from conftest import catalog_fiber
+from conftest import catalog_fiber, catalog_point
 
-R948 = FiberSegment("R948", 948.0, 0.296, 1.9)
+R948 = FiberSegment("R948", 948.0, 0.296)
 
 
 def test_silica_index_reference_points():
@@ -175,7 +176,7 @@ def test_gvd_sign_pattern():
 
 def test_zdw_radius_perturbation():
     base = find_zdw(R948, (900.0, 1250.0))
-    nudged = find_zdw(FiberSegment("R949", 948.0 * 1.001, 0.296, 1.9), (900.0, 1250.0))
+    nudged = find_zdw(FiberSegment("R949", 948.0 * 1.001, 0.296), (900.0, 1250.0))
     assert len(nudged) == 2
     assert abs(nudged[0] - base[0]) < 5.0
     assert abs(nudged[1] - base[1]) < 5.0
@@ -346,7 +347,7 @@ def test_block_march_matches_row_march_beyond_cell_budget(kind, monkeypatch):
 
 
 def test_mode_cutoff_is_explicit():
-    thin = FiberSegment("thin", 50.0, 0.296, 1.0)
+    thin = FiberSegment("thin", 50.0, 0.296)
     with pytest.raises(ModeCutoffError) as info:
         effective_index(thin, 1070.0)
     assert str(info.value) == ("no guided fundamental mode for r=50.0 nm, f=0.296, "
@@ -364,7 +365,7 @@ def test_mode_cutoff_is_explicit():
 def test_small_core_series_stops_at_the_guided_limit():
     # No mode beyond about 1945 nm at r = 200 nm: requests below that work,
     # and do not depend on which other wavelengths share the batch.
-    small = FiberSegment("small", 200.0, 0.296, 1.0)
+    small = FiberSegment("small", 200.0, 0.296)
     wl = np.array([850.0, 1070.0, 1310.0, 1450.0])
     for fn in (group_slowness, gvd):
         batch = fn(small, wl)
@@ -431,8 +432,8 @@ def test_mixed_fiber_batch_matches_one_call_per_fiber():
 
 
 @pytest.mark.parametrize("fiber", [
-    pytest.param(FiberSegment("R948", 948.0, 0.296, 1.9), id="R948"),
-    pytest.param(FiberSegment("small", 200.0, 0.296, 1.0), id="r200")])
+    pytest.param(FiberSegment("R948", 948.0, 0.296), id="R948"),
+    pytest.param(FiberSegment("small", 200.0, 0.296), id="r200")])
 def test_dispersion_table_reads_the_fiber_series_against_the_direct_solves(fiber, monkeypatch):
     # Every column comes from the fiber's k(omega) series, so once the series
     # is built the table solves nothing.  n_eff and k against the direct
@@ -457,7 +458,7 @@ def test_dispersion_table_reads_the_fiber_series_against_the_direct_solves(fiber
 
 @pytest.mark.parametrize("fiber", [
     pytest.param(R948, id="fiber0-he11"),
-    pytest.param(FiberSegment("small", 200.0, 0.296, 1.0), id="fiber2-he11")])
+    pytest.param(FiberSegment("small", 200.0, 0.296), id="fiber2-he11")])
 def test_series_evaluator_matches_numpy_chebyshev_bit_for_bit(fiber, monkeypatch):
     # The in-house Clenshaw recurrence against numpy's Chebyshev.__call__ of
     # the same coefficients and domain; the r = 200 nm series stops at the
@@ -491,14 +492,14 @@ def test_each_fiber_object_owns_its_series(monkeypatch):
     build, builds = disp._KSeries.__init__, []
     monkeypatch.setattr(disp._KSeries, "__init__",
                         lambda self, *args: builds.append(args) or build(self, *args))
-    a, b = (FiberSegment("S1", 947.0, 0.296, 0.3) for _ in range(2))
+    a, b = (FiberSegment("S1", 947.0, 0.296) for _ in range(2))
     series = a.series
     assert a.series is series and len(builds) == 1 and "series" not in vars(b)
     assert b.series is not series and len(builds) == 2
     assert repr(b.series._terms) == repr(series._terms)
     assert (a, hash(a), repr(a)) == (b, hash(b), repr(b))
-    assert repr(a) == "FiberSegment(label='S1', core_radius_nm=947.0, air_fill=0.296, length_m=0.3)"
-    for copy in (dataclasses.replace(a), dataclasses.replace(a, length_m=0.6)):
+    assert repr(a) == "FiberSegment(label='S1', core_radius_nm=947.0, air_fill=0.296)"
+    for copy in (dataclasses.replace(a), dataclasses.replace(a, core_radius_nm=948.0)):
         assert "series" not in vars(copy)
         assert copy.series is not series
     assert len(builds) == 4
@@ -512,7 +513,7 @@ def test_unresolved_series_is_explicit(monkeypatch):
     # A fresh fiber: R948 may keep the series an earlier test built.
     monkeypatch.setattr(disp, "SERIES_DEGREE", 16)
     with pytest.raises(ModeSolverError, match="unresolved") as info:
-        gvd(FiberSegment("R948", 948.0, 0.296, 1.9), 1070.0)
+        gvd(FiberSegment("R948", 948.0, 0.296), 1070.0)
     assert info.value.residual > disp.SERIES_TAIL_TOL
 
 
@@ -545,7 +546,7 @@ def test_nan_residual_in_the_polish_is_explicit(monkeypatch):
 
 
 def _model_samples(r_nm, fill, wavelengths):
-    seg = FiberSegment("gen", r_nm, fill, 1.0)
+    seg = FiberSegment("gen", r_nm, fill)
     return [GvdSample(float(w), gvd(seg, float(w))) for w in wavelengths]
 
 
@@ -591,8 +592,9 @@ def test_gvd_csv_round_trip(tmp_path):
 
 def test_segment_validation():
     with pytest.raises(ValueError):
-        FiberSegment("x", -1.0, 0.3, 1.0)
+        FiberSegment("x", -1.0, 0.3)
     with pytest.raises(ValueError):
-        FiberSegment("x", 900.0, 1.2, 1.0)
-    with pytest.raises(ValueError):
-        FiberSegment("x", 900.0, 0.3, 0.0)
+        FiberSegment("x", 900.0, 1.2)
+    # The length of a spliced piece is its assembly element's.
+    with pytest.raises(ValueError, match="length"):
+        AssemblySegment(0.0, catalog_point("S2"), FiberSegment("x", 900.0, 0.3))

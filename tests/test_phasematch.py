@@ -122,7 +122,7 @@ def test_signal_wavelength_turns_at_group_matched_pump():
 
 
 def test_agvm_roots_reference_fiber():
-    seg = catalog_fiber("S3", 1.9)  # r = 948 nm
+    seg = catalog_fiber("S3")  # r = 948 nm
     roots = agvm_roots(seg, gvm_curve(seg, (950.0, 1100.0), 16))
     assert roots.pump_for_tau_i_zero == pytest.approx(1070.2, abs=5.0)
     assert roots.pump_for_tau_s_zero == pytest.approx(986.5, abs=5.0)
@@ -132,8 +132,8 @@ def test_agvm_roots_reference_fiber():
 
 
 def test_agvm_root_stable_under_radius_nudge():
-    seg = catalog_fiber("S3", 1.9)
-    nudged = catalog_fiber("S1", 1.9)  # r = 947 nm
+    seg = catalog_fiber("S3")
+    nudged = catalog_fiber("S1")  # r = 947 nm
     a = agvm_roots(seg, gvm_curve(seg, (1050.0, 1090.0), 5))
     b = agvm_roots(nudged, gvm_curve(nudged, (1050.0, 1090.0), 5))
     assert a.pump_for_tau_i_zero is not None and b.pump_for_tau_i_zero is not None
@@ -141,7 +141,7 @@ def test_agvm_root_stable_under_radius_nudge():
 
 
 def test_agvm_absent_outside_range():
-    seg = catalog_fiber("S3", 1.9)
+    seg = catalog_fiber("S3")
     roots = agvm_roots(seg, gvm_curve(seg, (1050.0, 1060.0), 3))
     assert roots.pump_for_tau_i_zero is None
     assert roots.pump_for_tau_s_zero is None
@@ -156,7 +156,7 @@ def test_agvm_absent_outside_range():
 def test_agvm_roots_refuses_a_sweep_that_cannot_bracket(pumps, message):
     sweep = [GvmSample(p, None) for p in pumps]
     with pytest.raises(ValueError) as info:
-        agvm_roots(catalog_fiber("S3", 1.9), sweep)
+        agvm_roots(catalog_fiber("S3"), sweep)
     assert str(info.value) == message
 
 
@@ -185,7 +185,7 @@ _OFF_SWEEP_NM = (600.0, 950.0, 1300.0, 1700.0, 1990.0)
 def test_batched_phase_match_matches_one_pump_calls_on_benchmark_sweeps(seed):
     cfg = benchmark_config("gvm_sweep", seed)
     seg = cfg["segments"][0]
-    fiber = FiberSegment(seg["label"], seg["core_radius_nm"], seg["air_fill"], seg["length_m"])
+    fiber = FiberSegment(seg["label"], seg["core_radius_nm"], seg["air_fill"])
     lams = np.concatenate((np.linspace(*cfg["sweep"]["pump_range_nm"], cfg["sweep"]["n_points"]),
                            _OFF_SWEEP_NM))
     (batch, batch_warnings), (alone, alone_warnings) = _phase_match_outcomes(

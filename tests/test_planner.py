@@ -128,7 +128,7 @@ def test_identical_candidates_collapse_to_uniform_fiber():
     plan = plan_exhaustive(pool, PUMP, ns=256, ni=256, grid=grid)
     assert len(plan.order) == 2
     single = SegmentPool(
-        candidates=(("S2", AssemblySegment(0.6, catalog_point("S2"), catalog_fiber("S2", 0.6))),),
+        candidates=(("S2", AssemblySegment(0.6, catalog_point("S2"), catalog_fiber("S2"))),),
         target_total_length_m=0.6, tolerance_m=0.0,
     )
     uniform, _ = evaluate_plan((0,), single, PUMP, ns=256, ni=256, grid=grid)

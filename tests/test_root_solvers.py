@@ -51,7 +51,7 @@ def _solver_brackets(monkeypatch, second_pass, seed):
     monkeypatch.setattr(disp, "_brentq", record)
     rng = np.random.default_rng(seed)
     r_nm, fill = rng.uniform(300.0, 1300.0), rng.uniform(0.1, 0.6)
-    seg = FiberSegment("rand", r_nm, fill, 1.0)
+    seg = FiberSegment("rand", r_nm, fill)
     try:
         disp._KSeries(seg)
     except disp.ModeSolverError:
@@ -217,7 +217,7 @@ def test_brent_matches_brentq_on_the_package_calls(monkeypatch):
 
     for module in (disp, pm):
         monkeypatch.setattr(module, "_brentq", checked)
-    seg = FiberSegment("R948", 948.0, 0.296, 1.9)
+    seg = FiberSegment("R948", 948.0, 0.296)
     solve_phase_match(seg, PumpSpec(1070.0, 2.0))
     roots = agvm_roots(seg, gvm_curve(seg, (955.0, 1095.0), 8))
     assert roots.pump_for_tau_i_zero is not None and roots.pump_for_tau_s_zero is not None

@@ -645,11 +645,12 @@ def test_grid_refinement_leaves_marginal_unchanged(pump_2nm):
     assert np.max(np.abs(a - b)) < 1e-3
 
 
-def test_grid_refinement_leaves_scan_unchanged():
+def test_grid_refinement_leaves_scan_unchanged(monkeypatch):
     asm = catalog_assembly([("S1", 0.3), ("S2", 0.3)])
     centers = np.linspace(1406.0, 1420.0, 15)
     a = filter_scan(asm, FilterSpec(1413.0, 0.8), centers)
-    b = filter_scan(asm, FilterSpec(1413.0, 0.8), centers, lobes=20.0)
+    monkeypatch.setattr(spectra, "DEFAULT_LOBES", 20.0)  # twice the signal window
+    b = filter_scan(asm, FilterSpec(1413.0, 0.8), centers)
     assert np.max(np.abs(a.values - b.values)) < 1e-3 * a.values.max()
 
 
@@ -658,23 +659,21 @@ def test_grid_refinement_leaves_scan_unchanged():
 
 
 def test_full_mismatch_vanishes_at_solved_pair(pump_2nm):
-    from sfwm import assembly_from_fibers, delta_k_full
+    from sfwm import delta_k_full, solve_phase_match
     from conftest import catalog_fiber
 
     fiber = catalog_fiber("S3")
-    asm = assembly_from_fibers([fiber], pump_2nm, model_mode="full")
-    pt = asm.segments[0].point
+    pt = solve_phase_match(fiber, pump_2nm)
     anchor = delta_k_full(fiber, np.array([pt.omega_s0]), np.array([pt.omega_i0]))
     assert abs(float(anchor[0])) < 1e-5
 
 
 def test_full_mismatch_tangent_to_linearization(pump_2nm):
-    from sfwm import assembly_from_fibers, delta_k_full
+    from sfwm import delta_k_full, solve_phase_match
     from conftest import catalog_fiber
 
     fiber = catalog_fiber("S3")
-    asm = assembly_from_fibers([fiber], pump_2nm, model_mode="full")
-    pt = asm.segments[0].point
+    pt = solve_phase_match(fiber, pump_2nm)
     ws = pt.omega_s0 + np.linspace(-2e12, 2e12, 9)
     wi = np.full_like(ws, pt.omega_i0)
     full = delta_k_full(fiber, ws, wi)
@@ -684,12 +683,13 @@ def test_full_mismatch_tangent_to_linearization(pump_2nm):
 
 
 def test_full_mode_g2_close_to_linearized(pump_2nm):
-    from sfwm import assembly_from_fibers, g2_quadrature
+    from sfwm import g2_quadrature, solve_phase_match
     from conftest import catalog_fiber
 
-    fibers = [catalog_fiber("S3", 0.3)]
-    lin = assembly_from_fibers(fibers, pump_2nm, model_mode="linearized")
-    full = assembly_from_fibers(fibers, pump_2nm, model_mode="full")
+    fiber = catalog_fiber("S3")
+    seg = AssemblySegment(0.3, solve_phase_match(fiber, pump_2nm), fiber)
+    lin = AssemblySpec((seg,), "linearized")
+    full = AssemblySpec((seg,), "full")
     grid = default_grid(lin, pump_2nm, ns=256, ni=256, lobes=6.0)
     g_lin = g2_quadrature(build_jsa(lin, pump_2nm, grid=grid))
     jsa_full = build_jsa(full, pump_2nm, grid=grid)
@@ -700,7 +700,7 @@ def test_full_mode_g2_close_to_linearized(pump_2nm):
 
 
 def test_full_mode_outside_material_window_raises(pump_2nm):
-    from sfwm import assembly_from_fibers, delta_k_full
+    from sfwm import delta_k_full
     from sfwm.dispersion import DispersionDomainError
     from conftest import catalog_fiber
 

@@ -3,17 +3,16 @@
     python3 tools/bench_dispersion.py [--src DIR] [--repeats N]
 
 Times, on the catalog fiber S1 (r = 947 nm, f = 0.296): one build of the
-Chebyshev series of n_eff(omega) (where the package has one), 100 scalar
-evaluations of that series at each derivative order 0-2, ``gvd`` on
-61 wavelengths over 850-1450 nm, ``find_zdw`` on 900-1250 nm,
+Chebyshev series of n_eff(omega), 100 scalar evaluations of that series at
+each derivative order 0-2, ``gvd`` on 61 wavelengths over 850-1450 nm, ``find_zdw`` on 900-1250 nm,
 ``solve_phase_match`` at a 1070 nm pump, ``gvm_curve`` over 29 pumps on
 955-1095 nm and ``agvm_roots`` on that sweep, each on a new
 ``FiberSegment``, so that each includes the fiber's series build; the same
-sweep on one S1 object whose series is already built, where fibers keep
-one (``gvm_curve_29_built``); the series build of a 200 nm core, which
+sweep on one S1 object whose series is already built
+(``gvm_curve_29_built``); the series build of a 200 nm core, which
 bisects its guided-mode limit (``series_build_r200``), and the full-model
-``build_jsa`` of S2 (0.3 m) on its 512x512 grid, whose fiber has solved its
-phase matching before; then the in-process ``dispersion`` and ``gvm-curve`` CLI
+``build_jsa`` of S2 (0.3 m) on its 512x512 grid, whose point is solved
+before; then the in-process ``dispersion`` and ``gvm-curve`` CLI
 calls on the configs of the benchmark's seed-1 ``dispersion_curves`` and
 ``gvm_sweep`` steps (``perfbench/workloads.py``), and the first mode-solver
 call of that ``dispersion`` call alone, keyed by its element count
@@ -22,9 +21,9 @@ call batched 4 fibers x (65 series nodes + 61 table wavelengths)).  Prints
 one JSON object: the median over the repeats (ms per call), the mode-solver
 (``_solve_neff``) and Brent (``_brentq``, bound in ``dispersion`` or
 ``phasematch``) calls one of each of those CLI calls makes, the core count
-and the OpenBLAS builds and thread counts the process loaded.  ``--src`` times the package under
-another checkout's ``src/`` the same way, older ones too, whose series
-build takes a mode model.
+and the OpenBLAS builds and thread counts the process loaded.  ``--src`` times the
+package under another checkout's ``src/`` the same way; its fibers must be
+structure only (no length).
 """
 
 from __future__ import annotations
@@ -60,21 +59,22 @@ def main() -> int:
     sys.path.insert(0, args.src)
     import numpy as np
 
-    from sfwm import (FiberSegment, PumpSpec, agvm_roots, assembly_from_fibers, build_jsa,
-                      default_grid, find_zdw, gvd, gvm_curve, solve_phase_match)
+    from sfwm import (AssemblySegment, AssemblySpec, FiberSegment, PumpSpec, agvm_roots,
+                      build_jsa, default_grid, find_zdw, gvd, gvm_curve, solve_phase_match)
     from sfwm import dispersion, phasematch
 
     def s1():
-        return FiberSegment("S1", 947.0, 0.296, 0.3)
+        return FiberSegment("S1", 947.0, 0.296)
 
     built = s1()
-    getattr(built, "series", None)  # where a fiber keeps its series, build it now
-    s2 = FiberSegment("S2", 947.5, 0.296, 0.3)
+    built.series  # build its series now
+    s2 = FiberSegment("S2", 947.5, 0.296)
     pump = PumpSpec(PUMP_NM, 2.0)
     wl = np.linspace(850.0, 1450.0, 61)
     sweep = gvm_curve(s1(), (955.0, 1095.0), 29)
-    full = assembly_from_fibers([s2], pump, model_mode="full")
-    grid = default_grid(assembly_from_fibers([s2], pump), pump, 512, 512)
+    s2_segments = (AssemblySegment(0.3, solve_phase_match(s2, pump), s2),)
+    full = AssemblySpec(s2_segments, "full")
+    grid = default_grid(AssemblySpec(s2_segments), pump, 512, 512)
     calls = {
         "gvd_61": lambda: gvd(s1(), wl),
         "find_zdw": lambda: find_zdw(s1(), (900.0, 1250.0)),
@@ -84,20 +84,14 @@ def main() -> int:
         "agvm_roots": lambda: agvm_roots(s1(), sweep),
         "build_jsa_full_512x512": lambda: build_jsa(full, pump, grid=grid),
     }
-    if hasattr(dispersion, "_KSeries"):
-        try:
-            mode = ()
-            series = dispersion._KSeries(s1())
-        except TypeError:  # an older checkout: it takes a mode model
-            mode = ("he11",)
-            series = dispersion._KSeries(s1(), *mode)
-        small = FiberSegment("small", 200.0, 0.296, 1.0)
-        omegas = [float(w) for w in dispersion._omega(np.linspace(850.0, 1450.0, 100))]
-        calls = {"series_build": lambda: dispersion._KSeries(s1(), *mode),
-                 "series_scalar_300": lambda: [series(w, order) for order in range(3)
-                                               for w in omegas],
-                 **calls,
-                 "series_build_r200": lambda: dispersion._KSeries(small, *mode)}
+    series = dispersion._KSeries(s1())
+    small = FiberSegment("small", 200.0, 0.296)
+    omegas = [float(w) for w in dispersion._omega(np.linspace(850.0, 1450.0, 100))]
+    calls = {"series_build": lambda: dispersion._KSeries(s1()),
+             "series_scalar_300": lambda: [series(w, order) for order in range(3)
+                                           for w in omegas],
+             **calls,
+             "series_build_r200": lambda: dispersion._KSeries(small)}
 
     sys.path.insert(0, str(REPO / "perfbench"))
     from workloads import SUBCOMMAND, make_config
@@ -129,8 +123,7 @@ def main() -> int:
         calls[f"cli_{step}_seed1"] = cli_step(step, Path(work.name))
         log = solves[f"cli_{step}_seed1"] = {"_solve_neff": 0, "_brentq": 0}
         saved = [(m, n, counted(m, n, log, seen[n])) for m, n in (
-            (dispersion, "_solve_neff"), (dispersion, "_brentq"), (phasematch, "_brentq"))
-            if hasattr(m, n)]
+            (dispersion, "_solve_neff"), (dispersion, "_brentq"), (phasematch, "_brentq"))]
         calls[f"cli_{step}_seed1"]()
         for module, name, fn in saved:
             setattr(module, name, fn)
