@@ -495,10 +495,9 @@ def _assembly_record(name: str, assembly: AssemblySpec) -> dict:
     }
 
 
-def _jsa_entry(name: str, pump_fwhm_nm: float, grid: FrequencyGrid) -> dict:
+def _jsa_entry(name: str, pump_fwhm_nm: float, ns: int, ni: int) -> dict:
     """The manifest's record of one JSA that g2-table or plan streams."""
-    return {"name": name, "pump_fwhm_nm": pump_fwhm_nm,
-            "ns": int(grid.signal.size), "ni": int(grid.idler.size)}
+    return {"name": name, "pump_fwhm_nm": pump_fwhm_nm, "ns": ns, "ni": ni}
 
 
 def _spectrum_rows(spectrum) -> list[tuple[float, float]]:
@@ -657,7 +656,8 @@ def _cmd_g2_table(cfg: SimpleNamespace, out: _OutputSet) -> dict:
     pumps = [replace(cfg.pump, fwhm_nm=fw) for fw in fwhms]
     rows = g2_table(_named_assemblies(cfg, pumps[0]), pumps, **_jsa_args(cfg))
     out.add_csv("g2_table.csv", _G2, [[getattr(row, col) for col in _G2] for row in rows])
-    return {"jsas": [_jsa_entry(row.configuration, row.pump_fwhm_nm, row.grid) for row in rows]}
+    return {"jsas": [_jsa_entry(row.configuration, row.pump_fwhm_nm, row.grid.signal.size,
+                                row.grid.idler.size) for row in rows]}
 
 
 def _cmd_plan(cfg: SimpleNamespace, out: _OutputSet) -> dict:
@@ -683,8 +683,8 @@ def _cmd_plan(cfg: SimpleNamespace, out: _OutputSet) -> dict:
         f"predicted_g2: {_fmt(plan.predicted_g2)}",
         "spectrum_csv: plan_spectrum.csv",
     ]) + "\n")
-    return {"jsas": [_jsa_entry("+".join(scored.labels), pump.fwhm_nm, scored.grid)
-                     for scored in plan.scored]}
+    return {"jsas": [_jsa_entry("+".join(pool.candidates[i][0] for i in fill.order),
+                                pump.fwhm_nm, fill.ns, fill.ni) for fill in plan.scored]}
 
 
 #: Each subcommand's handler and the config fields it needs, checked in order.

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .correlation import g2_streamed
 from .phasematch import PumpSpec
-from .spectra import AssemblySegment, AssemblySpec, FrequencyGrid, Spectrum1D, jsa_grid
+from .spectra import AssemblySegment, AssemblySpec, Spectrum1D, jsa_grid
 
 
 class PlanSpaceError(RuntimeError):
@@ -61,19 +62,26 @@ class SegmentPool:
         return abs(total - self.target_total_length_m) <= self.effective_tolerance_m + 1e-12
 
 
+class PlanFill(NamedTuple):
+    """One JSA a search filled: the orientation evaluate_plan fills, g2, grid shape."""
+
+    order: tuple[int, ...]
+    g2: float
+    ns: int
+    ni: int
+
+
 @dataclass(frozen=True)
 class SplicePlan:
-    """An ordered selection with its predicted performance and the grid its JSA
-    was filled on.  A planner's result lists in ``scored`` each plan it filled
-    a JSA for, in fill order and in the orientation evaluate_plan fills."""
+    """An ordered selection with its predicted performance.  A search's result
+    lists in ``scored`` each JSA it filled, in fill order."""
 
     order: tuple[int, ...]
     labels: tuple[str, ...]
     total_length_m: float
     predicted_g2: float
     predicted_spectrum: Spectrum1D = field(repr=False)
-    grid: FrequencyGrid = field(repr=False, compare=False)
-    scored: tuple["SplicePlan", ...] = field(default=(), repr=False, compare=False)
+    scored: tuple[PlanFill, ...] = field(default=(), repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.order)) != len(self.order):
@@ -113,21 +121,26 @@ def _feasible_subsets(pool: SegmentPool) -> list[tuple[int, ...]]:
             for combo in itertools.combinations(idx, size) if pool.is_feasible(combo)]
 
 
-def _score(order: tuple[int, ...], pool: SegmentPool, pump: PumpSpec,
-           grid_kwargs: dict) -> SplicePlan:
-    """The plan of ``order``, the orientation of a mirror pair that
-    evaluate_plan fills (order <= order[::-1]), on the grid sized here once."""
+def _fill(order: tuple[int, ...], pool: SegmentPool, pump: PumpSpec, grid_kwargs: dict,
+          fills: dict) -> tuple[float, Spectrum1D]:
+    """Fill ``order``, the orientation of a mirror pair that evaluate_plan
+    fills (order <= order[::-1]), on the grid sized here once; record it in ``fills``."""
     grid = jsa_grid(_assembly(order, pool), pump, **grid_kwargs)
     g2, spectrum = evaluate_plan(order, pool, pump, grid=grid)
-    return SplicePlan(order=order, labels=tuple(pool.candidates[i][0] for i in order),
-                      total_length_m=pool.total_length_m(order), predicted_g2=g2,
-                      predicted_spectrum=spectrum, grid=grid)
+    fills[order] = PlanFill(order, g2, grid.signal.size, grid.idler.size)
+    return g2, spectrum
 
 
-def _rank(plan: SplicePlan) -> tuple:
+def _rank(order: tuple[int, ...], g2: float, pool: SegmentPool) -> tuple:
     # Higher g2 wins; ties resolve to the shorter splice, then to the
     # lexicographically smallest index order, for deterministic output.
-    return -plan.predicted_g2, plan.total_length_m, plan.order
+    return -g2, pool.total_length_m(order), order
+
+
+def _plan(order: tuple[int, ...], g2: float, spectrum: Spectrum1D, pool: SegmentPool,
+          fills) -> SplicePlan:
+    return SplicePlan(order, tuple(pool.candidates[i][0] for i in order),
+                      pool.total_length_m(order), g2, spectrum, tuple(fills))
 
 
 def plan_exhaustive(pool: SegmentPool, pump: PumpSpec, max_plans: int = 100_000,
@@ -146,11 +159,13 @@ def plan_exhaustive(pool: SegmentPool, pump: PumpSpec, max_plans: int = 100_000,
             "(planner.max_plans); lower planner.max_segments or planner.tolerance_m "
             "to shrink the search"
         )
-    # A mirror image ties on g2 and length and loses on order, so scoring
-    # the smaller orientation of each pair alone gives the same argmax.
-    scored = tuple(_score(order, pool, pump, grid_kwargs) for subset in subsets
-                   for order in itertools.permutations(subset) if order <= order[::-1])
-    return replace(min(scored, key=_rank), scored=scored)
+    # A mirror image ties on g2 and length and loses on order, so filling the smaller
+    # orientation of each pair alone gives the same argmax.  min holds only the running best.
+    fills: dict = {}
+    best = min(((order, *_fill(order, pool, pump, grid_kwargs, fills)) for subset in subsets
+                for order in itertools.permutations(subset) if order <= order[::-1]),
+               key=lambda plan: _rank(*plan[:2], pool))
+    return _plan(*best, pool, fills.values())
 
 
 def _greedy_seed(pool: SegmentPool) -> tuple[int, ...] | None:
@@ -190,35 +205,35 @@ def plan_greedy(pool: SegmentPool, pump: PumpSpec, **grid_kwargs) -> SplicePlan:
             f"no subset of the pool meets total length "
             f"{pool.target_total_length_m} +/- {pool.effective_tolerance_m} m"
         )
-    scored: dict = {}  # by orientation: rounds revisit orders, and mirror pairs tie
-
-    def plan_for(order: tuple[int, ...]) -> SplicePlan:
-        key = min(order, order[::-1])
-        if key not in scored:
-            scored[key] = _score(key, pool, pump, grid_kwargs)
-        return replace(scored[key], order=order,
-                       labels=tuple(pool.candidates[i][0] for i in order))
-
-    current = plan_for(seed)
+    fills: dict = {}  # by orientation: rounds revisit orders, and mirror pairs tie
+    current, g2_now, spectrum = seed, *_fill(min(seed, seed[::-1]), pool, pump, grid_kwargs, fills)
     for _ in range(_GREEDY_MAX_ROUNDS):
-        members = set(current.order)
         moves: list[tuple[int, ...]] = []
-        for pos in range(len(current.order)):
+        for pos in range(len(current)):
             for repl in range(len(pool.candidates)):
-                if repl in members:
+                if repl in current:
                     continue
-                cand = list(current.order)
+                cand = list(current)
                 cand[pos] = repl
                 if pool.is_feasible(tuple(cand)):
                     moves.append(tuple(cand))
-        for a in range(len(current.order)):
-            for b in range(a + 1, len(current.order)):
-                cand = list(current.order)
+        for a in range(len(current)):
+            for b in range(a + 1, len(current)):
+                cand = list(current)
                 cand[a], cand[b] = cand[b], cand[a]
                 moves.append(tuple(cand))
-        better = [plan for plan in map(plan_for, moves)
-                  if plan.predicted_g2 > current.predicted_g2 + 1e-15]
-        if not better:
+        spectra, best = {}, None  # this round's new fills: two mirror-image moves share one
+        for move in moves:
+            key = min(move, move[::-1])
+            if key not in fills:
+                spectra[key] = _fill(key, pool, pump, grid_kwargs, fills)[1]
+            # Each round moves to its highest g2, so an orientation filled in
+            # an earlier round reads at most g2_now and cannot improve on it.
+            g2 = fills[key].g2
+            if g2 > g2_now + 1e-15 and (
+                    best is None or _rank(move, g2, pool) < _rank(*best[:2], pool)):
+                best = move, g2, spectra[key]
+        if best is None:
             break
-        current = min(better, key=_rank)
-    return replace(current, scored=tuple(scored.values()))
+        current, g2_now, spectrum = best
+    return _plan(current, g2_now, spectrum, pool, fills.values())

@@ -14,9 +14,9 @@ seed-1 ``splice_plan`` step (``perfbench/workloads.py``), and prints one
 JSON object: the median over the repeats of the wall time and of the
 process CPU time (``time.process_time``, every thread) per call, in ms, the
 ``tracemalloc`` peak of one stored (``build_jsa`` + ``g2_quadrature``) and
-one streamed g2 and of one stored and one streamed pair of marginals, in
-MiB, the core count and the OpenBLAS builds and thread counts the process
-loaded.
+one streamed g2, of one stored and one streamed pair of marginals and of
+one plan search, in MiB, the memory the search's result keeps, in KiB, the
+core count and the OpenBLAS builds and thread counts the process loaded.
 A BLAS worker that spins after its call shows as CPU above wall time, in
 the call or in the one after it.
 ``--src`` times the package under another checkout's ``src/`` the same way.
@@ -117,12 +117,21 @@ def _time_plan(repeats: int) -> dict:
         candidates.append((seg["label"], AssemblySegment(seg["length_m"], point)))
     pool = SegmentPool(tuple(candidates), cfg["planner"]["target_total_length_m"],
                        cfg["planner"]["tolerance_m"])
-    plans = []
-    ms, cpu_ms = _timed(lambda: plans.append(
-        plan_exhaustive(pool, pump, ns=cfg["grid"]["ns"], ni=cfg["grid"]["ni"])), repeats)
+
+    def search():
+        return plan_exhaustive(pool, pump, ns=cfg["grid"]["ns"], ni=cfg["grid"]["ni"])
+
+    ms, cpu_ms = _timed(search, repeats)
+    tracemalloc.start()
+    try:
+        kept = search()  # what is still traced when the search returns is its result
+        kept_kib = round(tracemalloc.get_traced_memory()[0] / 2**10, 1)
+    finally:
+        tracemalloc.stop()
     return {"pool": "splice_plan seed 1: six 0.3 m segments, 0.6 m target, 30 ordered pairs",
-            "ms": round(ms, 1), "cpu_ms": round(cpu_ms, 1), "order": list(plans[-1].order),
-            "predicted_g2": plans[-1].predicted_g2}
+            "ms": round(ms, 1), "cpu_ms": round(cpu_ms, 1), "order": list(kept.order),
+            "predicted_g2": kept.predicted_g2, "peak_mib": _traced_peak_mib(search),
+            "kept_kib": kept_kib}
 
 
 # Runs one CLI step (argv: src, subcommand, config, out) and prints its
