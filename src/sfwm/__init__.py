@@ -49,6 +49,7 @@ from .spectra import (
     phi_homogeneous,
     phi_signal,
     pump_envelope,
+    streamed_marginals,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

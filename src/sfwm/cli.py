@@ -39,10 +39,10 @@ from .spectra import (
     AssemblySpec,
     FilterSpec,
     FrequencyGrid,
-    _streamed_marginals,
     build_jsa,
     filter_scan,
     jsa_grid,
+    streamed_marginals,
 )
 
 class ConfigError(ValueError):
@@ -606,7 +606,7 @@ def _cmd_jsa(cfg: SimpleNamespace, out: _OutputSet) -> dict:
 
 def _cmd_marginal(cfg: SimpleNamespace, out: _OutputSet) -> dict:
     def write(sfx, name, assembly, pump, grid):
-        for axis, spectrum in _streamed_marginals(assembly, pump, grid).items():
+        for axis, spectrum in streamed_marginals(assembly, pump, grid).items():
             out.add_csv(f"marginal_{axis}{sfx}.csv", ["x_nm", "intensity"],
                         _spectrum_rows(spectrum))
     return _each_jsa(cfg, write)

@@ -12,8 +12,9 @@ Schmidt mode count.  g2 = 2 exactly when the amplitude factorizes.
 The Gram path is the one evaluator behind every table row: g2_streamed
 fills the amplitude in row blocks and adds each into the Gram, so the
 amplitude is never stored; g2_quadrature runs the same quadrature on a
-stored amplitude.  The SVD (schmidt_decompose) gives the Schmidt spectrum
-itself, the oracle of both.
+stored amplitude.  Each pass computes g2 alone: a spectrum is a pass of its
+own (spectra.streamed_marginals).  The SVD (schmidt_decompose) gives the
+Schmidt spectrum itself, the oracle of both.
 """
 
 from __future__ import annotations
@@ -29,10 +30,8 @@ from .spectra import (
     AssemblySpec,
     FrequencyGrid,
     JsaGrid,
-    Spectrum1D,
     ZeroJsaError,
     _amplitude_blocks,
-    _marginal_sums,
     jsa_grid,
 )
 
@@ -97,19 +96,18 @@ def _end_corrected_gram(blocks, shape: tuple[int, int]) -> np.ndarray:
 GRAM_RANGE = (2.0 ** -800, 2.0 ** 1000)
 
 
-def _g2_of_blocks(blocks, refill, shape: tuple[int, int]) -> float:
-    """g2 by the Gram quadrature (see g2_quadrature) of the amplitude that
-    ``blocks`` yields, as _end_corrected_gram takes it.
+def _g2_of_blocks(fill, shape: tuple[int, int]) -> float:
+    """g2 by the Gram quadrature (see g2_quadrature) of the amplitude whose
+    blocks ``fill()`` yields, as _end_corrected_gram takes them.
 
-    ``refill()`` yields the same blocks again, for the rare Gram outside
-    GRAM_RANGE: one pass finds the amplitude's largest part, and one more
-    forms the Gram from the blocks times the power of two that brings that
-    part into [0.5, 1)."""
-    upper = _end_corrected_gram(blocks, shape)
+    One pass forms the Gram.  Only a Gram outside GRAM_RANGE takes two more:
+    one finds the amplitude's largest part, and one forms the Gram again from
+    the blocks times the power of two that brings that part into [0.5, 1)."""
+    upper = _end_corrected_gram(fill(), shape)
     if not GRAM_RANGE[0] <= float(upper.diagonal().real.max()) <= GRAM_RANGE[1]:
-        peak = max(_peak_part(block) for _, block in refill())
+        peak = max(_peak_part(block) for _, block in fill())
         upper = _end_corrected_gram(((rows, _unit_scaled(block, peak))
-                                     for rows, block in refill()), shape)
+                                     for rows, block in fill()), shape)
     mag = np.abs(upper)
     mag *= 2.0 ** -math.frexp(float(mag.diagonal().max()))[1]
     diag = mag.diagonal().copy()
@@ -138,33 +136,22 @@ def g2_quadrature(jsa: JsaGrid) -> float:
     gives the same g2, to rounding, without storing it.
     """
     a = jsa.amplitude
-    whole = [(slice(0, len(a)), a)]
-    return _g2_of_blocks(whole, lambda: whole, a.shape)
+    return _g2_of_blocks(lambda: [(slice(0, len(a)), a)], a.shape)
 
 
-def g2_streamed(assembly: AssemblySpec, pump: PumpSpec, grid: FrequencyGrid,
-                signal_marginal: bool = False) -> tuple[float, Spectrum1D | None]:
-    """g2 of build_jsa(assembly, pump, grid) without storing its amplitude, and
-    with ``signal_marginal`` its marginal(jsa, "signal"); None otherwise.
+def g2_streamed(assembly: AssemblySpec, pump: PumpSpec, grid: FrequencyGrid) -> float:
+    """g2 of build_jsa(assembly, pump, grid) without storing its amplitude.
 
     The amplitude is filled in the streamed row blocks of one reused buffer
     (spectra._amplitude_blocks, which checks each finite), and each block
     adds its zherk into the one Gram, so the largest array alive is the
-    Gram or a block, not the amplitude.  The marginal is summed from the
-    same blocks (spectra._marginal_sums).  A grid with fewer signal rows
-    than idler columns is filled in one block (see _end_corrected_gram).
+    Gram or a block, not the amplitude.  A grid with fewer signal rows than
+    idler columns is filled in one block (see _end_corrected_gram).  It is
+    to g2_quadrature what spectra.streamed_marginals is to marginal.
     """
     ns, ni = grid.signal.size, grid.idler.size
     rows = ns if ns < ni else None
-
-    def fill():
-        return _amplitude_blocks(assembly, pump, grid, rows)
-
-    if not signal_marginal:
-        return _g2_of_blocks(fill(), fill, (ns, ni)), None
-    sums = {}
-    g2 = _g2_of_blocks(_marginal_sums(grid, fill(), sums), fill, (ns, ni))
-    return g2, Spectrum1D(grid.signal, sums["signal"], "angular_frequency")
+    return _g2_of_blocks(lambda: _amplitude_blocks(assembly, pump, grid, rows), (ns, ni))
 
 
 def schmidt_decompose(jsa: JsaGrid) -> np.ndarray:
@@ -215,7 +202,7 @@ def g2_table(configurations, pumps, **grid_kwargs) -> list[G2Row]:
     for label, assembly in configurations:
         for pump in pumps:
             grid = jsa_grid(assembly, pump, **grid_kwargs)
-            g2, _ = g2_streamed(assembly, pump, grid)
+            g2 = g2_streamed(assembly, pump, grid)
             purity = g2 - 1.0  # exact for g2 in [1, 2] (Sterbenz), so g2 == 1 + purity
             rows.append(G2Row(label, assembly.total_length_m, pump.fwhm_nm, g2, 1.0 / purity,
                               purity, grid))

@@ -514,7 +514,8 @@ def dispersion_table(segment: FiberSegment, wavelengths_nm) -> dict:
 
 
 def read_gvd_csv(path) -> list[GvdSample]:
-    """Read GVD samples from a `wavelength_nm,beta2_ps2_per_m` CSV."""
+    """Read GVD samples from a `wavelength_nm,beta2_ps2_per_m` CSV: every
+    non-blank row after the header holds exactly two finite numbers."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -523,4 +524,14 @@ def read_gvd_csv(path) -> list[GvdSample]:
                 f"unexpected GVD CSV header {header!r}; "
                 "expected wavelength_nm,beta2_ps2_per_m"
             )
-        return [GvdSample(float(row[0]), float(row[1])) for row in reader if row]
+        samples = []
+        for row in reader:
+            if not any(field.strip() for field in row):
+                continue
+            try:
+                if len(row) != 2:
+                    raise ValueError(f"expected 2 fields, got {len(row)}")
+                samples.append(GvdSample(float(row[0]), float(row[1])))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: row {row!r}: {exc}") from None
+        return samples

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .correlation import g2_streamed
 from .phasematch import PumpSpec
-from .spectra import AssemblySegment, AssemblySpec, Spectrum1D, jsa_grid
+from .spectra import AssemblySegment, AssemblySpec, Spectrum1D, jsa_grid, streamed_marginals
 
 
 class PlanSpaceError(RuntimeError):
@@ -63,7 +63,7 @@ class SegmentPool:
 
 
 class PlanFill(NamedTuple):
-    """One JSA a search filled: the orientation evaluate_plan fills, g2, grid shape."""
+    """One JSA a search scored: the orientation evaluate_plan fills, g2, grid shape."""
 
     order: tuple[int, ...]
     g2: float
@@ -74,7 +74,7 @@ class PlanFill(NamedTuple):
 @dataclass(frozen=True)
 class SplicePlan:
     """An ordered selection with its predicted performance.  A search's result
-    lists in ``scored`` each JSA it filled, in fill order."""
+    lists in ``scored`` each JSA it scored, in fill order."""
 
     order: tuple[int, ...]
     labels: tuple[str, ...]
@@ -97,7 +97,9 @@ def evaluate_plan(order, pool: SegmentPool, pump: PumpSpec,
     P + Q is the total mismatch phase; that leaves |f| and the Schmidt
     spectrum unchanged.  Both orders are therefore evaluated in the
     lexicographically smaller orientation, so that mirror images tie exactly
-    rather than by rounding noise.  ``grid_kwargs`` go to jsa_grid.
+    rather than by rounding noise.  ``grid_kwargs`` go to jsa_grid.  One pass
+    over the amplitude gives g2 and one more the spectrum; a search makes the
+    g2 pass on each fill and the spectrum pass on its result only (_plan).
     """
     order = tuple(order)
     if not order:
@@ -107,8 +109,8 @@ def evaluate_plan(order, pool: SegmentPool, pump: PumpSpec,
     if len(set(order)) != len(order):
         raise ValueError("plan indices must be distinct")
     assembly = _assembly(min(order, order[::-1]), pool)
-    return g2_streamed(assembly, pump, jsa_grid(assembly, pump, **grid_kwargs),
-                       signal_marginal=True)
+    grid = jsa_grid(assembly, pump, **grid_kwargs)
+    return g2_streamed(assembly, pump, grid), streamed_marginals(assembly, pump, grid)["signal"]
 
 
 def _assembly(order: tuple[int, ...], pool: SegmentPool) -> AssemblySpec:
@@ -122,13 +124,14 @@ def _feasible_subsets(pool: SegmentPool) -> list[tuple[int, ...]]:
 
 
 def _fill(order: tuple[int, ...], pool: SegmentPool, pump: PumpSpec, grid_kwargs: dict,
-          fills: dict) -> tuple[float, Spectrum1D]:
-    """Fill ``order``, the orientation of a mirror pair that evaluate_plan
-    fills (order <= order[::-1]), on the grid sized here once; record it in ``fills``."""
-    grid = jsa_grid(_assembly(order, pool), pump, **grid_kwargs)
-    g2, spectrum = evaluate_plan(order, pool, pump, grid=grid)
+          fills: dict) -> float:
+    """g2 of ``order``, the orientation of a mirror pair that evaluate_plan
+    fills (order <= order[::-1]); recorded in ``fills``."""
+    assembly = _assembly(order, pool)
+    grid = jsa_grid(assembly, pump, **grid_kwargs)
+    g2 = g2_streamed(assembly, pump, grid)
     fills[order] = PlanFill(order, g2, grid.signal.size, grid.idler.size)
-    return g2, spectrum
+    return g2
 
 
 def _rank(order: tuple[int, ...], g2: float, pool: SegmentPool) -> tuple:
@@ -137,10 +140,13 @@ def _rank(order: tuple[int, ...], g2: float, pool: SegmentPool) -> tuple:
     return -g2, pool.total_length_m(order), order
 
 
-def _plan(order: tuple[int, ...], g2: float, spectrum: Spectrum1D, pool: SegmentPool,
-          fills) -> SplicePlan:
+def _plan(order: tuple[int, ...], g2: float, pool: SegmentPool, pump: PumpSpec,
+          grid_kwargs: dict, fills: dict) -> SplicePlan:
+    """The result, with its filled orientation's spectrum: a search's one marginal pass."""
+    assembly = _assembly(min(order, order[::-1]), pool)
+    spectrum = streamed_marginals(assembly, pump, jsa_grid(assembly, pump, **grid_kwargs))
     return SplicePlan(order, tuple(pool.candidates[i][0] for i in order),
-                      pool.total_length_m(order), g2, spectrum, tuple(fills))
+                      pool.total_length_m(order), g2, spectrum["signal"], tuple(fills.values()))
 
 
 def plan_exhaustive(pool: SegmentPool, pump: PumpSpec, max_plans: int = 100_000,
@@ -162,10 +168,10 @@ def plan_exhaustive(pool: SegmentPool, pump: PumpSpec, max_plans: int = 100_000,
     # A mirror image ties on g2 and length and loses on order, so filling the smaller
     # orientation of each pair alone gives the same argmax.  min holds only the running best.
     fills: dict = {}
-    best = min(((order, *_fill(order, pool, pump, grid_kwargs, fills)) for subset in subsets
+    best = min(((order, _fill(order, pool, pump, grid_kwargs, fills)) for subset in subsets
                 for order in itertools.permutations(subset) if order <= order[::-1]),
-               key=lambda plan: _rank(*plan[:2], pool))
-    return _plan(*best, pool, fills.values())
+               key=lambda best: _rank(*best, pool))
+    return _plan(*best, pool, pump, grid_kwargs, fills)
 
 
 def _greedy_seed(pool: SegmentPool) -> tuple[int, ...] | None:
@@ -206,7 +212,7 @@ def plan_greedy(pool: SegmentPool, pump: PumpSpec, **grid_kwargs) -> SplicePlan:
             f"{pool.target_total_length_m} +/- {pool.effective_tolerance_m} m"
         )
     fills: dict = {}  # by orientation: rounds revisit orders, and mirror pairs tie
-    current, g2_now, spectrum = seed, *_fill(min(seed, seed[::-1]), pool, pump, grid_kwargs, fills)
+    current, g2_now = seed, _fill(min(seed, seed[::-1]), pool, pump, grid_kwargs, fills)
     for _ in range(_GREEDY_MAX_ROUNDS):
         moves: list[tuple[int, ...]] = []
         for pos in range(len(current)):
@@ -222,18 +228,16 @@ def plan_greedy(pool: SegmentPool, pump: PumpSpec, **grid_kwargs) -> SplicePlan:
                 cand = list(current)
                 cand[a], cand[b] = cand[b], cand[a]
                 moves.append(tuple(cand))
-        spectra, best = {}, None  # this round's new fills: two mirror-image moves share one
+        best = None
         for move in moves:
-            key = min(move, move[::-1])
-            if key not in fills:
-                spectra[key] = _fill(key, pool, pump, grid_kwargs, fills)[1]
+            key = min(move, move[::-1])  # two mirror-image moves share one fill
             # Each round moves to its highest g2, so an orientation filled in
             # an earlier round reads at most g2_now and cannot improve on it.
-            g2 = fills[key].g2
+            g2 = fills[key].g2 if key in fills else _fill(key, pool, pump, grid_kwargs, fills)
             if g2 > g2_now + 1e-15 and (
-                    best is None or _rank(move, g2, pool) < _rank(*best[:2], pool)):
-                best = move, g2, spectra[key]
+                    best is None or _rank(move, g2, pool) < _rank(*best, pool)):
+                best = move, g2
         if best is None:
             break
-        current, g2_now, spectrum = best
-    return _plan(current, g2_now, spectrum, pool, fills.values())
+        current, g2_now = best
+    return _plan(current, g2_now, pool, pump, grid_kwargs, fills)

@@ -456,37 +456,30 @@ def build_jsa(assembly: AssemblySpec, pump: PumpSpec, grid: FrequencyGrid | None
     return JsaGrid(grid, amp, pump, assembly)
 
 
-def _marginal_sums(grid: FrequencyGrid, blocks, sums: dict):
-    """Yield the (signal-row slice, block) pairs of ``blocks`` on, each first
-    added into ``sums``, the trapezoid marginals of |f|^2 on ``grid``:
-    sums["signal"][rows] = |B|^2 @ w_i and sums["idler"] += w_s[rows] @ |B|^2.
+def _marginals(grid: FrequencyGrid, blocks) -> dict[str, Spectrum1D]:
+    """The trapezoid marginals of |f|^2 on ``grid``, of the amplitude that
+    ``blocks`` covers as (signal-row slice, block) pairs: signal[rows] =
+    |B|^2 @ w_i, and idler += w_s[rows] @ |B|^2.
 
     The idler sum starts at 0, so an amplitude passed as one block gives the
-    two products' own bits.  |B|^2 is freed before its block goes on."""
+    two products' own bits.  |B|^2 is freed before the next block is filled."""
     w_s, w_i = grid.trapezoid_weights()
-    sums["signal"], sums["idler"] = np.empty(w_s.size), np.zeros(w_i.size)
+    sums = {"signal": np.empty(w_s.size), "idler": np.zeros(w_i.size)}
     for rows, block in blocks:
         intensity = np.abs(block) ** 2
         sums["signal"][rows] = intensity @ w_i
         sums["idler"] += w_s[rows] @ intensity
         del intensity
-        yield rows, block
     park_openblas()  # a one-block product is threaded from ~5e5 cells
-
-
-def _marginals(grid: FrequencyGrid, blocks) -> dict[str, Spectrum1D]:
-    """The signal and idler marginal of the amplitude that ``blocks`` covers."""
-    sums = {}
-    for _ in _marginal_sums(grid, blocks, sums):
-        pass
     return {axis: Spectrum1D(getattr(grid, axis), values, "angular_frequency")
             for axis, values in sums.items()}
 
 
-def _streamed_marginals(assembly: AssemblySpec, pump: PumpSpec,
-                        grid: FrequencyGrid) -> dict[str, Spectrum1D]:
+def streamed_marginals(assembly: AssemblySpec, pump: PumpSpec,
+                       grid: FrequencyGrid) -> dict[str, Spectrum1D]:
     """marginal(build_jsa(assembly, pump, grid), axis) for both axes, from the
-    amplitude filled in row blocks, never stored."""
+    amplitude filled in row blocks, never stored: it is to marginal what
+    correlation.g2_streamed is to g2_quadrature."""
     return _marginals(grid, _amplitude_blocks(assembly, pump, grid))
 
 

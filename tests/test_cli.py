@@ -933,7 +933,7 @@ def test_cli_imports_no_private_name_from_the_evaluation_layers():
     # order, a second grid sizing) would come back.
     import ast
 
-    layers = {"planner", "correlation", "dispersion"}
+    layers = {"planner", "correlation", "dispersion", "spectra"}
     tree = ast.parse((REPO / "src" / "sfwm" / "cli.py").read_text())
     imported = [(node.module.split(".")[-1], alias.name) for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.module

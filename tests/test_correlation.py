@@ -13,6 +13,7 @@ from sfwm import (
     g2_table,
     marginal,
     schmidt_decompose,
+    streamed_marginals,
 )
 from sfwm.spectra import ZeroJsaError
 
@@ -283,11 +284,11 @@ def test_streamed_g2_adds_256_row_blocks_into_one_gram(tall_and_square, monkeypa
     for jsa, g2, blocks in ((tall, expected[0], [256] * 5 + [98]),
                             (square, expected[1], [256, 256])):
         shapes.clear()
-        streamed, spectrum = g2_streamed(jsa.assembly, jsa.pump, jsa.grid)
+        streamed = g2_streamed(jsa.assembly, jsa.pump, jsa.grid)
         # numpy's pool is parked before each next block's fill, and at the end.
         calls = [call for rows in blocks[:-1] for call in ((512, rows), "park")]
         assert shapes == calls + [(512, blocks[-1]), (512, 2), "park"]
-        assert spectrum is None
+        assert isinstance(streamed, float)
         assert streamed == pytest.approx(g2, rel=1e-15, abs=0)
 
 
@@ -298,10 +299,12 @@ def test_streamed_g2_on_a_wide_grid_sums_the_idler_axis(pump_2nm, monkeypatch):
     grid = FrequencyGrid(np.linspace(1.330e15, 1.347e15, 300), np.linspace(2.170e15, 2.205e15, 700))
     jsa = build_jsa(asm, pump_2nm, grid=grid)
     shapes = _counted_zherk(monkeypatch)
-    g2, spectrum = g2_streamed(asm, pump_2nm, grid, signal_marginal=True)
+    g2 = g2_streamed(asm, pump_2nm, grid)
     assert shapes == [(700, 300), (2, 300)]
     assert 1.0 < g2 < 2.0
     assert g2 == pytest.approx(g2_quadrature(jsa), rel=1e-15, abs=0)
+    # The planner's spectrum pass sums the same grid in row blocks, to the same bits.
+    spectrum = streamed_marginals(asm, pump_2nm, grid)["signal"]
     assert np.array_equal(spectrum.values, marginal(jsa, "signal").values)
 
 
@@ -314,9 +317,10 @@ def test_streamed_g2_on_a_tall_grid_with_ragged_blocks(pump_2nm, monkeypatch):
                          np.linspace(auto.idler[0], auto.idler[-1], 300))
     jsa = build_jsa(asm, pump_2nm, grid=grid)
     shapes = _counted_zherk(monkeypatch)
-    g2, spectrum = g2_streamed(asm, pump_2nm, grid, signal_marginal=True)
+    g2 = g2_streamed(asm, pump_2nm, grid)
     assert shapes == [(300, 432)] * 4 + [(300, 272), (300, 2)]
     assert g2 == pytest.approx(g2_quadrature(jsa), rel=1e-15, abs=0)
+    spectrum = streamed_marginals(asm, pump_2nm, grid)["signal"]
     expected = marginal(jsa, "signal").values
     assert np.max(np.abs(spectrum.values - expected)) <= 1e-15 * expected.max()
 
@@ -332,7 +336,7 @@ def test_streamed_g2_rescales_outside_gram_range(tall_and_square, monkeypatch):
     shapes = _counted_zherk(monkeypatch)
     for jsa, g2, blocks in ((tall, expected[0], 6), (square, expected[1], 2)):
         shapes.clear()
-        streamed, _ = g2_streamed(jsa.assembly, jsa.pump, jsa.grid)
+        streamed = g2_streamed(jsa.assembly, jsa.pump, jsa.grid)
         assert len(shapes) == 2 * (blocks + 1)
         assert streamed == pytest.approx(g2, rel=1e-15, abs=0)
         assert g2_quadrature(jsa) == pytest.approx(g2, rel=1e-15, abs=0)
@@ -359,39 +363,34 @@ def test_streamed_g2_refuses_zero_and_non_finite_amplitudes(pump_2nm, monkeypatc
 
 
 def test_streamed_marginal_matches_marginal(tall_and_square):
-    from sfwm.spectra import _streamed_marginals
-
+    # The spectrum pass of the marginal subcommand and of a plan's result.
     tall, square = tall_and_square
     for jsa in (tall, square):
-        streamed = _streamed_marginals(jsa.assembly, jsa.pump, jsa.grid)
-        _, plan_spectrum = g2_streamed(jsa.assembly, jsa.pump, jsa.grid, signal_marginal=True)
+        streamed = streamed_marginals(jsa.assembly, jsa.pump, jsa.grid)
         for axis in ("signal", "idler"):
             expected = marginal(jsa, axis)
             assert np.array_equal(streamed[axis].axis, expected.axis)
-            got = [streamed[axis].values]
-            if axis == "signal":
-                got.append(plan_spectrum.values)
+            values = streamed[axis].values
             if axis == "signal" and jsa.amplitude.size <= 5e5:
                 # Below ~5e5 cells numpy's product of the stored intensity is
                 # one thread, and each row's sum has the same bits in a block.
-                assert all(np.array_equal(v, expected.values) for v in got)
+                assert np.array_equal(values, expected.values)
             else:
                 # Above it the stored product may run threaded; the idler sum
                 # adds the blocks in a different order.
-                for values in got:
-                    diff = np.max(np.abs(values - expected.values))
-                    assert diff <= 1e-15 * expected.values.max(), (axis, jsa.amplitude.shape)
+                diff = np.max(np.abs(values - expected.values))
+                assert diff <= 1e-15 * expected.values.max(), (axis, jsa.amplitude.shape)
 
 
 _MARGINAL_BITS = """
 import hashlib, sfwm
-from sfwm.spectra import _streamed_marginals
+from sfwm.spectra import streamed_marginals
 assembly = sfwm.AssemblySpec(tuple(
     sfwm.AssemblySegment(0.3, sfwm.PhaseMatchPoint.from_signal_and_angle(1070.0, *seg))
     for seg in ((1409.9, 3.2, 0.004), (1413.6, 3.2, 0.002),
                 (1417.3, 3.3, 0.001), (1421.0, 3.4, 0.004))))
 pump = sfwm.PumpSpec(1070.0, 2.0)
-sums = _streamed_marginals(assembly, pump, sfwm.jsa_grid(assembly, pump))
+sums = streamed_marginals(assembly, pump, sfwm.jsa_grid(assembly, pump))
 print(hashlib.sha256(sums["signal"].values.tobytes() + sums["idler"].values.tobytes()).hexdigest())
 """
 
@@ -446,7 +445,7 @@ def test_streamed_marginals_refuse_a_non_finite_amplitude(pump_2nm, monkeypatch)
 
     monkeypatch.setattr(spectra, "pump_envelope", poisoned)
     with pytest.raises(ValueError, match="amplitude must be finite everywhere"):
-        spectra._streamed_marginals(asm, pump_2nm, grid)
+        spectra.streamed_marginals(asm, pump_2nm, grid)
 
 
 def test_streamed_g2_never_holds_the_amplitude(tall_and_square):
@@ -473,7 +472,7 @@ def test_streamed_full_model_g2_matches_the_stored_amplitude_without_holding_it(
     tall, _ = tall_and_square
     full = dataclasses.replace(tall.assembly, model_mode="full")
     stored = build_jsa(full, tall.pump, tall.grid)
-    g2, _ = g2_streamed(full, tall.pump, tall.grid)
+    g2 = g2_streamed(full, tall.pump, tall.grid)
     assert g2 == pytest.approx(g2_quadrature(stored), rel=1e-15, abs=0)
     del stored
     tracemalloc.start()
@@ -528,6 +527,6 @@ def test_g2_matches_the_agvm_closed_form(parts):
         for pad, tol in ((4.0, 1e-8), (8.0, 1e-13)):
             grid = jsa_grid(assembly, pump, pad_sigmas=pad)
             expected = 1.0 + _agvm_purity(assembly, pump, grid)
-            assert g2_streamed(assembly, pump, grid)[0] == pytest.approx(expected, rel=0, abs=tol)
+            assert g2_streamed(assembly, pump, grid) == pytest.approx(expected, rel=0, abs=tol)
             assert g2_quadrature(build_jsa(assembly, pump, grid)) == pytest.approx(
                 expected, rel=0, abs=tol)

@@ -1,6 +1,7 @@
 """Material model, mode solver, derivatives, ZDW search, and structure fit."""
 
 import dataclasses
+import re
 
 import mpmath
 import numpy as np
@@ -588,6 +589,12 @@ def test_gvd_csv_round_trip(tmp_path):
     bad.write_text("lambda,beta2\n900,0.002\n")
     with pytest.raises(ValueError, match="header"):
         read_gvd_csv(bad)
+    # Every non-blank row holds exactly two numbers; a refusal names the file and line.
+    for row, reason in (("1010", "got 1"), ("1000,0.1,7", "got 3"),
+                        ("abc,0.2", "could not convert")):
+        bad.write_text(f"wavelength_nm,beta2_ps2_per_m\n900,0.002\n\n{row}\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(bad))}: line 4: .*{reason}"):
+            read_gvd_csv(bad)
 
 
 def test_segment_validation():

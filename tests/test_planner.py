@@ -189,19 +189,24 @@ def test_exhaustive_is_deterministic():
     assert a.total_length_m == b.total_length_m
 
 
-def _count_builds(monkeypatch):
-    # Each g2_streamed call fills one JSA, block by block.
+def _count_builds(monkeypatch, name="g2_streamed"):
+    # Each call fills one JSA, block by block: a g2_streamed call for its g2,
+    # a streamed_marginals call for its spectrum.
     import sfwm.planner
 
     built = []
-    real = sfwm.planner.g2_streamed
+    real = getattr(sfwm.planner, name)
 
     def counting(assembly, *args, **kwargs):
         built.append(assembly)
         return real(assembly, *args, **kwargs)
 
-    monkeypatch.setattr(sfwm.planner, "g2_streamed", counting)
+    monkeypatch.setattr(sfwm.planner, name, counting)
     return built
+
+
+def _segments(pool, order):
+    return tuple(pool.candidates[i][1] for i in order)
 
 
 def test_planners_break_mirror_ties_on_the_exact_total_length():
@@ -236,11 +241,15 @@ def test_exhaustive_builds_one_jsa_per_mirror_pair(monkeypatch, target_m, n_orde
                 best = (order, g2, spectrum)
     assert orders == n_orders
     built = _count_builds(monkeypatch)
+    marginal_passes = _count_builds(monkeypatch, "streamed_marginals")
     plan = plan_exhaustive(pool, PUMP, **FAST)
     assert len(built) == n_builds
     # plan.scored, which the plan manifest records, lists them in fill order.
     assert [assembly.segments for assembly in built] == [
-        tuple(pool.candidates[i][1] for i in scored.order) for scored in plan.scored]
+        _segments(pool, scored.order) for scored in plan.scored]
+    # One more pass, for the spectrum of the result alone, in its filled orientation.
+    assert [assembly.segments for assembly in marginal_passes] == [
+        _segments(pool, min(plan.order, plan.order[::-1]))]
     assert plan.order == best[0]
     assert plan.predicted_g2 == best[1]
     assert np.array_equal(plan.predicted_spectrum.values, best[2].values)
@@ -255,27 +264,20 @@ def test_greedy_result_pinned_and_builds_once_per_mirror_pair(monkeypatch, label
                                                               order, g2_hex):
     # Pinned to the values of the greedy search that scored every visited
     # order from scratch.
-    import sfwm.planner
-
-    evaluated = []
-    real_evaluate = sfwm.planner.evaluate_plan
-
-    def recording(order, *args, **kwargs):
-        evaluated.append(min(order, order[::-1]))
-        return real_evaluate(order, *args, **kwargs)
-
-    monkeypatch.setattr(sfwm.planner, "evaluate_plan", recording)
     built = _count_builds(monkeypatch)
+    marginal_passes = _count_builds(monkeypatch, "streamed_marginals")
     pool = catalog_pool(labels, target_m, tolerance_m=0.0)
     plan = plan_greedy(pool, PUMP, **FAST)
     assert plan.order == order
     assert plan.predicted_g2 == float.fromhex(g2_hex)
-    # One evaluation, and one JSA, per orientation visited; plan.scored lists
-    # each once, in fill order.
-    assert len(evaluated) == len(set(evaluated)) == len(built)
-    assert [scored.order for scored in plan.scored] == evaluated
-    assert [assembly.segments for assembly in built] == [
-        tuple(pool.candidates[i][1] for i in scored.order) for scored in plan.scored]
+    # One JSA per orientation visited; plan.scored lists each once, in fill order.
+    filled = [scored.order for scored in plan.scored]
+    assert len(filled) == len(set(filled)) == len(built)
+    assert all(key == min(key, key[::-1]) for key in filled)
+    assert [assembly.segments for assembly in built] == [_segments(pool, key) for key in filled]
+    # One more pass, for the spectrum of the result alone, in its filled orientation.
+    assert [assembly.segments for assembly in marginal_passes] == [
+        _segments(pool, min(plan.order, plan.order[::-1]))]
     # The result's spectrum is its order's, bit for bit, although the S1-S4
     # @ 1.2 m search revisits orientations it filled in earlier rounds.
     _, spectrum = evaluate_plan(plan.order, pool, PUMP, **FAST)

@@ -199,8 +199,10 @@ jsa = sfwm.build_jsa(assembly, sfwm.PumpSpec(1070.0, 2.0))
 first = spun("g2_quadrature", lambda: sfwm.g2_quadrature(jsa))
 # The pool starts again, with the same bits.
 assert spun("a second g2_quadrature", lambda: sfwm.g2_quadrature(jsa)) == first
-# The streamed Gram parks the pool between its 256-row blocks and at the end.
-spun("g2_streamed", lambda: sfwm.g2_streamed(jsa.assembly, jsa.pump, jsa.grid, True))
+# The streamed Gram parks the pool between its 256-row blocks and at the end,
+# and the streamed marginals park it at the end of their own pass.
+spun("g2_streamed", lambda: sfwm.g2_streamed(jsa.assembly, jsa.pump, jsa.grid))
+spun("streamed_marginals", lambda: sfwm.streamed_marginals(jsa.assembly, jsa.pump, jsa.grid))
 spun("marginal", lambda: sfwm.marginal(jsa, "signal"))
 spun("schmidt_decompose", lambda: sfwm.schmidt_decompose(jsa))
 """

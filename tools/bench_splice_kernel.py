@@ -8,15 +8,17 @@ auto-sized grids are 512x512 (S2, 0.3 m), 660x512 (S1+S2) and 1378x512
 ``g2_streamed`` (with ``jsa_grid``), which never stores the amplitude, where
 the package has it; times both marginals of the same JSAs, stored
 (``build_jsa`` and two ``marginal`` calls) and, where the package has it,
-streamed (``spectra._streamed_marginals`` with ``jsa_grid``); times one
-``plan_exhaustive`` call on the six-segment 0.6 m pool of the benchmark's
-seed-1 ``splice_plan`` step (``perfbench/workloads.py``), and prints one
-JSON object: the median over the repeats of the wall time and of the
-process CPU time (``time.process_time``, every thread) per call, in ms, the
-``tracemalloc`` peak of one stored (``build_jsa`` + ``g2_quadrature``) and
-one streamed g2, of one stored and one streamed pair of marginals and of
-one plan search, in MiB, the memory the search's result keeps, in KiB, the
-core count and the OpenBLAS builds and thread counts the process loaded.
+streamed (``spectra.streamed_marginals``, ``_streamed_marginals`` in older
+checkouts, with ``jsa_grid``); times one ``plan_exhaustive`` call on the
+six-segment 0.6 m pool of the benchmark's seed-1 ``splice_plan`` step
+(``perfbench/workloads.py``), and prints one JSON object: the median over
+the repeats of the wall time and of the process CPU time
+(``time.process_time``, every thread) per call, in ms, the ``tracemalloc``
+peak of one stored (``build_jsa`` + ``g2_quadrature``) and one streamed g2,
+of one stored and one streamed pair of marginals and of one plan search, in
+MiB, the memory the search's result keeps, in KiB, the passes over an
+amplitude one search makes, the core count and the OpenBLAS builds and
+thread counts the process loaded.
 A BLAS worker that spins after its call shows as CPU above wall time, in
 the call or in the one after it.
 ``--src`` times the package under another checkout's ``src/`` the same way.
@@ -99,6 +101,33 @@ def _traced_peak_mib(call) -> float:
         tracemalloc.stop()
 
 
+def _counted_passes(call) -> dict:
+    """The passes over an amplitude that one ``call()`` makes: the calls of
+    ``_amplitude_blocks``, by the module that makes them (``correlation`` for
+    a g2, ``spectra`` for marginals alone)."""
+    import sfwm
+
+    counts, patched = {}, []
+    for name in ("correlation", "spectra"):
+        module = getattr(sfwm, name)
+        real = getattr(module, "_amplitude_blocks", None)
+        if real is None:
+            continue
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+
+        patched.append((module, real))
+        module._amplitude_blocks = counting
+    try:
+        call()
+    finally:
+        for module, real in patched:
+            module._amplitude_blocks = real
+    return counts
+
+
 def _time_plan(repeats: int) -> dict:
     """``plan_exhaustive`` on the seed-1 ``splice_plan`` pool, as ``sfwm plan`` builds it."""
     from sfwm import AssemblySegment, PhaseMatchPoint, PumpSpec, SegmentPool, plan_exhaustive
@@ -131,7 +160,7 @@ def _time_plan(repeats: int) -> dict:
     return {"pool": "splice_plan seed 1: six 0.3 m segments, 0.6 m target, 30 ordered pairs",
             "ms": round(ms, 1), "cpu_ms": round(cpu_ms, 1), "order": list(kept.order),
             "predicted_g2": kept.predicted_g2, "peak_mib": _traced_peak_mib(search),
-            "kept_kib": kept_kib}
+            "kept_kib": kept_kib, "passes": _counted_passes(search)}
 
 
 # Runs one CLI step (argv: src, subcommand, config, out) and prints its
@@ -221,7 +250,8 @@ def main() -> int:
                       g2_quadrature, marginal)
 
     streamed = getattr(sfwm, "g2_streamed", None)
-    streamed_marginals = getattr(sfwm.spectra, "_streamed_marginals", None)
+    streamed_marginals = getattr(sfwm.spectra, "streamed_marginals",
+                                 getattr(sfwm.spectra, "_streamed_marginals", None))
     cases = {}
     for name, labels in CASES.items():
         assembly = AssemblySpec(tuple(

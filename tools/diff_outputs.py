@@ -6,10 +6,14 @@ Runs every bundled config of the acceptance suite's ``CONFIG_RUNS``, the
 four benchmark steps (``perfbench/workloads.py`` ``make_config``) at seeds 1
 and 7, and ``configs/g2_table.json`` without its ``phase_match`` blocks on a
 64x64 grid (as ``g2-table``, and as ``jsa`` with ``model: "full"``, so that
-each segment's phase matching and k(omega) come from its structure) through
-``python3 -B -m sfwm.cli``, once with the package under
-``--parent`` (the baseline, e.g. a parent checkout's ``src/``) and once with
-this checkout's ``src/``, each under ``OPENBLAS_NUM_THREADS=1`` and ``=2``.
+each segment's phase matching and k(omega) come from its structure), and
+the seed-1 ``splice_plan`` pool as ``plan`` on an explicit 300x700 grid
+(signal 1400-1440 nm, idler 845-872 nm: fewer signal rows than idler
+columns, so the Gram takes each amplitude in one block and the result's
+spectrum is summed in row blocks) through ``python3 -B -m sfwm.cli``, once
+with the package under ``--parent`` (the baseline, e.g. a parent
+checkout's ``src/``) and once with this checkout's ``src/``, each under
+``OPENBLAS_NUM_THREADS=1`` and ``=2``.
 Both sides read the same config files from this checkout, so their
 manifests record the same config hash.  Prints each output file that
 differs or exists on one side only, and each run that fails, then a
@@ -69,6 +73,12 @@ def _runs(work: Path) -> list[tuple[str, Path, str]]:
         path = work / f"g2_table_structural_{model}.json"
         path.write_text(json.dumps({**structural, "model": model, "grid": {"ns": 64, "ni": 64}}))
         runs.append((f"g2_table_structural:{subcommand}", path, subcommand))
+    wide = workloads.make_config("splice_plan", 1)
+    wide["grid"] = {"ns": 300, "ni": 700, "signal_range_nm": [1400.0, 1440.0],
+                    "idler_range_nm": [845.0, 872.0]}
+    path = work / "splice_plan_wide.json"
+    path.write_text(json.dumps(wide))
+    runs.append(("splice_plan_wide:plan", path, "plan"))
     return runs
 
 
